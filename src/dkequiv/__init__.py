@@ -8,7 +8,6 @@ from .exactlin import (
     Subspace,
     block,
     direct_sum,
-    intersect,
     meet_of_idempotents,
     orthogonal_idempotents,
     restrict,
@@ -30,8 +29,6 @@ from .functors import (
     InfeasibleRelations,
     NatTransform,
     PointedFunctor,
-    compose_nat,
-    is_iso,
     random_pointed_functor,
 )
 from .equivalence import (

@@ -249,7 +249,12 @@ def pullback(cat: FinCat, f, g):
 
 
 def validate_par_input(inp: ParInput):
-    """All preconditions for the partial-map construction; returns problem list."""
+    """All preconditions for the partial-map construction.
+
+    Returns (problems, pullbacks): the problem list, empty when the input is
+    suitable, and the pullbacks of m_class morphisms found on the way, keyed
+    by (along, m).
+    """
     cat = inp.cat
     problems = []
     n = cat.n_morphisms
@@ -257,7 +262,7 @@ def validate_par_input(inp: ParInput):
         for x in cls_:
             if not (0 <= x < n):
                 problems.append({"problem": f"dangling id in {name}", "id": x})
-                return problems
+                return problems, {}
     isos = cat.isos()
     for i in sorted(isos):
         if i not in inp.e_class or i not in inp.m_class:
@@ -339,10 +344,7 @@ def validate_par_input(inp: ParInput):
 def build_par(inp: ParInput) -> MRStructure:
     """Category of m-partial maps of the base: morphisms are iso-classes of
     spans whose left leg is in m_class, composed by pullback."""
-    out = validate_par_input(inp)
-    if isinstance(out, list):
-        raise ParInputError(out)
-    problems, pb_cache = out
+    problems, pb_cache = validate_par_input(inp)
     if problems:
         raise ParInputError(problems)
     cat = inp.cat
@@ -505,8 +507,27 @@ def build_flinj_input(dim_max, q=2) -> ParInput:
     return ParInput(cat, frozenset(e_class), frozenset(m_class))
 
 
+# -- the registry of stock categories ------------------------------------------
+
+# name -> (builder taking the size, least valid size; None when the size is
+# ignored).  A stock category is added here and nowhere else.
 BUILDERS = {
-    "delta_bt": build_delta_bt,
-    "fi_sharp": build_fi_sharp,
-    "cube": build_cube,
+    "delta_bt": (build_delta_bt, 1),
+    "fi_sharp": (build_fi_sharp, 0),
+    "cube": (build_cube, 0),
+    "pt": (lambda _size: build_pt(), None),
 }
+
+
+def build_stock(name, size) -> MRStructure:
+    """The stock structure `name` at `size`.
+
+    Raises ValueError for a name not in BUILDERS or a size below the
+    builder's least valid size.
+    """
+    if name not in BUILDERS:
+        raise ValueError(f"unknown builder {name}")
+    builder, least = BUILDERS[name]
+    if least is not None and size < least:
+        raise ValueError(f"{name} requires --size >= {least}")
+    return builder(size)

@@ -12,18 +12,9 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
-from .builders import (
-    ParInput,
-    ParInputError,
-    build_cube,
-    build_delta_bt,
-    build_fi_sharp,
-    build_par,
-    build_pt,
-)
+from .builders import BUILDERS, ParInput, ParInputError, build_par, build_stock
 from .equivalence import (
     TransportError,
     build_kernel_module,
@@ -44,30 +35,9 @@ from .structure import MRStructure, build_d_cat, check_assumptions
 OK, MATH_FAILURE, BAD_INPUT = 0, 2, 3
 
 
-@dataclass
-class Config:
-    """Run parameters; everything random flows from the one seed."""
-
-    out: Path
-    seed: int = 0
-    size: int = 3
-    seeds: int = 5
-    dims_max: int = 3
-    ordering_cap: int = 8
-    verbose: bool = False
-
-    def __post_init__(self):
-        assert self.seeds >= 0 and self.dims_max >= 0 and self.ordering_cap > 0
-
-
 def _dump(path: Path, data) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(data, sort_keys=True, indent=2) + "\n")
-
-
-def _say(cfg, *parts):
-    if cfg.verbose:
-        print(*parts)
 
 
 def _load_json(path):
@@ -80,6 +50,13 @@ def _load_json(path):
 def _fail(code, message, witness=None):
     print(json.dumps({"error": message, "witness": witness}, sort_keys=True))
     return code
+
+
+def _stock_structure(name, size) -> MRStructure:
+    try:
+        return build_stock(name, size)
+    except ValueError as e:
+        raise SystemExit(_fail(BAD_INPUT, str(e)))
 
 
 def _load_structure(path) -> MRStructure:
@@ -103,8 +80,7 @@ def _report_payload(structure, report):
 
 
 def cmd_example(args) -> int:
-    cfg = Config(out=Path(args.out), size=args.size, verbose=args.verbose)
-    name = args.name
+    name, out = args.name, Path(args.out)
     if name == "par":
         if not args.base:
             return _fail(BAD_INPUT, "par requires --base with a base-category file")
@@ -118,26 +94,15 @@ def cmd_example(args) -> int:
         except ParInputError as e:
             return _fail(BAD_INPUT, "base category unsuitable", e.problems)
         tag = f"par_{Path(args.base).stem}"
-    elif name == "pt":
-        structure = build_pt()
-        tag = "pt"
-    elif name == "delta_bt":
-        if cfg.size < 1:
-            return _fail(BAD_INPUT, "delta_bt requires --size >= 1")
-        structure = build_delta_bt(cfg.size)
-        tag = f"delta_bt_{cfg.size}"
-    elif name == "fi_sharp":
-        structure = build_fi_sharp(cfg.size)
-        tag = f"fi_sharp_{cfg.size}"
-    elif name == "cube":
-        structure = build_cube(cfg.size)
-        tag = f"cube_{cfg.size}"
     else:
-        return _fail(BAD_INPUT, f"unknown example {name}")
+        structure = _stock_structure(name, args.size)
+        # the tag carries the size only when the builder reads it
+        tag = name if BUILDERS[name][1] is None else f"{name}_{args.size}"
     report = check_assumptions(structure)
-    _dump(cfg.out / f"{tag}.structure.json", structure.to_jsonable())
-    _dump(cfg.out / f"{tag}.assumptions.json", _report_payload(structure, report))
-    _say(cfg, f"wrote {tag}.structure.json and {tag}.assumptions.json")
+    _dump(out / f"{tag}.structure.json", structure.to_jsonable())
+    _dump(out / f"{tag}.assumptions.json", _report_payload(structure, report))
+    if args.verbose:
+        print(f"wrote {tag}.structure.json and {tag}.assumptions.json")
     if not report.passed:
         return _fail(
             MATH_FAILURE,
@@ -211,11 +176,7 @@ def cmd_certify(args) -> int:
         structure = _load_structure(args.category)
         tag = Path(args.category).stem
     else:
-        builder = {"delta_bt": build_delta_bt, "fi_sharp": build_fi_sharp,
-                   "cube": build_cube, "pt": lambda _n: build_pt()}.get(args.name)
-        if builder is None:
-            return _fail(BAD_INPUT, f"unknown builder {args.name}")
-        structure = builder(args.size)
+        structure = _stock_structure(args.name, args.size)
         tag = f"{args.name}_{args.size}"
     report = check_assumptions(structure)
     if not report.passed:
@@ -314,7 +275,7 @@ def make_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     ex = sub.add_parser("example", help="build a stock category and check it")
-    ex.add_argument("name", choices=["delta_bt", "fi_sharp", "cube", "pt", "par"])
+    ex.add_argument("name", choices=[*BUILDERS, "par"])
     ex.add_argument("--size", type=int, default=3)
     ex.add_argument("--base", help="base-category file for par")
     ex.add_argument("--out", default=".")
@@ -358,7 +319,12 @@ def make_parser():
 
 
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
+    try:
+        args = make_parser().parse_args(argv)
+    except SystemExit as e:
+        # argparse exits 2 on a usage error, a code the contract keeps for
+        # mathematical failures; --help exits 0
+        return BAD_INPUT if e.code else OK
     try:
         return args.fn(args)
     except SystemExit as e:

@@ -161,19 +161,6 @@ class QMat:
         rows = tuple(tuple(-x for x in row) for row in self.rows)
         return QMat(self.nrows, self.ncols, rows, self.den, _canonical=True)
 
-    def scale(self, c):
-        c = _as_fraction(c)
-        rows = tuple(tuple(x * c.numerator for x in row) for row in self.rows)
-        return QMat(self.nrows, self.ncols, rows, self.den * c.denominator)
-
-    def __matmul__(self, other):
-        return self.mul(other)
-
-    def __mul__(self, other):
-        if isinstance(other, QMat):
-            return self.mul(other)
-        return self.scale(other)
-
     def mul(self, other: "QMat") -> "QMat":
         assert self.ncols == other.nrows, (
             f"cannot compose {self.shape} with {other.shape}"
@@ -255,9 +242,6 @@ class QMat:
             len(basis_cols),
         )
         return Subspace(self.ncols, basis)
-
-    def column_space(self) -> "Subspace":
-        return Subspace.spanned_by(self.nrows, self)
 
     # -- serialization -----------------------------------------------------
 
@@ -384,10 +368,6 @@ class Subspace:
     def sum(self, other: "Subspace") -> "Subspace":
         assert self.ambient_dim == other.ambient_dim
         return Subspace.spanned_by(self.ambient_dim, block([[self.basis, other.basis]]))
-
-
-def intersect(a: Subspace, b: Subspace) -> Subspace:
-    return a.intersect(b)
 
 
 def intersect_all(ambient_dim, subspaces) -> Subspace:

@@ -163,9 +163,6 @@ class FinCat:
     def _hom_into(self, a):
         return self._into[a]
 
-    def morphisms_into(self, a):
-        return list(self._into[a])
-
     def morphisms_from(self, a):
         return list(self._outof[a])
 

@@ -25,6 +25,27 @@ class InfeasibleRelations(FunctorError):
     """The requested dimension vector cannot be realized soundly."""
 
 
+def _shapes_and_identities(functor) -> ValidationReport:
+    """Every stored matrix present with the right shape, then identities
+    sent to identities; the part of validation both functor kinds share."""
+    rep = ValidationReport()
+    base = functor.base
+    for f in functor.morphisms():
+        m = functor.mats.get(f)
+        if m is None:
+            rep.add_structural("missing matrix", morphism=f)
+        elif m.shape != (functor.dims[base.cod[f]], functor.dims[base.dom[f]]):
+            rep.add_structural(
+                "matrix shape mismatch", morphism=f, shape=list(m.shape)
+            )
+    if not rep.ok:
+        return rep
+    for a in base.objects():
+        if not functor.mats[base.identity(a)].is_identity():
+            rep.add_law("identity not sent to identity", object=a)
+    return rep
+
+
 class AdditiveFunctor:
     def __init__(self, base: FinCat, dims, mats):
         self.base = base
@@ -32,26 +53,19 @@ class AdditiveFunctor:
         assert len(self.dims) == base.n_objects
         self.mats = dict(mats)
 
+    def morphisms(self):
+        """The morphisms carrying a stored matrix: all of them."""
+        return self.base.morphisms()
+
     def mat(self, f) -> QMat:
         return self.mats[f]
 
     def validate(self) -> ValidationReport:
         """Exhaustive functor-law check: shapes, identities, all composites."""
-        rep = ValidationReport()
-        base = self.base
-        for f in base.morphisms():
-            m = self.mats.get(f)
-            if m is None:
-                rep.add_structural("missing matrix", morphism=f)
-            elif m.shape != (self.dims[base.cod[f]], self.dims[base.dom[f]]):
-                rep.add_structural(
-                    "matrix shape mismatch", morphism=f, shape=list(m.shape)
-                )
-        if not rep.ok:
+        rep = _shapes_and_identities(self)
+        if rep.structural:
             return rep
-        for a in base.objects():
-            if not self.mats[base.identity(a)].is_identity():
-                rep.add_law("identity not sent to identity", object=a)
+        base = self.base
         for g in base.morphisms():
             mg = self.mats[g]
             for f in base._hom_into(base.dom[g]):
@@ -88,38 +102,32 @@ class PointedFunctor:
 
     def __init__(self, d: DCat, dims, mats):
         self.d = d
+        self.base = d.cat
         self.dims = tuple(dims)
         assert len(self.dims) == d.cat.n_objects
         self.mats = dict(mats)  # keyed by nonzero morphism of d.cat
+
+    def morphisms(self):
+        """The morphisms carrying a stored matrix: the nonzero ones."""
+        return self.d.nonzero_morphisms()
 
     def mat(self, d_mor) -> QMat:
         got = self.mats.get(d_mor)
         if got is not None:
             return got
         assert self.d.is_zero(d_mor), f"missing matrix for nonzero morphism {d_mor}"
-        cat = self.d.cat
+        cat = self.base
         return QMat.zeros(self.dims[cat.cod[d_mor]], self.dims[cat.dom[d_mor]])
 
     def validate(self) -> ValidationReport:
         """Exhaustive check including zero-composites falling to zero."""
-        rep = ValidationReport()
-        cat = self.d.cat
-        for f in self.d.nonzero_morphisms():
-            m = self.mats.get(f)
-            if m is None:
-                rep.add_structural("missing matrix", morphism=f)
-            elif m.shape != (self.dims[cat.cod[f]], self.dims[cat.dom[f]]):
-                rep.add_structural(
-                    "matrix shape mismatch", morphism=f, shape=list(m.shape)
-                )
-        if not rep.ok:
+        rep = _shapes_and_identities(self)
+        if rep.structural:
             return rep
-        for a in cat.objects():
-            if not self.mats[cat.identity(a)].is_identity():
-                rep.add_law("identity not sent to identity", object=a)
-        for g in self.d.nonzero_morphisms():
+        cat = self.base
+        for g in self.morphisms():
             mg = self.mats[g]
-            for f in self.d.nonzero_morphisms():
+            for f in self.morphisms():
                 if cat.cod[f] != cat.dom[g]:
                     continue
                 h = cat.comp[g][f]
@@ -168,24 +176,9 @@ class NatTransform:
     def component(self, a) -> QMat:
         return self.components[a]
 
-    def _base(self):
-        src = self.source
-        return src.base if isinstance(src, AdditiveFunctor) else src.d.cat
-
-    def _morphisms(self):
-        src = self.source
-        if isinstance(src, AdditiveFunctor):
-            return src.base.morphisms()
-        return src.d.nonzero_morphisms()
-
-    def _mat(self, functor, f):
-        if isinstance(functor, AdditiveFunctor):
-            return functor.mat(f)
-        return functor.mat(f)
-
     def validate(self) -> ValidationReport:
         rep = ValidationReport()
-        base = self._base()
+        base = self.source.base
         for a in base.objects():
             comp = self.components[a]
             want = (self.target.dims[a], self.source.dims[a])
@@ -195,10 +188,10 @@ class NatTransform:
                 )
         if not rep.ok:
             return rep
-        for f in self._morphisms():
+        for f in self.source.morphisms():
             a, b = base.dom[f], base.cod[f]
-            lhs = self.components[b].mul(self._mat(self.source, f))
-            rhs = self._mat(self.target, f).mul(self.components[a])
+            lhs = self.components[b].mul(self.source.mat(f))
+            rhs = self.target.mat(f).mul(self.components[a])
             if lhs != rhs:
                 rep.add_law(
                     "naturality square does not commute",
@@ -228,14 +221,6 @@ class NatTransform:
 
     def __repr__(self):
         return f"NatTransform({len(self.components)} components)"
-
-
-def compose_nat(after: NatTransform, before: NatTransform) -> NatTransform:
-    return before.then(after)
-
-
-def is_iso(t: NatTransform) -> bool:
-    return t.is_iso()
 
 
 def random_invertible(n, rng) -> QMat:

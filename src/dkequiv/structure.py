@@ -76,15 +76,11 @@ class SubPoset:
     def __init__(self, obj, elements, leq_pairs, lin):
         self.object = obj
         self.elements = elements
-        self._pos = {m: i for i, m in enumerate(elements)}
         self._leq = leq_pairs  # set of (rep_a, rep_b) with [a] <= [b]
         self.linearization = lin
 
     def __len__(self):
         return len(self.elements)
-
-    def index_of(self, rep):
-        return self._pos[rep]
 
     def leq(self, rep_a, rep_b):
         return (rep_a, rep_b) in self._leq
@@ -243,10 +239,6 @@ class MRStructure:
         return self.derived().r_class
 
     @property
-    def s_class(self):
-        return self.derived().s_class
-
-    @property
     def k_class(self):
         return self.derived().k_class
 
@@ -292,7 +284,7 @@ class MRStructure:
                     cands.append(Factorization(nn, r, m))
         return cands
 
-    def conjugacy_orbit(self, f, fact: Factorization):
+    def conjugacy_orbit(self, fact: Factorization):
         """All triples obtained from fact by re-choosing the embeddings up to
         isomorphism: n' = n o a, m' = m o b, r' = inv(a) o r o b."""
         cat = self.cat
@@ -309,9 +301,16 @@ class MRStructure:
     def factorize(self, f) -> Factorization:
         """The canonical triple (n, r, m) with f = n o r o star(m).
 
-        Existence and uniqueness up to isomorphism are verified on the way;
-        the returned triple has canonical representatives as its embedding
-        parts and the least middle among those.
+        The one check of existence and uniqueness up to isomorphism: raises
+        NoFactorizationError when f has no triple, and
+        AmbiguousFactorizationError when a triple lies outside the conjugacy
+        orbit of the first.  The returned triple has canonical
+        representatives as its embedding parts and the least middle among
+        those.
+
+        Once validate() has passed, the orbit lies inside the triples: isos
+        are in m_class, which is closed; star(i) = inv(i) for an iso i; and
+        r_class is stable under inv(a) o r o b.
         """
         out = self._facts.get(f)
         if out is not None:
@@ -319,11 +318,9 @@ class MRStructure:
         cands = self.factor_candidates(f)
         if not cands:
             raise NoFactorizationError(f)
-        orbit = self.conjugacy_orbit(f, cands[0])
-        cand_set = set(cands)
-        assert orbit <= cand_set, "conjugates of a valid triple must be valid"
-        if orbit != cand_set:
-            other = min(cand_set - orbit, key=lambda t: (t.n, t.r, t.m))
+        extra = set(cands) - self.conjugacy_orbit(cands[0])
+        if extra:
+            other = min(extra, key=lambda t: (t.n, t.r, t.m))
             raise AmbiguousFactorizationError(f, cands[0], other)
         canon = [
             t
@@ -498,9 +495,6 @@ class DCat:
     def nonzero_morphisms(self):
         return range(self.n_nonzero)
 
-    def zero_of(self, a, b):
-        return self.zero[(a, b)]
-
     def __repr__(self):
         return f"DCat({self.n_nonzero} nonzero morphisms + zeros)"
 
@@ -540,9 +534,6 @@ class AssumptionReport:
     def passed(self):
         return self.structural.ok and all(c.passed for c in self.checks)
 
-    def failures(self):
-        return [c for c in self.checks if not c.passed]
-
     def to_jsonable(self):
         return {
             "structural": self.structural.to_jsonable(),
@@ -554,10 +545,6 @@ class AssumptionReport:
     def __repr__(self):
         state = "pass" if self.passed else "FAIL"
         return f"AssumptionReport({state}, {len(self.checks)} checks)"
-
-
-def _label(cat, f):
-    return cat.mor_labels[f]
 
 
 def check_assumptions(s: MRStructure) -> AssumptionReport:
@@ -575,20 +562,17 @@ def check_assumptions(s: MRStructure) -> AssumptionReport:
     # unique three-part factorization of every morphism
     witness = None
     for f in cat.morphisms():
-        cands = s.factor_candidates(f)
-        if not cands:
-            witness = {"morphism": f, "label": _label(cat, f), "reason": "none"}
+        try:
+            s.factorize(f)
+        except NoFactorizationError:
+            witness = {"morphism": f, "label": cat.mor_labels[f], "reason": "none"}
             break
-        orbit = s.conjugacy_orbit(f, cands[0])
-        extra = set(cands) - orbit
-        if extra:
-            other = min(extra, key=lambda t: (t.n, t.r, t.m))
-            first = cands[0]
+        except AmbiguousFactorizationError as e:
             witness = {
                 "morphism": f,
-                "label": _label(cat, f),
+                "label": cat.mor_labels[f],
                 "reason": "non-conjugate triples",
-                "triples": [[first.n, first.r, first.m], [other.n, other.r, other.m]],
+                "triples": [[t.n, t.r, t.m] for t in e.triples],
             }
             break
     checks.append(
@@ -613,7 +597,7 @@ def check_assumptions(s: MRStructure) -> AssumptionReport:
             if cat.comp[r2][r] not in der.s_class:
                 witness = {
                     "r": r, "r2": r2,
-                    "labels": [_label(cat, r), _label(cat, r2)],
+                    "labels": [cat.mor_labels[r], cat.mor_labels[r2]],
                 }
                 break
         if witness:
@@ -639,7 +623,7 @@ def check_assumptions(s: MRStructure) -> AssumptionReport:
             if cat.cod[r] == cat.cod[m] and cat.comp[sm][r] in der.r_class:
                 witness = {
                     "m": m, "r": r,
-                    "labels": [_label(cat, m), _label(cat, r)],
+                    "labels": [cat.mor_labels[m], cat.mor_labels[r]],
                 }
                 break
         if witness:
@@ -664,7 +648,7 @@ def check_assumptions(s: MRStructure) -> AssumptionReport:
             if cat.comp[k2][k] not in der.k_class:
                 witness = {
                     "k": k, "k2": k2,
-                    "labels": [_label(cat, k), _label(cat, k2)],
+                    "labels": [cat.mor_labels[k], cat.mor_labels[k2]],
                 }
                 break
         if witness:
@@ -722,7 +706,7 @@ def check_assumptions(s: MRStructure) -> AssumptionReport:
                 if u not in der.r_class or t not in der.r_class:
                     witness = {
                         "s": u, "t": t,
-                        "labels": [_label(cat, u), _label(cat, t)],
+                        "labels": [cat.mor_labels[u], cat.mor_labels[t]],
                     }
                     break
         if witness:
@@ -1035,26 +1019,3 @@ def restricted_to_k(s: MRStructure):
     m_new = [old_to_new[m] for m in sorted(s.m_class)]
     star_new = {old_to_new[m]: old_to_new[s.star[m]] for m in sorted(s.m_class)}
     return MRStructure(sub, m_new, star_new), old_to_new
-
-
-# -- spec-level convenience wrappers ------------------------------------------------
-
-
-def compute_r_class(s: MRStructure) -> frozenset:
-    return s.r_class
-
-
-def factorize(s: MRStructure, f) -> Factorization:
-    return s.factorize(f)
-
-
-def s_part(s: MRStructure, u):
-    return s.s_part(u)
-
-
-def m_part(s: MRStructure, u):
-    return s.m_part(u)
-
-
-def sub_poset(s: MRStructure, a) -> SubPoset:
-    return s.sub_poset(a)

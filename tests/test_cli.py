@@ -1,4 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from dkequiv.builders import build_delta_bt, build_fi_input
 from dkequiv.cli import main
@@ -39,6 +45,46 @@ def test_example_bad_name_and_size(tmp_path):
     assert main(["example", "delta_bt", "--size", "0", "--out", str(tmp_path)]) == 3
 
 
+def test_usage_errors_exit_3(tmp_path, capsys):
+    assert main(["example", "bogus", "--out", str(tmp_path)]) == 3
+    assert main(["certify", "--size", "many", "--out", str(tmp_path)]) == 3
+    assert main([]) == 3
+    capsys.readouterr()
+    assert main(["certify", "--name", "bogus", "--out", str(tmp_path / "c.json")]) == 3
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "unknown builder bogus", "witness": None
+    }
+    assert main(["--help"]) == 0
+    assert "usage: dkequiv" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["certify", "--name", "delta_bt", "--size", "0"], "delta_bt requires --size >= 1"),
+    (["certify", "--name", "fi_sharp", "--size", "-1"], "fi_sharp requires --size >= 0"),
+    (["example", "fi_sharp", "--size", "-1"], "fi_sharp requires --size >= 0"),
+    (["example", "cube", "--size", "-1"], "cube requires --size >= 0"),
+])
+def test_bad_sizes_exit_3(tmp_path, capsys, argv, message):
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 3
+    assert json.loads(capsys.readouterr().out) == {"error": message, "witness": None}
+    assert not (tmp_path / "o").exists()
+
+
+def test_bad_size_exits_3_without_asserts(tmp_path):
+    """The size check must not rely on assert, which python -O strips."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "dkequiv.cli", "certify", "--name",
+         "delta_bt", "--size", "0", "--out", str(tmp_path / "c.json")],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["error"] == "delta_bt requires --size >= 1"
+
+
 def test_example_par_roundtrip(tmp_path):
     base = tmp_path / "fi2.base.json"
     base.write_text(json.dumps(build_fi_input(2).to_jsonable()))
@@ -74,6 +120,17 @@ def test_example_par_missing_pullback_exits_3(tmp_path, capsys):
     assert rc == 3
     out = capsys.readouterr().out
     assert "pullback" in out
+
+
+def test_example_par_dangling_id_exits_3(tmp_path, capsys):
+    data = build_fi_input(1).to_jsonable()
+    data["e_class"].append(99)
+    base = tmp_path / "dangling.base.json"
+    base.write_text(json.dumps(data))
+    rc = main(["example", "par", "--base", str(base), "--out", str(tmp_path)])
+    assert rc == 3
+    out = json.loads(capsys.readouterr().out)
+    assert out["witness"] == [{"problem": "dangling id in e_class", "id": 99}]
 
 
 def test_check_command(tmp_path):

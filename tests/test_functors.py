@@ -120,14 +120,12 @@ def test_nat_transform_iso_detection(km_delta4):
 
 
 def test_nat_transform_compose(km_delta4):
-    from dkequiv.functors import compose_nat, is_iso
-
     f = random_pointed_functor(km_delta4.d, (1, 1, 1, 1), seed=1)
     two = NatTransform(f, f, [QMat.from_rows([[2]])] * 4)
-    four = compose_nat(two, two)
+    four = two.then(two)
     assert four.components[0] == QMat.from_rows([[4]])
     assert four.validate().ok
-    assert is_iso(four)
+    assert four.is_iso()
 
 
 def test_functor_json_round_trip(km_delta4, delta4):

@@ -424,3 +424,79 @@ def test_mutation_detection(delta4, fi2):
                 assert not rep.ok and rep.structural
                 detected += 1
     assert detected == total == 10
+
+
+# -- axiom-failure witnesses ----------------------------------------------------
+#
+# fi_sharp 2 with its embeddings cut down to the isomorphisms plus a few total
+# injections, star restricted from the builder's.  The reports below were
+# recorded before factorization checking moved into MRStructure.factorize and
+# pin every witness byte for byte.
+
+AXIOM_DESCRIPTIONS = {
+    "factorization": "every morphism factors as embedding o irreducible o "
+    "retraction, uniquely up to isomorphism",
+    "composition": "a composite of two irreducible morphisms is irreducible "
+    "after a retraction",
+    "cancellation": "a retraction of a non-invertible embedding never leaves "
+    "an irreducible morphism irreducible",
+    "closure": "embedding-after-retraction composites form a subcategory",
+    "finiteness": "the subobject classes of each object form a finite poset "
+    "with the whole object as unique maximum",
+    "sandwich": "when a composite of two retracted-form morphisms equals an "
+    "embedding after an irreducible, both factors are irreducible",
+}
+
+
+def _cut_fi2(fi2, extra):
+    m_class = fi2.cat.isos() | extra
+    return MRStructure(fi2.cat, m_class, {m: fi2.star[m] for m in m_class})
+
+
+def _expected_report(outcomes, class_sizes):
+    return {
+        "structural": {"law": [], "ok": True, "structural": []},
+        "assumptions": [
+            {"key": key, "description": AXIOM_DESCRIPTIONS[key],
+             "passed": passed, "witness": witness}
+            for key, (passed, witness) in outcomes.items()
+        ],
+        "class_sizes": class_sizes,
+        "passed": False,
+    }
+
+
+def test_axiom_witnesses_composition_cancellation_sandwich(fi2):
+    report = check_assumptions(_cut_fi2(fi2, {1}))
+    assert report.to_jsonable() == _expected_report(
+        {
+            "factorization": (True, None),
+            "composition": (False, {"labels": ["()", "0,1"], "r": 2, "r2": 11}),
+            "cancellation": (False, {"labels": ["()", "0,1"], "m": 1, "r": 11}),
+            "closure": (True, None),
+            "finiteness": (True, {"sizes": {"0": 1, "1": 2, "2": 1}}),
+            "sandwich": (False, {"labels": ["0,1", "0"], "s": 11, "t": 3}),
+        },
+        {"i_class": 4, "k_class": 7, "m_class": 5, "morphisms": 20,
+         "r_class": 15, "s_class": 17},
+    )
+
+
+def test_axiom_witnesses_factorization_closure(fi2):
+    report = check_assumptions(_cut_fi2(fi2, {7, 8}))
+    assert report.to_jsonable() == _expected_report(
+        {
+            "factorization": (False, {
+                "label": "()", "morphism": 2,
+                "reason": "non-conjugate triples",
+                "triples": [[7, 1, 0], [8, 1, 0]],
+            }),
+            "composition": (True, None),
+            "cancellation": (True, None),
+            "closure": (False, {"k": 7, "k2": 11, "labels": ["1", "0,1"]}),
+            "finiteness": (True, {"sizes": {"0": 1, "1": 1, "2": 3}}),
+            "sandwich": (True, None),
+        },
+        {"i_class": 4, "k_class": 12, "m_class": 6, "morphisms": 20,
+         "r_class": 7, "s_class": 11},
+    )
