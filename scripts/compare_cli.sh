@@ -7,8 +7,10 @@
 #
 # The exit status is diff's: 0 when both checkouts behave byte-identically.
 # Inputs that are not produced by a CLI command (a functor file, structures
-# that fail the axioms, a par base category) are written once, by the old
-# checkout, and copied to both sides.
+# that fail the axioms, a par base category, idempotent lists, and the
+# malformed files of the exit-3 cases) are written once, by the old
+# checkout, and copied to both sides.  Cases whose outcome an assert decided
+# run again under python -O.
 set -e
 OLD=$(cd "$1" && pwd)
 NEW=$(cd "$2" && pwd)
@@ -44,6 +46,46 @@ for tag, extra in (("cut1", {1}), ("cut78", {7, 8})):
     ms = s.cat.isos() | extra
     with open(f"{tag}.json", "w") as fh:
         fh.write(MRStructure(s.cat, ms, {k: s.star[k] for k in ms}).to_json())
+
+
+def write(name, data):
+    with open(name, "w") as fh:
+        json.dump(data, fh)
+
+
+# malformed idempotent lists, and a good one and a failing one
+for tag, mats in (
+    ("ok", [[["1", "0"], ["0", "0"]], [["1", "0"], ["0", "1"]]]),
+    ("pair", [[["1", "0"], ["1", "0"]], [["1", "1"], ["0", "0"]]]),
+    ("empty", []),
+    ("nonsquare", [[["1", "0"]]]),
+    ("ragged", [[["1", "0"], ["0"]]]),
+    ("div0", [[["1/0"]]]),
+):
+    write(f"idem_{tag}.json", {"matrices": mats})
+write("idem_nokey.json", {})
+# malformed and invalid pointed functors on delta_bt 4
+g = f.to_jsonable(category="ex/delta_bt_4.structure.json")
+key = next(k for k in sorted(g["mats"]) if g["mats"][k] and g["mats"][k][0])
+for tag, edit in (
+    ("div0", lambda d: d["mats"][key][0].__setitem__(0, "1/0")),
+    ("short", lambda d: d["dims"].pop()),
+    ("negdim", lambda d: d["dims"].__setitem__(0, -1)),
+    ("invalid", lambda d: d["mats"][key][0].__setitem__(0, "17")),
+):
+    d = json.loads(json.dumps(g))
+    edit(d)
+    write(f"F_{tag}.json", d)
+# malformed structure files on delta_bt 4
+t = build_delta_bt(4).to_jsonable()
+for tag, edit in (
+    ("strids", lambda d: d.__setitem__("m_class", [str(m) for m in d["m_class"]])),
+    ("compx", lambda d: d["comp"][0].__setitem__(0, "x")),
+    ("idshort", lambda d: d["identities"].pop()),
+):
+    d = json.loads(json.dumps(t))
+    edit(d)
+    write(f"S_{tag}.json", d)
 EOF
 )
 
@@ -88,6 +130,37 @@ cases() {
     run cert_fi_neg -m dkequiv.cli certify --name fi_sharp --size -1 --out cert_fi_neg.json
     run cert_delta0_O -O -m dkequiv.cli certify --name delta_bt --size 0 \
         --out cert_delta0_O.json
+    # idempotent decompositions
+    for t in ok pair empty nokey nonsquare ragged div0; do
+        run "idem_$t" -m dkequiv.cli idem --input "idem_$t.json" --out "idem_$t.out.json"
+    done
+    # malformed and invalid functors, structures and argument values
+    for t in div0 short negdim invalid; do
+        run "hat_$t" -m dkequiv.cli transport hat --category ex/delta_bt_4.structure.json \
+            --functor "F_$t.json" --out "hat_$t.out.json"
+    done
+    for t in strids compx idshort; do
+        run "check_$t" -m dkequiv.cli check "S_$t.json"
+    done
+    run hat_cut78 -m dkequiv.cli transport hat --category cut78.json --functor F.json \
+        --out hat_cut78.out.json
+    run theta_cut78 -m dkequiv.cli theta --category cut78.json --functor T.json \
+        --out theta_cut78.out.json
+    run theta_obj7 -m dkequiv.cli theta --category ex/delta_bt_4.structure.json \
+        --functor T.json --object 7 --out theta_obj7.json
+    run theta_obj1 -m dkequiv.cli theta --category ex/delta_bt_4.structure.json \
+        --functor T.json --object 1 --out theta_obj1.json
+    run cert_dims_neg -m dkequiv.cli certify --dims-max -1 --out cert_dims_neg.json
+    run cert_seeds_neg -m dkequiv.cli certify --seeds -1 --out cert_seeds_neg.json
+    run cert_seeds0 -m dkequiv.cli certify --seeds 0 --out cert_seeds0.json
+    # the cases an assert decided, again under python -O
+    for t in empty nonsquare ragged; do
+        run "idem_${t}_O" -O -m dkequiv.cli idem --input "idem_$t.json"
+    done
+    run hat_negdim_O -O -m dkequiv.cli transport hat \
+        --category ex/delta_bt_4.structure.json --functor F_negdim.json \
+        --out hat_negdim_O.out.json
+    run check_idshort_O -O -m dkequiv.cli check S_idshort.json
 }
 
 (cases "$OLD" "$WORK/old")

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .fincat import FinCat, TableBuilder
+from .fincat import FinCat, TableBuilder, int_list
 from .structure import MRStructure
 
 
@@ -217,8 +217,8 @@ class ParInput:
     def from_jsonable(cls, data):
         return cls(
             FinCat.from_jsonable(data),
-            frozenset(data["e_class"]),
-            frozenset(data["m_class"]),
+            frozenset(int_list(data["e_class"], "e_class")),
+            frozenset(int_list(data["m_class"], "m_class")),
         )
 
 
@@ -256,6 +256,10 @@ def validate_par_input(inp: ParInput):
     by (along, m).
     """
     cat = inp.cat
+    report = cat.check()
+    if not report.ok:
+        return [{"problem": "base is not a category",
+                 "violations": report.structural + report.law}], {}
     problems = []
     n = cat.n_morphisms
     for name, cls_ in (("e_class", inp.e_class), ("m_class", inp.m_class)):

@@ -4,6 +4,10 @@ Exit codes form a stable contract: 0 on success, 2 on a mathematical
 failure (an axiom or certificate violation, with a witness in the output),
 3 on malformed input.  All output is deterministic JSON: identical inputs
 and seed produce byte-identical files.
+
+Whether an input is malformed is decided by the from_jsonable parsers and
+by the library's checks of argument values; _load reads every input file,
+and main is the one place where an exception becomes an exit code.
 """
 
 from __future__ import annotations
@@ -30,9 +34,17 @@ from .functors import (
     PointedFunctor,
     random_pointed_functor,
 )
-from .structure import MRStructure, build_d_cat, check_assumptions
+from .structure import MRStructure, check_assumptions
 
 OK, MATH_FAILURE, BAD_INPUT = 0, 2, 3
+
+
+class MalformedInput(ValueError):
+    """An input file that cannot be read or parsed, with an optional witness."""
+
+    def __init__(self, message, witness=None):
+        super().__init__(message)
+        self.witness = witness
 
 
 def _dump(path: Path, data) -> None:
@@ -40,31 +52,22 @@ def _dump(path: Path, data) -> None:
     path.write_text(json.dumps(data, sort_keys=True, indent=2) + "\n")
 
 
-def _load_json(path):
-    try:
-        return json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as e:
-        raise SystemExit(_fail(BAD_INPUT, f"cannot read {path}: {e}"))
-
-
 def _fail(code, message, witness=None):
     print(json.dumps({"error": message, "witness": witness}, sort_keys=True))
     return code
 
 
-def _stock_structure(name, size) -> MRStructure:
+def _load(path, parse):
+    """parse(the JSON document in the file at path), the one reader of input
+    files: whatever reading and parsing raise becomes MalformedInput."""
     try:
-        return build_stock(name, size)
-    except ValueError as e:
-        raise SystemExit(_fail(BAD_INPUT, str(e)))
-
-
-def _load_structure(path) -> MRStructure:
-    data = _load_json(path)
-    try:
-        return MRStructure.from_jsonable(data)
-    except (KeyError, TypeError, AssertionError) as e:
-        raise SystemExit(_fail(BAD_INPUT, f"malformed structure file {path}: {e!r}"))
+        return parse(json.loads(Path(path).read_text()))
+    except ParInputError as e:
+        raise MalformedInput("base category unsuitable", e.problems) from e
+    except (OSError, json.JSONDecodeError) as e:
+        raise MalformedInput(f"cannot read {path}: {e}") from e
+    except (KeyError, IndexError, TypeError, ValueError, ZeroDivisionError) as e:
+        raise MalformedInput(f"malformed input file {path}: {e!r}") from e
 
 
 def _report_payload(structure, report):
@@ -83,19 +86,13 @@ def cmd_example(args) -> int:
     name, out = args.name, Path(args.out)
     if name == "par":
         if not args.base:
-            return _fail(BAD_INPUT, "par requires --base with a base-category file")
-        data = _load_json(args.base)
-        try:
-            inp = ParInput.from_jsonable(data)
-        except (KeyError, TypeError) as e:
-            return _fail(BAD_INPUT, f"malformed base category: {e!r}")
-        try:
-            structure = build_par(inp)
-        except ParInputError as e:
-            return _fail(BAD_INPUT, "base category unsuitable", e.problems)
+            raise ValueError("par requires --base with a base-category file")
+        structure = _load(
+            args.base, lambda data: build_par(ParInput.from_jsonable(data))
+        )
         tag = f"par_{Path(args.base).stem}"
     else:
-        structure = _stock_structure(name, args.size)
+        structure = build_stock(name, args.size)
         # the tag carries the size only when the builder reads it
         tag = name if BUILDERS[name][1] is None else f"{name}_{args.size}"
     report = check_assumptions(structure)
@@ -115,7 +112,7 @@ def cmd_example(args) -> int:
 
 
 def cmd_check(args) -> int:
-    structure = _load_structure(args.path)
+    structure = _load(args.path, MRStructure.from_jsonable)
     cat_report = structure.cat.check()
     if not cat_report.ok:
         return _fail(MATH_FAILURE, "category laws violated", cat_report.to_jsonable())
@@ -130,39 +127,31 @@ def cmd_check(args) -> int:
     return OK
 
 
-def _load_functor(path, structure, kind):
-    data = _load_json(path)
-    if data.get("kind") != kind:
-        raise SystemExit(
-            _fail(BAD_INPUT, f"functor file {path} is not of kind {kind}")
-        )
-    try:
-        if kind == "pointed":
-            return PointedFunctor.from_jsonable(build_d_cat(structure), data)
-        return AdditiveFunctor.from_jsonable(structure.cat, data)
-    except (KeyError, TypeError, AssertionError, ValueError) as e:
-        raise SystemExit(_fail(BAD_INPUT, f"malformed functor file {path}: {e!r}"))
+def _transport_inputs(args, kind):
+    """The kernel module of the --category structure and the --functor of
+    the given kind (PointedFunctor or AdditiveFunctor) on it; raises
+    TransportError with the failing report when the structure fails its
+    assumptions or the functor its laws."""
+    structure = _load(args.category, MRStructure.from_jsonable)
+    report = check_assumptions(structure)
+    if not report.passed:
+        raise TransportError("assumption checks failed", report.to_jsonable())
+    km = build_kernel_module(structure, validate=False)
+    base = km.d if kind is PointedFunctor else structure.cat
+    functor = _load(args.functor, lambda data: kind.from_jsonable(base, data))
+    vr = functor.validate()
+    if not vr.ok:
+        raise TransportError("input functor invalid", vr.to_jsonable())
+    return km, functor
 
 
 def cmd_transport(args) -> int:
-    structure = _load_structure(args.category)
-    report = check_assumptions(structure)
-    if not report.passed:
-        return _fail(MATH_FAILURE, "assumption checks failed",
-                     report.to_jsonable())
-    km = build_kernel_module(structure, validate=False)
-    kind = "pointed" if args.direction == "hat" else "additive"
-    functor = _load_functor(args.functor, structure, kind)
-    vr = functor.validate()
-    if not vr.ok:
-        return _fail(MATH_FAILURE, "input functor invalid", vr.to_jsonable())
-    try:
-        if args.direction == "hat":
-            out = hat(km, functor)
-        else:
-            out = tilde(km, functor)
-    except TransportError as e:
-        return _fail(MATH_FAILURE, str(e), e.witness)
+    if args.direction == "hat":
+        km, functor = _transport_inputs(args, PointedFunctor)
+        out = hat(km, functor)
+    else:
+        km, functor = _transport_inputs(args, AdditiveFunctor)
+        out = tilde(km, functor)
     payload = out.to_jsonable(category=str(args.category))
     _dump(Path(args.out), payload)
     print(json.dumps(
@@ -172,11 +161,14 @@ def cmd_transport(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    for flag, n in (("--seeds", args.seeds), ("--dims-max", args.dims_max)):
+        if n < 0:
+            raise ValueError(f"certify requires {flag} >= 0")
     if args.category:
-        structure = _load_structure(args.category)
+        structure = _load(args.category, MRStructure.from_jsonable)
         tag = Path(args.category).stem
     else:
-        structure = _stock_structure(args.name, args.size)
+        structure = build_stock(args.name, args.size)
         tag = f"{args.name}_{args.size}"
     report = check_assumptions(structure)
     if not report.passed:
@@ -184,7 +176,10 @@ def cmd_certify(args) -> int:
         failing = [c for c in payload["assumptions"] if not c["passed"]]
         return _fail(MATH_FAILURE, "assumption checks failed",
                      failing[0] if failing else payload["structural"])
-    km = build_kernel_module(structure, validate=True)
+    km = build_kernel_module(structure, validate=False)
+    problems = km.validate()
+    if problems:
+        return _fail(MATH_FAILURE, "bimodule law failures", problems[:3])
     rng = random.Random(args.seed)
     n_obj = structure.cat.n_objects
     functors, names = [], []
@@ -213,25 +208,15 @@ def cmd_certify(args) -> int:
 
 
 def cmd_theta(args) -> int:
-    structure = _load_structure(args.category)
-    report = check_assumptions(structure)
-    if not report.passed:
-        return _fail(MATH_FAILURE, "assumption checks failed")
-    km = build_kernel_module(structure, validate=False)
-    functor = _load_functor(args.functor, structure, "additive")
-    vr = functor.validate()
-    if not vr.ok:
-        return _fail(MATH_FAILURE, "input functor invalid", vr.to_jsonable())
-    objects = [args.object] if args.object is not None else list(
-        structure.cat.objects()
-    )
+    km, functor = _transport_inputs(args, AdditiveFunctor)
+    n = km.structure.cat.n_objects
+    if args.object is not None and not 0 <= args.object < n:
+        raise ValueError(f"theta requires 0 <= --object < {n}")
+    objects = [args.object] if args.object is not None else range(n)
     payload = {}
     for a in objects:
-        try:
-            th = theta_matrix(km, functor, a)
-        except TransportError as e:
-            return _fail(MATH_FAILURE, str(e), e.witness)
-        poset = structure.sub_poset(a)
+        th = theta_matrix(km, functor, a)
+        poset = km.structure.sub_poset(a)
         payload[str(a)] = {
             "block_order": list(reversed(poset.linearization)),
             "matrix": th.to_jsonable(),
@@ -242,22 +227,20 @@ def cmd_theta(args) -> int:
     return OK
 
 
-def cmd_idem(args) -> int:
-    data = _load_json(args.input)
+def _matrices(data):
+    """The matrices of an idem input: {"matrices": [...]} or a bare list."""
     mats = data["matrices"] if isinstance(data, dict) else data
-    try:
-        idems = [QMat.from_jsonable(m) for m in mats]
-    except (TypeError, ValueError) as e:
-        return _fail(BAD_INPUT, f"malformed matrix list: {e!r}")
-    try:
-        es = orthogonal_idempotents(idems)
-    except PreconditionViolated as e:
-        return _fail(MATH_FAILURE, str(e), {"pair": list(e.pair)})
+    return [QMat.from_jsonable(m) for m in mats]
+
+
+def cmd_idem(args) -> int:
+    idems = _load(args.input, _matrices)
+    es = orthogonal_idempotents(idems)
     payload = {
         "idempotents": [e.to_jsonable() for e in es],
         "ranks": [e.rank() for e in es],
         "rank_sum": sum(e.rank() for e in es),
-        "ambient_dim": idems[0].nrows if idems else 0,
+        "ambient_dim": idems[0].nrows,
     }
     if args.out:
         _dump(Path(args.out), payload)
@@ -325,10 +308,15 @@ def main(argv=None) -> int:
         # argparse exits 2 on a usage error, a code the contract keeps for
         # mathematical failures; --help exits 0
         return BAD_INPUT if e.code else OK
+    # the one table from exceptions to exit codes
     try:
         return args.fn(args)
-    except SystemExit as e:
-        return e.code if isinstance(e.code, int) else BAD_INPUT
+    except (TransportError, PreconditionViolated) as e:
+        return _fail(MATH_FAILURE, str(e), e.witness)
+    except ValueError as e:
+        # MalformedInput, or a bad argument value such as a --size below
+        # the builder's least size
+        return _fail(BAD_INPUT, str(e), getattr(e, "witness", None))
 
 
 if __name__ == "__main__":

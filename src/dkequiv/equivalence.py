@@ -61,7 +61,10 @@ class KernelModule:
                 ]
         if validate:
             problems = self.validate()
-            assert not problems, f"bimodule law failures: {problems[:3]}"
+            if problems:
+                # explicit, so that python -O keeps the check; AssertionError
+                # is the type callers (perfbench's axioms workload) catch
+                raise AssertionError(f"bimodule law failures: {problems[:3]}")
 
     def element_count(self, a, b):
         """Non-basepoint elements at (a, b)."""

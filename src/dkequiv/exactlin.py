@@ -29,6 +29,10 @@ class PreconditionViolated(ExactLinError):
         super().__init__(message)
         self.pair = (i, j)
 
+    @property
+    def witness(self):
+        return {"pair": list(self.pair)}
+
 
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
@@ -77,7 +81,8 @@ class QMat:
         nrows = len(rows)
         if ncols is None:
             ncols = len(rows[0]) if rows else 0
-        assert all(len(row) == ncols for row in rows)
+        if any(len(row) != ncols for row in rows):
+            raise ValueError(f"rows of a matrix with {ncols} columns differ in length")
         den = 1
         for row in rows:
             for x in row:
@@ -250,6 +255,10 @@ class QMat:
 
     @classmethod
     def from_jsonable(cls, data, ncols=None):
+        """Parse a list of rows of integers or fraction strings; a
+        ValueError when data is not one or its rows differ in length."""
+        if type(data) is not list or not all(type(row) is list for row in data):
+            raise ValueError("matrix: not a list of rows")
         return cls.from_rows(data, ncols)
 
 
@@ -444,12 +453,15 @@ def orthogonal_idempotents(idems) -> list[QMat]:
 
     Input: idempotents a_1..a_n with a_i a_j below a_j for i <= j (checked).
     Output: e_0 = a_1...a_n, e_i = (1 - a_i) a_{i+1}...a_n, e_n = 1 - a_n,
-    with the completeness and orthogonality of the output asserted.
+    with the completeness and orthogonality of the output asserted.  An
+    empty list or matrices not all square of one size raise ValueError.
     """
     idems = list(idems)
-    assert idems, "need at least one idempotent"
+    if not idems:
+        raise ValueError("need at least one idempotent")
     n = idems[0].nrows
-    assert all(a.shape == (n, n) for a in idems)
+    if any(a.shape != (n, n) for a in idems):
+        raise ValueError(f"idempotents must all be {n} x {n} matrices")
     check_idempotent_chain(idems)
     one = QMat.identity(n)
     suffix = [one] * (len(idems) + 1)

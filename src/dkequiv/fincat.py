@@ -14,6 +14,14 @@ class FinCatError(Exception):
     pass
 
 
+def int_list(value, field):
+    """value, if it is a JSON list of integers; a ValueError naming field
+    otherwise."""
+    if type(value) is not list or not set(map(type, value)) <= {int}:
+        raise ValueError(f"{field}: not a list of integers")
+    return value
+
+
 class ValidationReport:
     """Violations found by a structural/law check; empty means valid."""
 
@@ -60,9 +68,17 @@ class FinCat:
             f"m{i}" for i in range(len(self.dom))
         )
         n = len(self.dom)
-        assert len(self.cod) == n and len(self.mor_labels) == n
-        assert len(self.identities) == n_objects
-        assert len(self.comp) == n and all(len(row) == n for row in self.comp)
+        if len(self.cod) != n or len(self.mor_labels) != n:
+            raise ValueError(
+                f"morphisms: {n} domains, {len(self.cod)} codomains and "
+                f"{len(self.mor_labels)} labels"
+            )
+        if len(self.identities) != n_objects:
+            raise ValueError(f"identities: need one for each of {n_objects} objects")
+        if len(self.comp) != n or any(len(row) != n for row in self.comp):
+            raise ValueError(f"comp: need an {n} x {n} table")
+        if not set(self.dom) | set(self.cod) <= set(range(n_objects)):
+            raise ValueError("morphisms: an endpoint is not an object")
         self._hom = {}
         self._into = {a: [] for a in range(n_objects)}
         self._outof = {a: [] for a in range(n_objects)}
@@ -112,33 +128,10 @@ class FinCat:
 
     def check(self) -> ValidationReport:
         """Exhaustive category-law check; reports every violated instance."""
-        rep = ValidationReport()
-        n = self.n_morphisms
-        for a in range(self.n_objects):
-            i = self.identities[a]
-            if not (0 <= i < n):
-                rep.add_structural("dangling identity id", object=a, value=i)
-            elif self.dom[i] != a or self.cod[i] != a:
-                rep.add_structural("identity has wrong endpoints", object=a, morphism=i)
-        for g in range(n):
-            for f in range(n):
-                h = self.comp[g][f]
-                defined = h is not None
-                should = self.cod[f] == self.dom[g]
-                if defined != should:
-                    rep.add_structural(
-                        "comp defined iff endpoints match violated", g=g, f=f
-                    )
-                    continue
-                if defined:
-                    if not (0 <= h < n):
-                        rep.add_structural("dangling composite id", g=g, f=f, value=h)
-                    elif self.dom[h] != self.dom[f] or self.cod[h] != self.cod[g]:
-                        rep.add_structural(
-                            "composite has wrong endpoints", g=g, f=f, composite=h
-                        )
+        rep = self.check_tables()
         if rep.structural:
             return rep
+        n = self.n_morphisms
         comp = self.comp
         for f in range(n):
             if comp[self.identities[self.cod[f]]][f] != f:
@@ -158,6 +151,59 @@ class FinCat:
                 for h in outs:
                     if comp[h][gf] != comp[hg[h]][f]:
                         rep.add_law("associativity violated", h=h, g=g, f=f)
+        return rep
+
+    def check_tables(self) -> ValidationReport:
+        """The structural part of check(), which every other computation on
+        the tables presumes: identities and composites are morphism ids
+        with the right endpoints, and comp is defined exactly on the
+        composable pairs.  Reports every violated instance.
+
+        A row g passes when it holds len(into) defined entries and, at each
+        f in into = the morphisms into dom(g), a morphism id with endpoints
+        (dom f, cod g): then its defined entries are exactly those at into,
+        and all of them are right.  Only a row that fails is walked entry by
+        entry, so the report is that of the walk.
+        """
+        rep = ValidationReport()
+        n = self.n_morphisms
+        dom, cod = self.dom, self.cod
+        for a in range(self.n_objects):
+            i = self.identities[a]
+            if not (0 <= i < n):
+                rep.add_structural("dangling identity id", object=a, value=i)
+            elif dom[i] != a or cod[i] != a:
+                rep.add_structural("identity has wrong endpoints", object=a, morphism=i)
+        # ends.get gives None for anything but a morphism id
+        ends = {h: (dom[h], cod[h]) for h in range(n)}
+        want = {}  # (dom g, cod g) -> the endpoints row g must hold at into
+        for g in range(n):
+            row = self.comp[g]
+            a, b = dom[g], cod[g]
+            into = self._into[a]
+            if (a, b) not in want:
+                want[(a, b)] = [(dom[f], b) for f in into]
+            if (
+                len(row) - row.count(None) == len(into)
+                and list(map(ends.get, map(row.__getitem__, into))) == want[(a, b)]
+            ):
+                continue
+            for f in range(n):
+                h = row[f]
+                defined = h is not None
+                should = cod[f] == dom[g]
+                if defined != should:
+                    rep.add_structural(
+                        "comp defined iff endpoints match violated", g=g, f=f
+                    )
+                    continue
+                if defined:
+                    if not (0 <= h < n):
+                        rep.add_structural("dangling composite id", g=g, f=f, value=h)
+                    elif dom[h] != dom[f] or cod[h] != cod[g]:
+                        rep.add_structural(
+                            "composite has wrong endpoints", g=g, f=f, composite=h
+                        )
         return rep
 
     def _hom_into(self, a):
@@ -241,16 +287,23 @@ class FinCat:
 
     @classmethod
     def from_jsonable(cls, data) -> "FinCat":
+        """Parse the form to_jsonable writes.  A ValueError names the first
+        field that is not of that form: ids are checked to be integers here,
+        counts and endpoints by the constructor; identities and composites
+        out of range are left to check_tables()."""
         objs = data["objects"]
+        if type(objs) is not list:
+            raise ValueError("objects: not a list")
         mors = data["morphisms"]
         comp = tuple(
-            tuple(None if x == -1 else x for x in row) for row in data["comp"]
+            tuple(None if x == -1 else x for x in int_list(row, f"comp[{g}]"))
+            for g, row in enumerate(data["comp"])
         )
         return cls(
             len(objs),
-            [m["dom"] for m in mors],
-            [m["cod"] for m in mors],
-            data["identities"],
+            int_list([m["dom"] for m in mors], "morphism dom"),
+            int_list([m["cod"] for m in mors], "morphism cod"),
+            int_list(data["identities"], "identities"),
             comp,
             objs,
             [m.get("label", f"m{i}") for i, m in enumerate(mors)],

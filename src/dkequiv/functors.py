@@ -46,11 +46,36 @@ def _shapes_and_identities(functor) -> ValidationReport:
     return rep
 
 
+def _dims(dims, base: FinCat) -> tuple:
+    """dims as a tuple, if it holds one non-negative integer per object of
+    base; a ValueError otherwise."""
+    dims = tuple(dims)
+    if len(dims) != base.n_objects or not all(
+        type(x) is int and x >= 0 for x in dims
+    ):
+        raise ValueError(
+            f"dims: need {base.n_objects} non-negative integers, one per object"
+        )
+    return dims
+
+
+def _jsonable_parts(data, kind, base: FinCat):
+    """(dims, {morphism id: matrix JSON}) of a functor in the form
+    to_jsonable writes, its kind checked; a ValueError names the field that
+    is not of that form."""
+    if data["kind"] != kind:
+        raise ValueError(f"kind: {data['kind']!r}, not {kind!r}")
+    dims = _dims(data["dims"], base)
+    mats = data["mats"]
+    if type(mats) is not dict:
+        raise ValueError("mats: not a map from morphism ids to matrices")
+    return dims, {int(k): v for k, v in mats.items()}
+
+
 class AdditiveFunctor:
     def __init__(self, base: FinCat, dims, mats):
         self.base = base
-        self.dims = tuple(dims)
-        assert len(self.dims) == base.n_objects
+        self.dims = _dims(dims, base)
         self.mats = dict(mats)
 
     def morphisms(self):
@@ -83,14 +108,12 @@ class AdditiveFunctor:
 
     @classmethod
     def from_jsonable(cls, base: FinCat, data):
-        assert data.get("kind", "additive") == "additive"
-        dims = data["dims"]
-        mats = {
-            int(k): QMat.from_jsonable(
-                v, ncols=dims[base.dom[int(k)]]
-            )
-            for k, v in data["mats"].items()
-        }
+        dims, raw = _jsonable_parts(data, "additive", base)
+        mats = {}
+        for f, v in raw.items():
+            if not 0 <= f < base.n_morphisms:
+                raise ValueError(f"mats: {f} is not a morphism")
+            mats[f] = QMat.from_jsonable(v, ncols=dims[base.dom[f]])
         return cls(base, dims, mats)
 
     def __repr__(self):
@@ -103,8 +126,7 @@ class PointedFunctor:
     def __init__(self, d: DCat, dims, mats):
         self.d = d
         self.base = d.cat
-        self.dims = tuple(dims)
-        assert len(self.dims) == d.cat.n_objects
+        self.dims = _dims(dims, d.cat)
         self.mats = dict(mats)  # keyed by nonzero morphism of d.cat
 
     def morphisms(self):
@@ -152,13 +174,13 @@ class PointedFunctor:
 
     @classmethod
     def from_jsonable(cls, d: DCat, data):
-        assert data["kind"] == "pointed"
-        dims = data["dims"]
-        cat = d.cat
+        dims, raw = _jsonable_parts(data, "pointed", d.cat)
         mats = {}
-        for k, v in data["mats"].items():
-            dm = d.r_to_d[int(k)]
-            mats[dm] = QMat.from_jsonable(v, ncols=dims[cat.dom[dm]])
+        for r, v in raw.items():
+            dm = d.r_to_d.get(r)
+            if dm is None:
+                raise ValueError(f"mats: {r} is not an irreducible morphism")
+            mats[dm] = QMat.from_jsonable(v, ncols=dims[d.cat.dom[dm]])
         return cls(d, dims, mats)
 
     def __repr__(self):

@@ -24,7 +24,7 @@ import itertools
 import json
 from dataclasses import dataclass
 
-from .fincat import FinCat, ValidationReport
+from .fincat import FinCat, ValidationReport, int_list
 
 
 class StructureError(Exception):
@@ -148,8 +148,12 @@ class MRStructure:
     # -- structural validation ---------------------------------------------
 
     def validate(self) -> ValidationReport:
-        rep = ValidationReport()
+        """Structural checks of the embeddings and their retractions, after
+        those of the category's tables, which everything else presumes."""
         cat = self.cat
+        rep = cat.check_tables()
+        if rep.structural:
+            return rep
         n = cat.n_morphisms
         for m in self.m_class:
             if not (0 <= m < n):
@@ -417,9 +421,14 @@ class MRStructure:
 
     @classmethod
     def from_jsonable(cls, data) -> "MRStructure":
+        """Parse the form to_jsonable writes; a ValueError names the field
+        that is not of that form."""
         cat = FinCat.from_jsonable(data)
-        star = {int(k): int(v) for k, v in data["star"].items()}
-        return cls(cat, data["m_class"], star)
+        star = data["star"]
+        if type(star) is not dict or not set(map(type, star.values())) <= {str, int}:
+            raise ValueError("star: not a map from embedding ids to ids")
+        star = {int(k): int(v) for k, v in star.items()}
+        return cls(cat, int_list(data["m_class"], "m_class"), star)
 
     def to_json(self, **kwargs) -> str:
         kwargs.setdefault("sort_keys", True)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,14 +8,22 @@ from pathlib import Path
 
 import pytest
 
-from dkequiv.builders import build_delta_bt, build_fi_input
+from dkequiv.builders import build_delta_bt, build_fi_input, build_fi_sharp
 from dkequiv.cli import main
-from dkequiv.equivalence import build_kernel_module
+from dkequiv.equivalence import KernelModule, build_kernel_module
 from dkequiv.functors import random_pointed_functor
+from dkequiv.structure import MRStructure, check_assumptions
 
 
 def read(path):
     return json.loads(path.read_text())
+
+
+def _env_with_src():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def test_example_delta(tmp_path, capsys):
@@ -72,13 +82,10 @@ def test_bad_sizes_exit_3(tmp_path, capsys, argv, message):
 
 def test_bad_size_exits_3_without_asserts(tmp_path):
     """The size check must not rely on assert, which python -O strips."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "dkequiv.cli", "certify", "--name",
          "delta_bt", "--size", "0", "--out", str(tmp_path / "c.json")],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=_env_with_src(),
     )
     assert proc.returncode == 3
     assert proc.stderr == ""
@@ -272,3 +279,196 @@ def test_idem_command(tmp_path, capsys):
     assert rc == 2
     msg = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert msg["witness"]["pair"] == [0, 1]
+
+
+# -- malformed input: one exit code, one JSON object, also under python -O ----
+
+
+def _edited(data, edit):
+    data = json.loads(json.dumps(data))
+    edit(data)
+    return data
+
+
+def _malformed_cases(tmp_path):
+    """argv lists that must exit 3: every file is well-formed JSON holding a
+    single fault that only the parsers or the argument checks can reject."""
+    spath, fpath = _write_structure_and_functor(tmp_path)
+    tpath = tmp_path / "T.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        main(["transport", "hat", "--category", str(spath),
+              "--functor", str(fpath), "--out", str(tpath)])
+    functor, structure = read(fpath), read(spath)
+    key = next(k for k in sorted(functor["mats"]) if functor["mats"][k]
+               and functor["mats"][k][0])
+    files = {
+        "idem_empty": {"matrices": []},
+        "idem_nokey": {},
+        "idem_nonsquare": {"matrices": [[["1", "0"]]]},
+        "idem_ragged": {"matrices": [[["1", "0"], ["0"]]]},
+        "idem_div0": {"matrices": [[["1/0"]]]},
+        "F_div0": _edited(functor, lambda d: d["mats"][key][0].__setitem__(0, "1/0")),
+        "F_short": _edited(functor, lambda d: d["dims"].pop()),
+        "F_negdim": _edited(functor, lambda d: d["dims"].__setitem__(0, -1)),
+        "S_strids": _edited(structure, lambda d: d.__setitem__(
+            "m_class", [str(m) for m in d["m_class"]])),
+        "S_compx": _edited(structure, lambda d: d["comp"][0].__setitem__(0, "x")),
+        "S_idshort": _edited(structure, lambda d: d["identities"].pop()),
+    }
+    paths = {}
+    for name, data in files.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(data))
+    out = str(tmp_path / "out.json")
+    cases = [["idem", "--input", str(paths[n])] for n in files if n.startswith("idem")]
+    cases += [["transport", "hat", "--category", str(spath), "--functor",
+               str(paths[n]), "--out", out] for n in files if n.startswith("F_")]
+    cases += [["check", str(paths[n])] for n in files if n.startswith("S_")]
+    cases += [
+        ["theta", "--category", str(spath), "--functor", str(tpath),
+         "--object", "7", "--out", out],
+        ["certify", "--dims-max", "-1", "--out", out],
+        ["certify", "--seeds", "-1", "--out", out],
+    ]
+    return cases
+
+
+def test_malformed_inputs_exit_3(tmp_path, capsys):
+    cases = _malformed_cases(tmp_path)
+    capsys.readouterr()
+    for argv in cases:
+        assert main(argv) == 3, argv
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        lines = captured.out.splitlines()
+        assert len(lines) == 1, argv
+        assert set(json.loads(lines[0])) == {"error", "witness"}
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_malformed_inputs_exit_3_without_asserts(tmp_path):
+    """The same cases under python -O, which strips every assert."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        cases = _malformed_cases(tmp_path)
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from dkequiv.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        rc = main(argv)\n"
+        "    lines = out.getvalue().splitlines()\n"
+        "    json.loads(lines[0])\n"
+        "    print(rc, len(lines))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script, json.dumps(cases)],
+        capture_output=True, text=True, env=_env_with_src(),
+    )
+    assert proc.stderr == ""
+    assert proc.stdout.splitlines() == ["3 1"] * len(cases)
+
+
+def test_certify_zero_seeds_is_a_vacuous_pass(tmp_path, capsys):
+    assert main(["certify", "--seeds", "0", "--out", str(tmp_path / "c.json")]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "category": "delta_bt_3", "functors": 0, "ok": True
+    }
+
+
+def test_theta_reports_failed_assumptions_like_transport(tmp_path, capsys):
+    s = build_fi_sharp(2)
+    ms = s.cat.isos() | {7, 8}
+    cut = tmp_path / "cut78.json"
+    cut.write_text(MRStructure(s.cat, ms, {k: s.star[k] for k in ms}).to_json())
+    # the functor file is never read: the structure fails first
+    never = str(tmp_path / "absent.json")
+    out = str(tmp_path / "out.json")
+    assert main(["transport", "hat", "--category", str(cut), "--functor", never,
+                 "--out", out]) == 2
+    transported = json.loads(capsys.readouterr().out)
+    assert main(["theta", "--category", str(cut), "--functor", never,
+                 "--out", out]) == 2
+    theta = json.loads(capsys.readouterr().out)
+    assert theta == transported
+    assert theta["witness"]["passed"] is False
+    assert theta["witness"] == check_assumptions(
+        MRStructure.from_json(cut.read_text())).to_jsonable()
+
+
+def test_certify_bimodule_law_failure_exits_2(tmp_path, capsys, monkeypatch):
+    problems = [("identity", 0), ("left", 1, 2, 3)]
+    monkeypatch.setattr(KernelModule, "validate", lambda self: problems)
+    with pytest.raises(AssertionError, match="bimodule law failures"):
+        build_kernel_module(build_delta_bt(3), validate=True)
+    assert main(["certify", "--seeds", "1", "--out", str(tmp_path / "c.json")]) == 2
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "bimodule law failures", "witness": [["identity", 0], ["left", 1, 2, 3]]
+    }
+    assert not (tmp_path / "c.json").exists()
+
+
+def test_certify_bimodule_law_failure_exits_2_without_asserts(tmp_path):
+    script = (
+        "import sys\n"
+        "from dkequiv.builders import build_delta_bt\n"
+        "from dkequiv.cli import main\n"
+        "from dkequiv.equivalence import KernelModule, build_kernel_module\n"
+        "KernelModule.validate = lambda self: [('identity', 0)]\n"
+        "try:\n"
+        "    build_kernel_module(build_delta_bt(3), validate=True)\n"
+        "except AssertionError as e:\n"
+        "    print(e)\n"
+        "sys.exit(main(['certify', '--seeds', '1', '--out', sys.argv[1]]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script, str(tmp_path / "c.json")],
+        capture_output=True, text=True, env=_env_with_src(),
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == ""
+    first, second = proc.stdout.splitlines()
+    assert first == "bimodule law failures: [('identity', 0)]"
+    assert json.loads(second)["witness"] == [["identity", 0]]
+
+
+def test_example_par_base_not_a_category_exits_3(tmp_path, capsys):
+    inp = build_fi_input(2)
+    cat = inp.cat
+    f, g = next((f, g) for f in cat.morphisms() for g in cat.morphisms()
+                if f != g and (cat.dom[f], cat.cod[f]) == (cat.dom[g], cat.cod[g]))
+    data = inp.to_jsonable()
+    data["comp"][cat.identity(cat.cod[f])][f] = g
+    base = tmp_path / "broken.base.json"
+    base.write_text(json.dumps(data))
+    assert main(["example", "par", "--base", str(base), "--out", str(tmp_path)]) == 3
+    out = json.loads(capsys.readouterr().out)
+    assert out["error"] == "base category unsuitable"
+    assert out["witness"][0]["problem"] == "base is not a category"
+    assert {"message": "id o f != f", "f": f, "label": cat.mor_labels[f]} in (
+        out["witness"][0]["violations"])
+
+
+def test_structure_with_broken_tables_exits_2_everywhere(tmp_path, capsys):
+    """A composite left undefined on a composable pair is a structural
+    failure for every command that loads the structure, not a crash."""
+    spath, fpath = _write_structure_and_functor(tmp_path)
+    data = read(spath)
+    data["comp"][0][0] = -1
+    bad = tmp_path / "broken.structure.json"
+    bad.write_text(json.dumps(data))
+    out = str(tmp_path / "out.json")
+    capsys.readouterr()
+    # check reports the category's laws, certify the structural report and
+    # transport the whole assumption report
+    for argv, structural in (
+        (["check", str(bad)], lambda w: w["structural"]),
+        (["certify", "--category", str(bad), "--out", out],
+         lambda w: w["structural"]),
+        (["transport", "hat", "--category", str(bad), "--functor", str(fpath),
+          "--out", out], lambda w: w["structural"]["structural"]),
+    ):
+        assert main(argv) == 2, argv
+        witness = json.loads(capsys.readouterr().out)["witness"]
+        assert {"message": "comp defined iff endpoints match violated",
+                "g": 0, "f": 0} in structural(witness), argv

@@ -192,3 +192,55 @@ def test_generating_set_on_zero_completion(km_delta4):
                     reached.add(cat.comp[g][f])
                     changed = True
     assert reached == set(cat.morphisms())
+
+
+def _walk_tables(cat):
+    """Reference for check_tables: every entry of every row, one by one."""
+    out = []
+    n = cat.n_morphisms
+    for g in range(n):
+        for f in range(n):
+            h = cat.comp[g][f]
+            if (h is not None) != (cat.cod[f] == cat.dom[g]):
+                out.append(("comp defined iff endpoints match violated", g, f))
+            elif h is not None and not 0 <= h < n:
+                out.append(("dangling composite id", g, f))
+            elif h is not None and (cat.dom[h], cat.cod[h]) != (cat.dom[f], cat.cod[g]):
+                out.append(("composite has wrong endpoints", g, f))
+    return out
+
+
+def test_check_tables_matches_the_entrywise_walk(delta3, fi2):
+    """The row-at-once test of check_tables reports exactly what walking
+    every entry does, on seeded corruptions of one to three entries."""
+    import random
+
+    rng = random.Random(7)
+    for base in (delta3.cat, fi2.cat):
+        n = base.n_morphisms
+        assert base.check_tables().ok and _walk_tables(base) == []
+        for _ in range(300):
+            comp = [list(row) for row in base.comp]
+            for _ in range(rng.randrange(1, 4)):
+                g, f = rng.randrange(n), rng.randrange(n)
+                comp[g][f] = rng.choice([None, -2, n, rng.randrange(n)])
+            cat = FinCat(base.n_objects, base.dom, base.cod, base.identities, comp)
+            got = [(e["message"], e["g"], e["f"]) for e in cat.check_tables().structural]
+            assert got == _walk_tables(cat)
+
+
+def test_from_jsonable_names_the_malformed_field(delta3):
+    data = delta3.cat.to_jsonable()
+    for edit, field in (
+        (lambda d: d["comp"][1].__setitem__(0, "3"), "comp[1]"),
+        (lambda d: d["comp"][2].pop(), "comp"),
+        (lambda d: d["identities"].pop(), "identities"),
+        (lambda d: d["morphisms"][0].__setitem__("dom", 0.0), "morphism dom"),
+        (lambda d: d["morphisms"][0].__setitem__("cod", 9), "morphisms"),
+        (lambda d: d.__setitem__("objects", "abc"), "objects"),
+    ):
+        bad = json.loads(json.dumps(data))
+        edit(bad)
+        with pytest.raises(ValueError) as exc:
+            FinCat.from_jsonable(bad)
+        assert str(exc.value).startswith(field + ":")
