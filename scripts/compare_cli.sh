@@ -6,11 +6,11 @@
 #   sh scripts/compare_cli.sh /tmp/old . /tmp/cli-compare
 #
 # The exit status is diff's: 0 when both checkouts behave byte-identically.
-# Inputs that are not produced by a CLI command (a functor file, structures
-# that fail the axioms, a par base category, idempotent lists, and the
-# malformed files of the exit-3 cases) are written once, by the old
-# checkout, and copied to both sides.  Cases whose outcome an assert decided
-# run again under python -O.
+# Inputs that are not produced by a CLI command (pointed functors on
+# delta_bt 4, fi_sharp 3 and cube 2, structures that fail the axioms, a par
+# base category, idempotent lists, and the malformed files of the exit-3
+# cases) are written once, by the old checkout, and copied to both sides.
+# Cases whose outcome an assert decided run again under python -O.
 set -e
 OLD=$(cd "$1" && pwd)
 NEW=$(cd "$2" && pwd)
@@ -22,7 +22,9 @@ mkdir -p "$WORK/inputs"
 (cd "$WORK/inputs" && PYTHONPATH="$OLD/src" python3 - <<'EOF'
 import json
 
-from dkequiv.builders import build_delta_bt, build_fi_input, build_fi_sharp
+from dkequiv.builders import (
+    build_cube, build_delta_bt, build_fi_input, build_fi_sharp,
+)
 from dkequiv.equivalence import build_kernel_module
 from dkequiv.functors import random_pointed_functor
 from dkequiv.structure import MRStructure
@@ -32,6 +34,14 @@ f = random_pointed_functor(km.d, (1, 2, 2, 1), seed=5)
 with open("F.json", "w") as fh:
     json.dump(f.to_jsonable(category="ex/delta_bt_4.structure.json"), fh,
               sort_keys=True, indent=2)
+# pointed functors on grids with isomorphisms and with zero-height block rows
+for tag, built, dims in (("fi_sharp_3", build_fi_sharp(3), (1, 0, 2, 1)),
+                         ("cube_2", build_cube(2), (1, 0, 2))):
+    kmx = build_kernel_module(built, validate=False)
+    fx = random_pointed_functor(kmx.d, dims, seed=5)
+    with open(f"F_{tag}.json", "w") as fh:
+        json.dump(fx.to_jsonable(category=f"ex/{tag}.structure.json"), fh,
+                  sort_keys=True, indent=2)
 with open("fi2.base.json", "w") as fh:
     json.dump(build_fi_input(2).to_jsonable(), fh)
 # one non-identity retraction redirected to an identity
@@ -120,6 +130,15 @@ cases() {
         --functor T.json --out FT.json
     run theta -m dkequiv.cli theta --category ex/delta_bt_4.structure.json \
         --functor T.json --out theta.json
+    for t in fi_sharp_3 cube_2; do
+        run "hat_$t" -m dkequiv.cli transport hat --category "ex/$t.structure.json" \
+            --functor "F_$t.json" --out "T_$t.json"
+        run "tilde_$t" -m dkequiv.cli transport tilde --category "ex/$t.structure.json" \
+            --functor "T_$t.json" --out "FT_$t.json"
+        run "theta_$t" -m dkequiv.cli theta --category "ex/$t.structure.json" \
+            --functor "T_$t.json" --out "theta_$t.json"
+    done
+    run cert_cube -m dkequiv.cli certify --name cube --size 2 --out cert_cube.json
     # malformed input
     run ex_bogus -m dkequiv.cli example bogus --out ex
     run cert_bogus -m dkequiv.cli certify --name bogus --out cert_bogus.json

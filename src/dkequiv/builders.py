@@ -476,7 +476,10 @@ def _ffield_rank(vectors, q):
 
 def build_flinj_input(dim_max, q=2) -> ParInput:
     """Vector spaces over the prime field of size q up to dim_max, with
-    injective linear maps; embeddings are everything, bijections the rest."""
+    injective linear maps; embeddings are everything, bijections the rest.
+
+    The key of a map d -> c is its d-tuple of image vectors, each of length c.
+    """
     n_obj = dim_max + 1
     tb = TableBuilder(n_obj, [str(k) for k in range(n_obj)])
     for d in range(n_obj):
@@ -486,11 +489,8 @@ def build_flinj_input(dim_max, q=2) -> ParInput:
             ):
                 if d == 0 or _ffield_rank(cols, q) == d:
                     tb.add(d, c, cols, str(cols))
-    zero = {}
 
     def compose(g, f):
-        # g: columns of a c x e map? keys are tuples of image vectors
-        # key for d -> c is a d-tuple of length-c vectors
         out = []
         for col in f:
             acc = [0] * (len(g[0]) if g else 0)

@@ -120,10 +120,10 @@ def cmd_check(args) -> int:
     payload = _report_payload(structure, report)
     if args.out:
         _dump(Path(args.out), payload)
-    print(json.dumps({"passed": report.passed,
-                      "class_sizes": report.class_sizes}, sort_keys=True))
     if not report.passed:
         return _fail(MATH_FAILURE, "checks failed", payload)
+    print(json.dumps({"passed": True, "class_sizes": report.class_sizes},
+                     sort_keys=True))
     return OK
 
 
@@ -236,10 +236,11 @@ def _matrices(data):
 def cmd_idem(args) -> int:
     idems = _load(args.input, _matrices)
     es = orthogonal_idempotents(idems)
+    ranks = [e.rank() for e in es]
     payload = {
         "idempotents": [e.to_jsonable() for e in es],
-        "ranks": [e.rank() for e in es],
-        "rank_sum": sum(e.rank() for e in es),
+        "ranks": ranks,
+        "rank_sum": sum(ranks),
         "ambient_dim": idems[0].nrows,
     }
     if args.out:

@@ -181,17 +181,6 @@ def build_kernel_module(s: MRStructure, validate=True) -> KernelModule:
 # -- the two transports ------------------------------------------------------
 
 
-def _offsets(poset, dims_at):
-    """(offset, width) per class representative, in linearization order."""
-    out = {}
-    pos = 0
-    for rep in poset.linearization:
-        w = dims_at(rep)
-        out[rep] = (pos, w)
-        pos += w
-    return out, pos
-
-
 def hat(km: KernelModule, f: PointedFunctor) -> AdditiveFunctor:
     """Left transport: direct sums over subobject classes, block action from
     the three-part factorization of (morphism o subobject)."""
@@ -200,41 +189,20 @@ def hat(km: KernelModule, f: PointedFunctor) -> AdditiveFunctor:
     d = km.d
     assert f.d is km.d or f.d.cat.n_objects == cat.n_objects
 
-    def width(rep):
-        return f.dims[cat.dom[rep]]
-
-    posets = {a: s.sub_poset(a) for a in cat.objects()}
-    offs = {}
-    dims = []
-    for a in cat.objects():
-        offs[a], total = _offsets(posets[a], width)
-        dims.append(total)
+    lins = [s.sub_poset(a).linearization for a in cat.objects()]
+    index = [{rep: k for k, rep in enumerate(lin)} for lin in lins]
+    widths = [[f.dims[cat.dom[rep]] for rep in lin] for lin in lins]
 
     mats = {}
     for g in cat.morphisms():
         a, b = cat.dom[g], cat.cod[g]
         grid = {}
-        for m in posets[a].linearization:
+        for j, m in enumerate(lins[a]):
             u = cat.comp[g][m]
-            if not s.s_in_r(u):
-                continue
-            n = s.m_part(u)
-            s_u = s.s_part(u)
-            grid[(n, m)] = f.mat(d.r_to_d[s_u])
-        rows = []
-        for n in posets[b].linearization:
-            row = []
-            for m in posets[a].linearization:
-                blk = grid.get((n, m))
-                if blk is None:
-                    blk = QMat.zeros(width(n), width(m))
-                row.append(blk)
-            rows.append(row)
-        if rows and rows[0]:
-            mats[g] = block(rows)
-        else:
-            mats[g] = QMat.zeros(dims[b], dims[a])
-    return AdditiveFunctor(cat, dims, mats)
+            if s.s_in_r(u):
+                grid[(index[b][s.m_part(u)], j)] = f.mat(d.r_to_d[s.s_part(u)])
+        mats[g] = block(widths[b], widths[a], grid)
+    return AdditiveFunctor(cat, [sum(w) for w in widths], mats)
 
 
 def tilde_subspaces(km: KernelModule, t: AdditiveFunctor):
@@ -249,7 +217,9 @@ def tilde_subspaces(km: KernelModule, t: AdditiveFunctor):
         if not mats:
             out.append(Subspace.full(t.dims[a]))
         else:
-            out.append(block([[m] for m in mats]).kernel())
+            stacked = block([m.nrows for m in mats], [t.dims[a]],
+                            {(i, 0): m for i, m in enumerate(mats)})
+            out.append(stacked.kernel())
     return out
 
 
@@ -295,14 +265,11 @@ def unit_with(km: KernelModule, f: PointedFunctor, t: AdditiveFunctor,
     ft = tilde(km, t, subspaces)
     comps = []
     for a in cat.objects():
+        # the whole object's summand is the last: top() ends the linearization
         poset = s.sub_poset(a)
-        offs, total = _offsets(poset, lambda rep: f.dims[cat.dom[rep]])
-        top = poset.top()
-        off, w = offs[top]
-        rows = [[0] * w for _ in range(total)]
-        for i in range(w):
-            rows[off + i][i] = 1
-        inj = QMat.from_rows(rows, w)
+        w = f.dims[cat.dom[poset.top()]]
+        rest = sum(f.dims[cat.dom[rep]] for rep in poset.proper())
+        inj = block([rest, w], [w], {(1, 0): QMat.identity(w)})
         if not subspaces[a].contains_columns(inj):
             raise TransportError(
                 "whole-object inclusion does not land in the kernel "
@@ -337,15 +304,10 @@ def counit_with(km: KernelModule, t: AdditiveFunctor, subspaces=None,
     hft = hat(km, ft)
     comps = []
     for b in cat.objects():
-        poset = s.sub_poset(b)
-        cols = []
-        for rep in poset.linearization:
-            a = cat.dom[rep]
-            cols.append(t.mat(rep).mul(subspaces[a].basis))
-        if cols:
-            comps.append(block([cols]))
-        else:
-            comps.append(QMat.zeros(t.dims[b], 0))
+        cols = [t.mat(rep).mul(subspaces[cat.dom[rep]].basis)
+                for rep in s.sub_poset(b).linearization]
+        comps.append(block([t.dims[b]], [c.ncols for c in cols],
+                           {(0, j): c for j, c in enumerate(cols)}))
     out = NatTransform(hft, t, comps)
     if validate:
         rep = out.validate()
@@ -363,12 +325,8 @@ def hat_nat(km: KernelModule, alpha: NatTransform,
     cat = s.cat
     comps = []
     for b in cat.objects():
-        poset = s.sub_poset(b)
-        blocks = [alpha.component(cat.dom[rep]) for rep in poset.linearization]
-        if blocks:
-            comps.append(direct_sum(*blocks))
-        else:
-            comps.append(QMat.zeros(0, 0))
+        lin = s.sub_poset(b).linearization
+        comps.append(direct_sum(*[alpha.component(cat.dom[rep]) for rep in lin]))
     return NatTransform(source, target, comps)
 
 
@@ -393,22 +351,19 @@ def theta_matrix(km: KernelModule, t: AdditiveFunctor, a) -> QMat:
 
     Blocks are indexed by the subobject linearization, whole object first,
     which makes the matrix block upper-triangular with identity diagonal;
-    a violation raises TriangularityError.
+    a violation raises TriangularityError.  The diagonal composite
+    star(n) o n is an identity, so every diagonal block is checked.
     """
     s = km.structure
     cat = s.cat
-    poset = s.sub_poset(a)
-    order = list(reversed(poset.linearization))
-    width = {rep: t.dims[cat.dom[rep]] for rep in order}
-    rows = []
+    order = list(reversed(s.sub_poset(a).linearization))
+    blocks = {}
     for i, n in enumerate(order):
-        row = []
         for j, m in enumerate(order):
             comp = cat.comp[s.star[n]][m]
-            if comp in s.m_class:
-                blk = t.mat(comp)
-            else:
-                blk = QMat.zeros(width[n], width[m])
+            if comp not in s.m_class:
+                continue
+            blk = t.mat(comp)
             if i == j and not blk.is_identity():
                 raise TriangularityError(
                     f"diagonal block at class {n} of object {a} is not the identity",
@@ -420,11 +375,9 @@ def theta_matrix(km: KernelModule, t: AdditiveFunctor, a) -> QMat:
                     "is nonzero",
                     witness={"object": a, "n": n, "m": m},
                 )
-            row.append(blk)
-        rows.append(row)
-    if not rows:
-        return QMat.zeros(0, 0)
-    return block(rows)
+            blocks[(i, j)] = blk
+    widths = [t.dims[cat.dom[rep]] for rep in order]
+    return block(widths, widths, blocks)
 
 
 # -- certification ---------------------------------------------------------------

@@ -262,55 +262,38 @@ class QMat:
         return cls.from_rows(data, ncols)
 
 
-def block(blocks) -> QMat:
-    """Assemble a matrix from a grid of blocks.
+def block(heights, widths, blocks) -> QMat:
+    """Assemble a matrix from its nonzero blocks.
 
-    Row heights and column widths must be consistent; zero-sized blocks are
-    allowed and contribute nothing.
+    heights and widths are the block row heights and block column widths;
+    blocks maps (i, j) to the block at block row i and block column j, of
+    shape (heights[i], widths[j]).  Absent blocks are zero, and zero-sized
+    blocks are legal and contribute nothing.
     """
-    nbr = len(blocks)
-    nbc = len(blocks[0]) if nbr else 0
-    assert all(len(row) == nbc for row in blocks)
-    heights = [row[0].nrows for row in blocks] if nbc else [0] * nbr
-    widths = [blocks[0][j].ncols for j in range(nbc)] if nbr else []
+    starts = [0]
+    for w in widths:
+        starts.append(starts[-1] + w)
     den = 1
-    for i in range(nbr):
-        for j in range(nbc):
-            b = blocks[i][j]
-            assert b.shape == (heights[i], widths[j]), (
-                f"block ({i},{j}) has shape {b.shape}, "
-                f"expected {(heights[i], widths[j])}"
-            )
-            den = den * b.den // gcd(den, b.den)
-    out = []
-    for i in range(nbr):
-        scaled = []
-        for b in blocks[i]:
-            f = den // b.den
-            scaled.append(
-                b.rows if f == 1 else tuple(
-                    tuple(x * f for x in row) for row in b.rows
-                )
-            )
-        for r in range(heights[i]):
-            line = []
-            for j in range(nbc):
-                line.extend(scaled[j][r])
-            out.append(tuple(line))
-    return QMat(sum(heights), sum(widths), tuple(out), den)
+    for (i, j), b in blocks.items():
+        assert b.shape == (heights[i], widths[j]), (
+            f"block ({i},{j}) has shape {b.shape}, "
+            f"expected {(heights[i], widths[j])}"
+        )
+        den = den * b.den // gcd(den, b.den)
+    lines = [[[0] * starts[-1] for _ in range(h)] for h in heights]
+    for (i, j), b in blocks.items():
+        f = den // b.den
+        c0, c1 = starts[j], starts[j + 1]
+        for line, row in zip(lines[i], b.rows):
+            line[c0:c1] = row if f == 1 else [x * f for x in row]
+    rows = [line for group in lines for line in group]
+    return QMat(sum(heights), starts[-1], rows, den)
 
 
 def direct_sum(*mats: QMat) -> QMat:
-    grid = [
-        [
-            mats[i] if i == j else QMat.zeros(mats[i].nrows, mats[j].ncols)
-            for j in range(len(mats))
-        ]
-        for i in range(len(mats))
-    ]
-    if not mats:
-        return QMat.zeros(0, 0)
-    return block(grid)
+    """The block-diagonal matrix of mats; direct_sum() is 0 x 0."""
+    return block([m.nrows for m in mats], [m.ncols for m in mats],
+                 {(i, i): m for i, m in enumerate(mats)})
 
 
 class Subspace:
@@ -359,7 +342,8 @@ class Subspace:
     def contains_columns(self, cols: QMat) -> bool:
         if cols.ncols == 0:
             return True
-        joint = block([[self.basis, cols]])
+        joint = block([self.ambient_dim], [self.dim, cols.ncols],
+                      {(0, 0): self.basis, (0, 1): cols})
         return joint.rank() == self.dim
 
     def intersect(self, other: "Subspace") -> "Subspace":
@@ -367,7 +351,8 @@ class Subspace:
         a, b = self.basis, other.basis
         if a.ncols == 0 or b.ncols == 0:
             return Subspace.zero(self.ambient_dim)
-        stacked = block([[a, -b]])
+        stacked = block([self.ambient_dim], [a.ncols, b.ncols],
+                        {(0, 0): a, (0, 1): -b})
         ker = stacked.kernel()
         coeffs_a = QMat.from_rows(
             [ker.basis.frac_rows()[i] for i in range(a.ncols)], ker.basis.ncols
@@ -376,7 +361,9 @@ class Subspace:
 
     def sum(self, other: "Subspace") -> "Subspace":
         assert self.ambient_dim == other.ambient_dim
-        return Subspace.spanned_by(self.ambient_dim, block([[self.basis, other.basis]]))
+        joint = block([self.ambient_dim], [self.dim, other.dim],
+                      {(0, 0): self.basis, (0, 1): other.basis})
+        return Subspace.spanned_by(self.ambient_dim, joint)
 
 
 def intersect_all(ambient_dim, subspaces) -> Subspace:
@@ -395,7 +382,7 @@ def _column_echelon(m: QMat) -> QMat:
 def solve_exact(a: QMat, rhs: QMat) -> QMat:
     """The unique-on-column-space X with a X = rhs; raises if inconsistent."""
     assert a.nrows == rhs.nrows
-    aug = block([[a, rhs]])
+    aug = block([a.nrows], [a.ncols, rhs.ncols], {(0, 0): a, (0, 1): rhs})
     red, pivots = aug.rref()
     if any(p >= a.ncols for p in pivots):
         raise RestrictionError("right-hand side not in the column space")

@@ -390,10 +390,7 @@ def random_pointed_functor(d: DCat, dims, seed) -> PointedFunctor:
     mats = {}
     for r in d.nonzero_morphisms():
         a, b = cat.dom[r], cat.cod[r]
-        if atom_data:
-            raw = direct_sum(*[data[1](r) for data in atom_data])
-        else:
-            raw = QMat.zeros(dims[b], dims[a])
+        raw = direct_sum(*[data[1](r) for data in atom_data])
         assert raw.shape == (dims[b], dims[a])
         mats[r] = q[b].mul(raw).mul(q_inv[a])
     return PointedFunctor(d, dims, mats)

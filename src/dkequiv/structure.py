@@ -889,7 +889,8 @@ def verify_coend_bijections(s: MRStructure) -> CoendReport:
                             dsu.union((mi, r2), (m, cat.comp[i][r2]))
             problems = []
             values = {}
-            for root, members in dsu.classes().items():
+            classes = dsu.classes()
+            for root, members in classes.items():
                 vals = {cat.comp[m][r] for (m, r) in members}
                 if len(vals) > 1:
                     problems.append(
@@ -914,7 +915,7 @@ def verify_coend_bijections(s: MRStructure) -> CoendReport:
                     problems.append({"problem": "value not hit", "value": u})
             entries.append(
                 CoendPairReport(
-                    "right", a, d, len(dsu.classes()), len(tgt), problems
+                    "right", a, d, len(classes), len(tgt), problems
                 )
             )
 
@@ -945,7 +946,8 @@ def verify_coend_bijections(s: MRStructure) -> CoendReport:
             problems = []
             values = {}
             base_root = dsu.find(BASE)
-            for root, members in dsu.classes().items():
+            classes = dsu.classes()
+            for root, members in classes.items():
                 vals = set()
                 for member in members:
                     if member == BASE:
@@ -983,9 +985,9 @@ def verify_coend_bijections(s: MRStructure) -> CoendReport:
             for u in tgt:
                 if u not in values:
                     problems.append({"problem": "value not hit", "value": u})
-            nonbase = len(dsu.classes()) - 1
             entries.append(
-                CoendPairReport("left", c, b, nonbase, len(tgt), problems)
+                CoendPairReport("left", c, b, len(classes) - 1, len(tgt),
+                                problems)
             )
 
     return CoendReport(entries)

@@ -140,7 +140,7 @@ def test_example_par_dangling_id_exits_3(tmp_path, capsys):
     assert out["witness"] == [{"problem": "dangling id in e_class", "id": 99}]
 
 
-def test_check_command(tmp_path):
+def test_check_command(tmp_path, capsys):
     main(["example", "delta_bt", "--size", "3", "--out", str(tmp_path)])
     rc = main(["check", str(tmp_path / "delta_bt_3.structure.json")])
     assert rc == 0
@@ -152,7 +152,13 @@ def test_check_command(tmp_path):
     data["star"][m] = star[others[0]]
     bad = tmp_path / "bad.structure.json"
     bad.write_text(json.dumps(data))
+    capsys.readouterr()
     assert main(["check", str(bad)]) == 2
+    # one JSON object, the error, and no summary line before it
+    (line,) = capsys.readouterr().out.splitlines()
+    out = json.loads(line)
+    assert out["error"] == "checks failed"
+    assert out["witness"]["passed"] is False
 
 
 def test_check_malformed_input(tmp_path):

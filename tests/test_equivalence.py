@@ -2,6 +2,7 @@ import pytest
 
 from dkequiv.builders import build_delta_bt
 from dkequiv.equivalence import (
+    TriangularityError,
     build_kernel_module,
     certify_equivalence,
     counit,
@@ -263,6 +264,39 @@ def test_theta_unitriangular_everywhere(km_delta5, km_fi3, km_cube3, km_pt):
         for a in km.structure.cat.objects():
             th = theta_matrix(km, t, a)
             assert th.mul(th.inverse()).is_identity()
+
+
+def test_theta_rejects_non_identity_diagonal(km_fi3):
+    # a corrupted identity of the object 1 in a hat output: the first class
+    # of object 3 with domain 1, in theta's block order, is the witness
+    km = km_fi3
+    cat = km.structure.cat
+    t = hat(km, random_pointed_functor(km.d, (1, 2, 1, 1), seed=8))
+    mats = dict(t.mats)
+    mats[cat.identity(1)] = _bump(mats[cat.identity(1)])
+    bad = AdditiveFunctor(cat, t.dims, mats)
+    order = list(reversed(km.structure.sub_poset(3).linearization))
+    n = next(n for n in order if cat.dom[n] == 1)
+    assert n != order[0]
+    with pytest.raises(TriangularityError) as e:
+        theta_matrix(km, bad, 3)
+    assert e.value.witness == {"object": 3, "n": n, "m": n}
+
+
+def test_theta_rejects_nonzero_block_below_diagonal(km_fi3, monkeypatch):
+    # on a valid structure no embedding composite lies below the diagonal,
+    # so the poset's linearization is reversed: the empty subset comes
+    # first, and the block of the next class at it is a nonzero identity
+    km = km_fi3
+    cat = km.structure.cat
+    t = hat(km, random_pointed_functor(km.d, (1, 2, 1, 1), seed=8))
+    poset = km.structure.sub_poset(3)
+    lin = poset.linearization
+    monkeypatch.setattr(poset, "linearization", lin[::-1])
+    assert cat.dom[lin[0]] == 0
+    with pytest.raises(TriangularityError) as e:
+        theta_matrix(km, t, 3)
+    assert e.value.witness == {"object": 3, "n": lin[1], "m": lin[0]}
 
 
 def test_certify_small(km_delta4, km_fi3):

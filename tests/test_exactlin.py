@@ -57,14 +57,56 @@ def test_intersect_dimension_formula(a, b):
 
 def test_block_and_direct_sum():
     assert direct_sum(QMat.identity(1), QMat.identity(2)) == QMat.identity(3)
-    got = block([[QMat.identity(2), QMat.zeros(2, 1)]])
+    got = block([2], [2, 1], {(0, 0): QMat.identity(2), (0, 1): QMat.zeros(2, 1)})
     assert got.shape == (2, 3)
     # zero-sized blocks are legal and contribute nothing
-    got = block(
-        [[QMat.identity(2), QMat.zeros(2, 0)], [QMat.zeros(0, 2), QMat.zeros(0, 0)]]
-    )
+    got = block([2, 0], [2, 0], {
+        (0, 0): QMat.identity(2), (0, 1): QMat.zeros(2, 0),
+        (1, 0): QMat.zeros(0, 2), (1, 1): QMat.zeros(0, 0),
+    })
     assert got == QMat.identity(2)
     assert direct_sum() == QMat.zeros(0, 0)
+
+
+def test_block_absent_blocks_are_zero():
+    a = QMat.from_rows([[1, 2]])
+    b = QMat.from_rows([[3], [4]])
+    got = block([1, 2], [2, 1], {(0, 0): a, (1, 1): b})
+    assert got == QMat.from_rows([[1, 2, 0], [0, 0, 3], [0, 0, 4]])
+    assert got == block([1, 2], [2, 1], {
+        (0, 0): a, (0, 1): QMat.zeros(1, 1), (1, 0): QMat.zeros(2, 2), (1, 1): b,
+    })
+    # a block row with no entries, and no blocks at all
+    got = block([1, 2], [2], {(0, 0): a})
+    assert got == QMat.from_rows([[1, 2], [0, 0], [0, 0]])
+    assert block([2], [3], {}) == QMat.zeros(2, 3)
+
+
+def test_block_mixed_denominators():
+    got = block([1, 1], [1, 1], {
+        (0, 0): QMat.from_rows([["1/2"]]), (1, 1): QMat.from_rows([["1/3"]]),
+    })
+    assert got == QMat.from_rows([["1/2", 0], [0, "1/3"]])
+    assert got.den == 6
+    # the common denominator is reduced with the entries
+    got = block([1], [1, 1], {
+        (0, 0): QMat.from_rows([["1/2"]]), (0, 1): QMat.from_rows([[2]]),
+    })
+    assert got == QMat.from_rows([["1/2", 2]]) and got.den == 2
+
+
+def test_block_zero_sized_shapes():
+    assert block([0], [3], {}).shape == (0, 3)
+    assert block([3], [0], {}).shape == (3, 0)
+    assert block([], [], {}) == QMat.zeros(0, 0)
+    assert direct_sum(QMat.zeros(2, 0), QMat.zeros(0, 1)) == QMat.zeros(2, 1)
+
+
+def test_block_rejects_wrong_shape():
+    with pytest.raises(AssertionError):
+        block([1], [2], {(0, 0): QMat.identity(1)})
+    with pytest.raises(AssertionError):
+        block([2, 1], [1], {(1, 0): QMat.identity(2)})
 
 
 def test_unitriangular_integer_inverse():
