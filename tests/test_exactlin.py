@@ -8,6 +8,7 @@ from dkequiv.exactlin import (
     PreconditionViolated,
     QMat,
     RestrictionError,
+    SingularMatrixError,
     Subspace,
     block,
     direct_sum,
@@ -16,6 +17,7 @@ from dkequiv.exactlin import (
     meet_of_idempotents,
     orthogonal_idempotents,
     restrict,
+    solve_exact,
 )
 
 entries = st.integers(min_value=-4, max_value=4)
@@ -268,3 +270,172 @@ def test_serialization_round_trip():
     again = QMat.from_jsonable(m.to_jsonable())
     assert again == m
     assert m.to_jsonable() == [["1/2", "-3"], ["0", "5/7"]]
+
+
+# -- Fraction reference for elimination ---------------------------------------
+
+
+def _ref_rref(rows, ncols):
+    """Gauss-Jordan over Fraction: each pivot row is divided by its pivot,
+    then its column is cleared from every other row."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    nrows = len(m)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        pv = m[r][c]
+        m[r] = [x / pv for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return m, pivots
+
+
+def _ref_solve(a, rhs, ncols):
+    """X with a X = rhs read off the reference RREF of [a | rhs], or None."""
+    red, pivots = _ref_rref([ra + rb for ra, rb in zip(a, rhs)], ncols + len(rhs[0]))
+    if any(p >= ncols for p in pivots):
+        return None
+    sol = [[Fraction(0)] * len(rhs[0]) for _ in range(ncols)]
+    for r, p in enumerate(pivots):
+        sol[p] = red[r][ncols:]
+    return sol
+
+
+def _ref_column_echelon(rows, nrows, ncols):
+    """Reduced column echelon form, as the list of its columns."""
+    red, pivots = _ref_rref([list(col) for col in zip(*rows)] if rows else
+                            [[] for _ in range(ncols)], nrows)
+    return red[:len(pivots)]
+
+
+def _fracs(m: QMat):
+    return [[m.entry(i, j) for j in range(m.ncols)] for i in range(m.nrows)]
+
+
+def _random_rational_rows(rng, nrows, ncols):
+    """Entries a/b with |a| <= 6 and 1 <= b <= 4, with zero rows, repeated
+    rows and negated rows (negative pivots) mixed in."""
+    rows = []
+    for _ in range(nrows):
+        kind = rng.randrange(6)
+        if kind == 0:
+            rows.append([Fraction(0)] * ncols)
+        elif kind == 1 and rows:
+            rows.append(list(rng.choice(rows)))
+        elif kind == 2 and rows:
+            rows.append([-x for x in rng.choice(rows)])
+        else:
+            rows.append([Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                         if rng.randrange(3) else Fraction(0)
+                         for _ in range(ncols)])
+    return rows
+
+
+def _rational_cases(count=600):
+    import random
+
+    rng = random.Random(20141)
+    for _ in range(count):
+        n, m = rng.randint(0, 6), rng.randint(0, 6)
+        yield rng, n, m, _random_rational_rows(rng, n, m)
+
+
+def test_rref_rank_kernel_match_fraction_reference():
+    for _, n, m, rows in _rational_cases():
+        a = QMat.from_rows(rows, m)
+        red, pivots = a.rref()
+        ref, ref_pivots = _ref_rref(rows, m)
+        assert pivots == ref_pivots, rows
+        assert _fracs(red) == ref, rows
+        assert a.rank() == len(ref_pivots)
+        k = a.kernel()
+        free = [c for c in range(m) if c not in ref_pivots]
+        ref_basis = []
+        for fc in free:
+            col = [Fraction(0)] * m
+            col[fc] = Fraction(1)
+            for r, pc in enumerate(ref_pivots):
+                col[pc] = -ref[r][fc]
+            ref_basis.append(col)
+        ref_rows = [[col[i] for col in ref_basis] for i in range(m)]
+        assert k.dim == len(free)
+        assert [list(c) for c in zip(*_fracs(k.basis))] == \
+            _ref_column_echelon(ref_rows, m, len(free)), rows
+
+
+def test_solve_exact_matches_fraction_reference():
+    for rng, n, m, rows in _rational_cases():
+        k = rng.randint(0, 3)
+        if rng.randrange(2):
+            # a consistent right-hand side a x
+            x = _random_rational_rows(rng, m, k)
+            rhs = [[sum((rows[i][t] * x[t][j] for t in range(m)), Fraction(0))
+                    for j in range(k)] for i in range(n)]
+        else:
+            rhs = _random_rational_rows(rng, n, k)
+        a, b = QMat.from_rows(rows, m), QMat.from_rows(rhs, k)
+        want = _ref_solve(rows, rhs, m) if n else [[Fraction(0)] * k] * m
+        if want is None:
+            with pytest.raises(RestrictionError):
+                solve_exact(a, b)
+        else:
+            got = solve_exact(a, b)
+            assert got.shape == (m, k)
+            assert _fracs(got) == want, (rows, rhs)
+
+
+def test_inverse_matches_fraction_reference():
+    import random
+
+    from dkequiv.functors import random_invertible
+
+    cases = [rows for _, n, m, rows in _rational_cases() if n == m]
+    rng = random.Random(7)
+    for n in range(7):
+        u = random_invertible(n, rng)
+        cases.append([[x * Fraction(rng.randint(1, 4), rng.randint(1, 4))
+                       for x in row] for row in _fracs(u)])
+    singular = 0
+    for rows in cases:
+        n = len(rows)
+        a = QMat.from_rows(rows, n)
+        ident = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+        want = _ref_solve(rows, ident, n) if n else []
+        if want is None:
+            singular += 1
+            with pytest.raises(SingularMatrixError):
+                a.inverse()
+        else:
+            assert _fracs(a.inverse()) == want, rows
+    assert 0 < singular < len(cases)
+
+
+def test_inverse_of_singular_matrix_raises():
+    with pytest.raises(SingularMatrixError):
+        QMat.from_rows([[1, 2], [2, 4]]).inverse()
+    with pytest.raises(SingularMatrixError):
+        QMat.from_rows([["1/2", 0, 1], [0, 0, 0], [1, 1, 1]]).inverse()
+    assert QMat.zeros(0, 0).inverse() == QMat.zeros(0, 0)
+
+
+def test_unit_with_zero_subspaces_raises_with_object_witness(delta3):
+    from dkequiv.equivalence import TransportError, build_kernel_module, hat, unit_with
+    from dkequiv.functors import random_pointed_functor
+
+    km = build_kernel_module(delta3, validate=False)
+    f = random_pointed_functor(km.d, (0, 2, 1), seed=5)
+    t = hat(km, f)
+    zeros = [Subspace.zero(n) for n in t.dims]
+    with pytest.raises(TransportError) as exc:
+        unit_with(km, f, t, subspaces=zeros, validate=False)
+    assert exc.value.witness == {"object": 1}
