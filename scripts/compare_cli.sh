@@ -7,9 +7,10 @@
 #
 # The exit status is diff's: 0 when both checkouts behave byte-identically.
 # Inputs that are not produced by a CLI command (pointed functors on
-# delta_bt 4, fi_sharp 3 and cube 2, structures that fail the axioms, a par
-# base category, idempotent lists, and the malformed files of the exit-3
-# cases) are written once, by the old checkout, and copied to both sides.
+# delta_bt 4, fi_sharp 3 and cube 2, one of them also with rational entries,
+# structures that fail the axioms, a par base category, idempotent lists,
+# and the malformed files of the exit-3 cases) are written once, by the old
+# checkout, and copied to both sides.
 # Cases whose outcome an assert decided run again under python -O.
 set -e
 OLD=$(cd "$1" && pwd)
@@ -21,6 +22,7 @@ mkdir -p "$WORK/inputs"
 
 (cd "$WORK/inputs" && PYTHONPATH="$OLD/src" python3 - <<'EOF'
 import json
+from fractions import Fraction
 
 from dkequiv.builders import (
     build_cube, build_delta_bt, build_fi_input, build_fi_sharp,
@@ -34,6 +36,22 @@ f = random_pointed_functor(km.d, (1, 2, 2, 1), seed=5)
 with open("F.json", "w") as fh:
     json.dump(f.to_jsonable(category="ex/delta_bt_4.structure.json"), fh,
               sort_keys=True, indent=2)
+# the same functor after a rational diagonal change of basis at every
+# object, with entries 2, 1/3, 2, ... (1/3, 2, ... on odd objects), so that
+# the transports hold non-integer rationals.  The functor is identities and
+# one rank-one map, and that map gains the entry 1/6.
+def diag(a, i):
+    return (Fraction(2), Fraction(1, 3))[(a + i) % 2]
+
+
+q = f.to_jsonable(category="ex/delta_bt_4.structure.json")
+cat = km.structure.cat
+for key, rows in q["mats"].items():
+    a, b = cat.dom[int(key)], cat.cod[int(key)]
+    q["mats"][key] = [[str(diag(b, i) * Fraction(x) / diag(a, j))
+                       for j, x in enumerate(row)] for i, row in enumerate(rows)]
+with open("F_rational.json", "w") as fh:
+    json.dump(q, fh, sort_keys=True, indent=2)
 # pointed functors on grids with isomorphisms and with zero-height block rows
 for tag, built, dims in (("fi_sharp_3", build_fi_sharp(3), (1, 0, 2, 1)),
                          ("cube_2", build_cube(2), (1, 0, 2))):
@@ -71,6 +89,8 @@ for tag, mats in (
     ("nonsquare", [[["1", "0"]]]),
     ("ragged", [[["1", "0"], ["0"]]]),
     ("div0", [[["1/0"]]]),
+    ("rational", [[["1/2", "1/2"], ["1/2", "1/2"]], [["1", "0"], ["0", "1"]]]),
+    ("bool", [[[True, False], [False, False]]]),
 ):
     write(f"idem_{tag}.json", {"matrices": mats})
 write("idem_nokey.json", {})
@@ -138,6 +158,14 @@ cases() {
         run "theta_$t" -m dkequiv.cli theta --category "ex/$t.structure.json" \
             --functor "T_$t.json" --out "theta_$t.json"
     done
+    run hat_rational -m dkequiv.cli transport hat \
+        --category ex/delta_bt_4.structure.json --functor F_rational.json \
+        --out T_rational.json
+    run tilde_rational -m dkequiv.cli transport tilde \
+        --category ex/delta_bt_4.structure.json --functor T_rational.json \
+        --out FT_rational.json
+    run theta_rational -m dkequiv.cli theta --category ex/delta_bt_4.structure.json \
+        --functor T_rational.json --out theta_rational.json
     run cert_cube -m dkequiv.cli certify --name cube --size 2 --out cert_cube.json
     # malformed input
     run ex_bogus -m dkequiv.cli example bogus --out ex
@@ -150,7 +178,7 @@ cases() {
     run cert_delta0_O -O -m dkequiv.cli certify --name delta_bt --size 0 \
         --out cert_delta0_O.json
     # idempotent decompositions
-    for t in ok pair empty nokey nonsquare ragged div0; do
+    for t in ok pair empty nokey nonsquare ragged div0 rational bool; do
         run "idem_$t" -m dkequiv.cli idem --input "idem_$t.json" --out "idem_$t.out.json"
     done
     # malformed and invalid functors, structures and argument values

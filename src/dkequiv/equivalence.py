@@ -270,13 +270,14 @@ def unit_with(km: KernelModule, f: PointedFunctor, t: AdditiveFunctor,
         w = f.dims[cat.dom[poset.top()]]
         rest = sum(f.dims[cat.dom[rep]] for rep in poset.proper())
         inj = block([rest, w], [w], {(1, 0): QMat.identity(w)})
-        if not subspaces[a].contains_columns(inj):
+        try:
+            comps.append(solve_exact(subspaces[a].basis, inj))
+        except RestrictionError:
             raise TransportError(
                 "whole-object inclusion does not land in the kernel "
                 f"intersection at object {a}",
                 witness={"object": a},
-            )
-        comps.append(solve_exact(subspaces[a].basis, inj))
+            ) from None
     out = NatTransform(f, ft, comps)
     if validate:
         rep = out.validate()

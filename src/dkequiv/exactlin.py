@@ -9,7 +9,7 @@ representation.  Degenerate shapes (0 x n, n x 0) are legal everywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 class ExactLinError(Exception):
@@ -35,11 +35,8 @@ class PreconditionViolated(ExactLinError):
 
 
 def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
+    """x as a Fraction; bools, floats and other types raise TypeError."""
+    if isinstance(x, (Fraction, str)) or type(x) is int:
         return Fraction(x)
     raise TypeError(f"not an exact rational: {x!r}")
 
@@ -49,22 +46,15 @@ class QMat:
 
     __slots__ = ("nrows", "ncols", "den", "rows")
 
-    def __init__(self, nrows, ncols, rows, den=1, _canonical=False):
+    def __init__(self, nrows, ncols, rows, den=1):
         assert nrows >= 0 and ncols >= 0 and den > 0
         self.nrows = nrows
         self.ncols = ncols
-        if _canonical:
-            self.rows = rows
-            self.den = den
-            return
         g = den
         for row in rows:
-            for x in row:
-                g = gcd(g, x)
-                if g == 1:
-                    break
             if g == 1:
                 break
+            g = gcd(g, *row)
         if g > 1:
             rows = tuple(tuple(x // g for x in row) for row in rows)
             den //= g
@@ -83,10 +73,7 @@ class QMat:
             ncols = len(rows[0]) if rows else 0
         if any(len(row) != ncols for row in rows):
             raise ValueError(f"rows of a matrix with {ncols} columns differ in length")
-        den = 1
-        for row in rows:
-            for x in row:
-                den = den * x.denominator // gcd(den, x.denominator)
+        den = lcm(*(x.denominator for row in rows for x in row))
         ints = tuple(
             tuple(x.numerator * (den // x.denominator) for x in row) for row in rows
         )
@@ -95,21 +82,17 @@ class QMat:
     @classmethod
     def zeros(cls, nrows, ncols):
         row = (0,) * ncols
-        return cls(nrows, ncols, (row,) * nrows, 1, _canonical=True)
+        return cls(nrows, ncols, (row,) * nrows)
 
     @classmethod
     def identity(cls, n):
         rows = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-        return cls(n, n, rows, 1, _canonical=True)
+        return cls(n, n, rows)
 
     # -- basic access ------------------------------------------------------
 
     def entry(self, i, j) -> Fraction:
         return Fraction(self.rows[i][j], self.den)
-
-    def frac_rows(self):
-        d = self.den
-        return [[Fraction(x, d) for x in row] for row in self.rows]
 
     @property
     def shape(self):
@@ -164,15 +147,15 @@ class QMat:
 
     def __neg__(self):
         rows = tuple(tuple(-x for x in row) for row in self.rows)
-        return QMat(self.nrows, self.ncols, rows, self.den, _canonical=True)
+        return QMat(self.nrows, self.ncols, rows, self.den)
 
     def mul(self, other: "QMat") -> "QMat":
         assert self.ncols == other.nrows, (
             f"cannot compose {self.shape} with {other.shape}"
         )
-        cols = list(zip(*other.rows)) if other.rows else [()] * other.ncols
         if other.nrows == 0:
             return QMat.zeros(self.nrows, other.ncols)
+        cols = list(zip(*other.rows))
         rows = tuple(
             tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
             for row in self.rows
@@ -180,73 +163,85 @@ class QMat:
         return QMat(self.nrows, other.ncols, rows, self.den * other.den)
 
     def transpose(self):
-        if self.nrows == 0:
-            rows = tuple(() for _ in range(self.ncols))
-            return QMat(self.ncols, 0, rows, 1, _canonical=True)
-        rows = tuple(zip(*self.rows))
+        rows = tuple(zip(*self.rows)) if self.nrows else ((),) * self.ncols
         return QMat(self.ncols, self.nrows, rows, self.den)
 
     # -- elimination -------------------------------------------------------
 
     def rref(self):
-        """Reduced row echelon form, returned as (QMat, pivot column list)."""
-        m = self.frac_rows()
-        nrows, ncols = self.nrows, self.ncols
+        """Reduced row echelon form, returned as (QMat, pivot column list).
+
+        Gauss-Jordan on the integer rows: each row is divided by the gcd of
+        its entries; at pivot (r, c) with pivot entry p, every other row R
+        with f = R[c] != 0 becomes p R - f P (P the pivot row), divided by
+        its gcd; at the end each pivot row is divided by its pivot, over the
+        lcm of the pivots as the one denominator.
+
+        This is the Fraction algorithm (divide the pivot row by its pivot,
+        subtract F_i[c] times it from every other row F_i), step for step.
+        Invariant: each integer row R_i = l_i F_i with l_i != 0, and R_i is
+        primitive or zero.  A swap keeps it, and for a cleared row, with
+        p = l_r F_r[c] and f = l_i F_i[c],
+            p R_i - f P = l_i l_r F_r[c] (F_i - F_i[c] F_r / F_r[c]),
+        a nonzero multiple of the new Fraction row, made primitive by the
+        gcd division.  So the zero entries agree at every step, the pivots
+        are the same, and R_r / R_r[c_r] = F_r at the end.  Size: the
+        primitive multiple of (n_j / d_j)_j has |entry j| <= |n_j| times the
+        other d_k, so no integer outgrows the Fraction row it stands for.
+        """
+        m = []
+        for row in self.rows:
+            g = gcd(*row)
+            m.append([x // g for x in row] if g > 1 else list(row))
+        nrows = self.nrows
         pivots = []
         r = 0
-        for c in range(ncols):
-            pr = None
-            for i in range(r, nrows):
-                if m[i][c] != 0:
-                    pr = i
-                    break
+        for c in range(self.ncols):
+            if r == nrows:
+                break
+            pr = next((i for i in range(r, nrows) if m[i][c]), None)
             if pr is None:
                 continue
             m[r], m[pr] = m[pr], m[r]
-            pv = m[r][c]
-            m[r] = [x / pv for x in m[r]]
+            prow = m[r]
+            p = prow[c]
             for i in range(nrows):
-                if i != r and m[i][c] != 0:
-                    f = m[i][c]
-                    m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+                f = m[i][c]
+                if f and i != r:
+                    row = [p * x - f * y for x, y in zip(m[i], prow)]
+                    g = gcd(*row)
+                    m[i] = [x // g for x in row] if g > 1 else row
             pivots.append(c)
             r += 1
-            if r == nrows:
-                break
-        return QMat.from_rows(m, ncols), pivots
+        den = lcm(*(m[i][c] for i, c in enumerate(pivots)))
+        for i, c in enumerate(pivots):
+            f = den // m[i][c]
+            m[i] = [x * f for x in m[i]]
+        return QMat(nrows, self.ncols, m, den), pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])
 
     def inverse(self) -> "QMat":
         assert self.nrows == self.ncols, "inverse of non-square matrix"
-        n = self.nrows
-        aug = [
-            row + [Fraction(1 if i == j else 0) for j in range(n)]
-            for i, row in enumerate(self.frac_rows())
-        ]
-        red, pivots = QMat.from_rows(aug, 2 * n).rref()
-        if pivots != list(range(n)):
-            raise SingularMatrixError(f"singular {n}x{n} matrix")
-        inv = [[red.entry(i, n + j) for j in range(n)] for i in range(n)]
-        return QMat.from_rows(inv, n)
+        try:
+            return solve_exact(self, QMat.identity(self.nrows))
+        except RestrictionError:
+            raise SingularMatrixError(
+                f"singular {self.nrows}x{self.ncols} matrix") from None
 
     def kernel(self) -> "Subspace":
         """Subspace {x : m x = 0} of the column-index space."""
         red, pivots = self.rref()
         free = [c for c in range(self.ncols) if c not in pivots]
-        basis_cols = []
-        for fc in free:
-            col = [Fraction(0)] * self.ncols
-            col[fc] = Fraction(1)
-            for r, pc in enumerate(pivots):
-                col[pc] = -red.entry(r, fc)
-            basis_cols.append(col)
-        basis = QMat.from_rows(
-            [[col[i] for col in basis_cols] for i in range(self.ncols)],
-            len(basis_cols),
-        )
-        return Subspace(self.ncols, basis)
+        pivot_rows = dict(zip(pivots, red.rows))
+        # column fc of the basis is den e_fc - (column fc of the RREF)
+        rows = [
+            [-pivot_rows[i][fc] for fc in free] if i in pivot_rows
+            else [red.den if i == fc else 0 for fc in free]
+            for i in range(self.ncols)
+        ]
+        return Subspace(self.ncols, QMat(self.ncols, len(free), rows, red.den))
 
     # -- serialization -----------------------------------------------------
 
@@ -304,25 +299,19 @@ class Subspace:
 
     __slots__ = ("ambient_dim", "basis")
 
-    def __init__(self, ambient_dim, basis: QMat, _canonical=False):
+    def __init__(self, ambient_dim, basis: QMat):
         assert basis.nrows == ambient_dim
-        if not _canonical:
-            basis = _column_echelon(basis)
         self.ambient_dim = ambient_dim
-        self.basis = basis
-        assert basis.rank() == basis.ncols, "basis columns must be independent"
+        self.basis = _column_echelon(basis)
+        assert self.basis.rank() == self.basis.ncols, "basis columns must be independent"
 
     @classmethod
     def full(cls, n):
-        return cls(n, QMat.identity(n), _canonical=True)
+        return cls(n, QMat.identity(n))
 
     @classmethod
     def zero(cls, n):
-        return cls(n, QMat.zeros(n, 0), _canonical=True)
-
-    @classmethod
-    def spanned_by(cls, ambient_dim, columns: QMat):
-        return cls(ambient_dim, _column_echelon(columns))
+        return cls(n, QMat.zeros(n, 0))
 
     @property
     def dim(self):
@@ -340,11 +329,11 @@ class Subspace:
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
 
     def contains_columns(self, cols: QMat) -> bool:
-        if cols.ncols == 0:
-            return True
-        joint = block([self.ambient_dim], [self.dim, cols.ncols],
-                      {(0, 0): self.basis, (0, 1): cols})
-        return joint.rank() == self.dim
+        try:
+            solve_exact(self.basis, cols)
+        except RestrictionError:
+            return False
+        return True
 
     def intersect(self, other: "Subspace") -> "Subspace":
         assert self.ambient_dim == other.ambient_dim, "ambient dimension mismatch"
@@ -353,17 +342,15 @@ class Subspace:
             return Subspace.zero(self.ambient_dim)
         stacked = block([self.ambient_dim], [a.ncols, b.ncols],
                         {(0, 0): a, (0, 1): -b})
-        ker = stacked.kernel()
-        coeffs_a = QMat.from_rows(
-            [ker.basis.frac_rows()[i] for i in range(a.ncols)], ker.basis.ncols
-        )
-        return Subspace.spanned_by(self.ambient_dim, a.mul(coeffs_a))
+        ker = stacked.kernel().basis
+        coeffs_a = QMat(a.ncols, ker.ncols, ker.rows[:a.ncols], ker.den)
+        return Subspace(self.ambient_dim, a.mul(coeffs_a))
 
     def sum(self, other: "Subspace") -> "Subspace":
         assert self.ambient_dim == other.ambient_dim
         joint = block([self.ambient_dim], [self.dim, other.dim],
                       {(0, 0): self.basis, (0, 1): other.basis})
-        return Subspace.spanned_by(self.ambient_dim, joint)
+        return Subspace(self.ambient_dim, joint)
 
 
 def intersect_all(ambient_dim, subspaces) -> Subspace:
@@ -375,8 +362,7 @@ def intersect_all(ambient_dim, subspaces) -> Subspace:
 
 def _column_echelon(m: QMat) -> QMat:
     red, pivots = m.transpose().rref()
-    rows = [red.frac_rows()[i] for i in range(len(pivots))]
-    return QMat.from_rows(rows, m.nrows).transpose() if rows else QMat.zeros(m.nrows, 0)
+    return QMat(len(pivots), m.nrows, red.rows[:len(pivots)], red.den).transpose()
 
 
 def solve_exact(a: QMat, rhs: QMat) -> QMat:
@@ -386,11 +372,10 @@ def solve_exact(a: QMat, rhs: QMat) -> QMat:
     red, pivots = aug.rref()
     if any(p >= a.ncols for p in pivots):
         raise RestrictionError("right-hand side not in the column space")
-    sol = [[Fraction(0)] * rhs.ncols for _ in range(a.ncols)]
-    for r, p in enumerate(pivots):
-        for j in range(rhs.ncols):
-            sol[p][j] = red.entry(r, a.ncols + j)
-    return QMat.from_rows(sol, rhs.ncols)
+    sol = [(0,) * rhs.ncols] * a.ncols
+    for row, p in zip(red.rows, pivots):
+        sol[p] = row[a.ncols:]
+    return QMat(a.ncols, rhs.ncols, sol, red.den)
 
 
 def restrict(m: QMat, dom: Subspace, cod: Subspace) -> QMat:
@@ -400,13 +385,13 @@ def restrict(m: QMat, dom: Subspace, cod: Subspace) -> QMat:
     actually restrict and is reported, never patched.
     """
     assert m.ncols == dom.ambient_dim and m.nrows == cod.ambient_dim
-    image = m.mul(dom.basis)
-    if not cod.contains_columns(image):
+    try:
+        return solve_exact(cod.basis, m.mul(dom.basis))
+    except RestrictionError:
         raise RestrictionError(
             f"map of shape {m.shape} does not carry the domain subspace "
             f"(dim {dom.dim}) into the codomain subspace (dim {cod.dim})"
-        )
-    return solve_exact(cod.basis, image)
+        ) from None
 
 
 # -- idempotent calculus ----------------------------------------------------

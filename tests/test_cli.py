@@ -234,6 +234,37 @@ def test_certify_deterministic_bytes(tmp_path):
     assert len(payload["certificate"]["entries"]) == 4
 
 
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    """certify and theta print and write the same bytes under two
+    PYTHONHASHSEED values, in fresh processes."""
+    spath, fpath = _write_structure_and_functor(tmp_path)
+    tpath = tmp_path / "T.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        main(["transport", "hat", "--category", str(spath),
+              "--functor", str(fpath), "--out", str(tpath)])
+    commands = {
+        "certify": ["certify", "--name", "cube", "--size", "2", "--seeds", "2",
+                    "--out", "certify.json"],
+        "theta": ["theta", "--category", str(spath), "--functor", str(tpath),
+                  "--out", "theta.json"],
+    }
+    seen = {}
+    for hash_seed in ("0", "1"):
+        env = _env_with_src()
+        env["PYTHONHASHSEED"] = hash_seed
+        run_dir = tmp_path / f"hash_seed_{hash_seed}"
+        run_dir.mkdir()
+        for name, argv in commands.items():
+            proc = subprocess.run(
+                [sys.executable, "-m", "dkequiv.cli", *argv],
+                capture_output=True, env=env, cwd=run_dir,
+            )
+            assert proc.returncode == 0, proc.stdout
+            written = (run_dir / argv[-1]).read_bytes()
+            seen.setdefault(name, set()).add((proc.stdout, proc.stderr, written))
+    assert all(len(results) == 1 for results in seen.values())
+
+
 def test_certify_corrupted_star_exits_2(tmp_path):
     main(["example", "fi_sharp", "--size", "2", "--out", str(tmp_path)])
     data = read(tmp_path / "fi_sharp_2.structure.json")
@@ -373,6 +404,31 @@ def test_malformed_inputs_exit_3_without_asserts(tmp_path):
     )
     assert proc.stderr == ""
     assert proc.stdout.splitlines() == ["3 1"] * len(cases)
+
+
+def test_boolean_matrix_entries_exit_3(tmp_path, capsys):
+    """JSON true and false are not the integers 1 and 0."""
+    spath, fpath = _write_structure_and_functor(tmp_path)
+    functor = read(fpath)
+    key = next(k for k in sorted(functor["mats"]) if functor["mats"][k]
+               and functor["mats"][k][0])
+    bool_functor = tmp_path / "F_bool.json"
+    bool_functor.write_text(json.dumps(
+        _edited(functor, lambda d: d["mats"][key][0].__setitem__(0, True))))
+    bool_idem = tmp_path / "idem_bool.json"
+    bool_idem.write_text(json.dumps({"matrices": [[[True, False], [False, False]]]}))
+    out = tmp_path / "out.json"
+    capsys.readouterr()
+    for argv in (["idem", "--input", str(bool_idem), "--out", str(out)],
+                 ["transport", "hat", "--category", str(spath),
+                  "--functor", str(bool_functor), "--out", str(out)]):
+        assert main(argv) == 3, argv
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        lines = captured.out.splitlines()
+        assert len(lines) == 1, argv
+        assert "not an exact rational: True" in json.loads(lines[0])["error"]
+    assert not out.exists()
 
 
 def test_certify_zero_seeds_is_a_vacuous_pass(tmp_path, capsys):

@@ -4,12 +4,14 @@ Each example starts from a valid input file (a structure, a pointed or an
 additive functor, a par base category, an idempotent list), changes one JSON
 leaf or key, and runs every command that reads that file.  Whatever the
 change, `main` must return 0, 2 or 3 without raising, and a failure prints
-exactly one line: its error as one JSON object.
+exactly one line: its error as one JSON object.  A success, run again, must
+print the same stdout and write the same bytes.
 """
 
 import contextlib
 import io
 import json
+import shutil
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -155,3 +157,36 @@ def test_every_mutation_exits_0_2_or_3(workdir, name, data):
             lines = out.getvalue().splitlines()
             assert len(lines) == 1, argv
             assert set(json.loads(lines[0])) == {"error", "witness"}, argv
+
+
+def _run_capturing(argv, out_dir):
+    """main(argv) on an empty out_dir: exit code, stdout and written bytes."""
+    shutil.rmtree(out_dir, ignore_errors=True)
+    out_dir.mkdir()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        rc = main(argv)
+    written = {str(p.relative_to(out_dir)): p.read_bytes()
+               for p in sorted(out_dir.rglob("*")) if p.is_file()}
+    return rc, out.getvalue(), written
+
+
+@pytest.mark.parametrize("name", sorted(DOCS))
+@settings(
+    max_examples=80, derandomize=True, deadline=None, database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_every_success_is_deterministic(workdir, name, data):
+    """Run twice, an exit-0 command prints the same stdout and writes the
+    same bytes."""
+    path = data.draw(st.sampled_from(PATHS[name]), label="path")
+    how = data.draw(st.sampled_from(MUTATIONS), label="mutation")
+    mutated = workdir / f"repeated_{name}.json"
+    mutated.write_text(json.dumps(_mutate(DOCS[name], path, how)))
+    out_dir = workdir / "repeated_out"
+    for template in COMMANDS[name]:
+        argv = [a.format(f=mutated, dir=workdir, out=out_dir) for a in template]
+        first = _run_capturing(argv, out_dir)
+        if first[0] == 0:
+            assert _run_capturing(argv, out_dir) == first, argv

@@ -34,23 +34,23 @@ def test_kernel_examples():
     assert QMat.identity(4).kernel().dim == 0
     k = QMat.from_rows([[1, 1]]).kernel()
     assert k.dim == 1
-    assert k == Subspace.spanned_by(2, QMat.from_rows([[1], [-1]]))
+    assert k == Subspace(2, QMat.from_rows([[1], [-1]]))
 
 
 def test_intersect_trivial_cases():
     full = Subspace.full(3)
-    s = Subspace.spanned_by(3, QMat.from_rows([[1, 0], [0, 1], [1, 1]]))
+    s = Subspace(3, QMat.from_rows([[1, 0], [0, 1], [1, 1]]))
     assert full.intersect(s) == s
-    l1 = Subspace.spanned_by(2, QMat.from_rows([[1], [0]]))
-    l2 = Subspace.spanned_by(2, QMat.from_rows([[1], [1]]))
+    l1 = Subspace(2, QMat.from_rows([[1], [0]]))
+    l2 = Subspace(2, QMat.from_rows([[1], [1]]))
     assert l1.intersect(l2).dim == 0
 
 
 @settings(max_examples=40)
 @given(mats(5, 3), mats(5, 3))
 def test_intersect_dimension_formula(a, b):
-    sa = Subspace.spanned_by(5, a)
-    sb = Subspace.spanned_by(5, b)
+    sa = Subspace(5, a)
+    sb = Subspace(5, b)
     inter = sa.intersect(sb)
     assert inter.dim == sa.dim + sb.dim - sa.sum(sb).dim
     assert sa.contains_columns(inter.basis)
@@ -137,7 +137,7 @@ def test_restrict_contracts():
     full2 = Subspace.full(2)
     m = QMat.from_rows([[1, 2], [3, 4]])
     assert restrict(m, full2, full2) == m
-    line = Subspace.spanned_by(2, QMat.from_rows([[1], [0]]))
+    line = Subspace(2, QMat.from_rows([[1], [0]]))
     with pytest.raises(RestrictionError):
         restrict(QMat.identity(2), full2, line)
     # restriction in coordinates: m maps the line x=0 into itself
