@@ -215,8 +215,8 @@ class QMat:
             r += 1
         den = lcm(*(m[i][c] for i, c in enumerate(pivots)))
         for i, c in enumerate(pivots):
-            f = den // m[i][c]
-            m[i] = [x * f for x in m[i]]
+            scale = den // m[i][c]
+            m[i] = [x * scale for x in m[i]]
         return QMat(nrows, self.ncols, m, den), pivots
 
     def rank(self) -> int:
