@@ -2,6 +2,7 @@ import pytest
 
 from dkequiv.builders import build_delta_bt
 from dkequiv.equivalence import (
+    KernelModule,
     TriangularityError,
     build_kernel_module,
     certify_equivalence,
@@ -13,6 +14,7 @@ from dkequiv.equivalence import (
 )
 from dkequiv.exactlin import QMat, intersect_all
 from dkequiv.functors import AdditiveFunctor, PointedFunctor, random_pointed_functor
+from dkequiv.structure import MRStructure
 
 def full_bimodule_law_oracle(km):
     """The two-sided law checked over every 5-tuple directly."""
@@ -78,6 +80,31 @@ def test_kernel_module_elements_match_naive_decomposition(km_delta4, km_fi3):
                 if cat.dom[r] == cat.dom[u] and cat.cod[r] == cat.dom[n]
             )
             assert naive == s.s_in_r(u)
+
+
+
+# fi_sharp 2 with its embeddings cut to the isomorphisms plus the total
+# injection 1: the kernel module of this structure breaks the left and the
+# interchange laws.  Every problem tuple is pinned, in the order reported.
+CUT1_BIMODULE_PROBLEMS = (
+    [("left", 7, r1, u) for r1 in (11, 12) for u in (9, 10, 11, 13, 14, 15)]
+    + [("left", 8, r1, u) for r1 in (11, 12) for u in (9, 10, 12, 13, 16, 18)]
+    + [("left", 11, r1, u) for r1 in (2, 13, 14, 16) for u in (5, 7, 8)]
+    + [("left", 12, r1, u) for r1 in (2, 13, 15, 18) for u in (5, 7, 8)]
+    + [("interchange", r, f, u)
+       for r in (11, 12)
+       for f, u in [(3, 5), (4, 5), (6, 5)]
+       + [(f, 7) for f in (9, 10, 11, 13, 14, 15)]
+       + [(f, 8) for f in (9, 10, 12, 13, 16, 18)]]
+)
+
+
+def test_bimodule_law_failures_are_pinned(fi2):
+    m_class = fi2.cat.isos() | {1}
+    cut = MRStructure(fi2.cat, m_class, {m: fi2.star[m] for m in m_class})
+    problems = KernelModule(cut, validate=False).validate()
+    assert len(problems) == 78
+    assert problems == CUT1_BIMODULE_PROBLEMS
 
 
 def zero_functor(d):

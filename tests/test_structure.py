@@ -6,6 +6,7 @@ import pytest
 from dkequiv.builders import build_cube, build_delta_bt, build_fi_sharp, build_pt
 from dkequiv.structure import (
     MRStructure,
+    StructureError,
     build_d_cat,
     check_assumptions,
     idempotent_ordering,
@@ -299,6 +300,55 @@ def test_coend_bijections_fi3_counts(fi3):
         assert e.class_count == e.target_count
 
 
+
+# right and left class counts of delta_bt 3, indexed [source][target]; every
+# class count equals its target count
+DELTA3_COEND_COUNTS = [[1, 0, 0], [1, 1, 1], [0, 1, 2]]
+
+
+def _coend_report(overrides):
+    """The delta_bt 3 coend report with the entries of overrides, keyed by
+    (kind, source, target), replaced by (class_count, target_count,
+    problems)."""
+    entries = []
+    for kind in ("right", "left"):
+        for a in range(3):
+            for b in range(3):
+                n = DELTA3_COEND_COUNTS[a][b]
+                classes, targets, problems = overrides.get((kind, a, b), (n, n, []))
+                entries.append({
+                    "kind": kind, "source": a, "target": b,
+                    "class_count": classes, "target_count": targets,
+                    "problems": problems,
+                    "ok": not problems and classes == targets,
+                })
+    return {"entries": entries, "ok": all(e["ok"] for e in entries)}
+
+
+@pytest.mark.parametrize("flipped, overrides", [
+    # the identity of the one-element ordinal leaves the target
+    (0, {
+        ("right", 0, 0): (1, 0, [
+            {"problem": "class maps outside the target", "value": 0}]),
+        ("left", 0, 0): (1, 0, [
+            {"problem": "non-basepoint class maps to zero", "witness": (0, 0)}]),
+    }),
+    # the collapse of the three-element ordinal enters the target
+    (4, {
+        ("right", 2, 0): (0, 1, [{"problem": "value not hit", "value": 4}]),
+        ("left", 2, 0): (0, 1, [
+            {"problem": "value not constant on class", "values": [4, "zero"]},
+            {"problem": "value not hit", "value": 4}]),
+    }),
+])
+def test_coend_problems_are_pinned(flipped, overrides):
+    s = build_delta_bt(3)
+    s_in_r = s.s_in_r
+    s.s_in_r = lambda u: s_in_r(u) != (u == flipped)
+    assert verify_coend_bijections(build_delta_bt(3)).to_jsonable() == _coend_report({})
+    assert verify_coend_bijections(s).to_jsonable() == _coend_report(overrides)
+
+
 def test_restricted_structure_has_iso_irreducibles(fi3, delta4, cube2):
     # restricting to embedding-after-retraction composites collapses the
     # irreducible class to the isomorphisms
@@ -500,3 +550,8 @@ def test_axiom_witnesses_factorization_closure(fi2):
         {"i_class": 4, "k_class": 12, "m_class": 6, "morphisms": 20,
          "r_class": 7, "s_class": 11},
     )
+
+
+def test_restricted_to_k_names_the_closure_witness(fi2):
+    with pytest.raises(StructureError, match=r"not closed; witness \(11, 7\)$"):
+        restricted_to_k(_cut_fi2(fi2, {7, 8}))
