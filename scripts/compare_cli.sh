@@ -8,7 +8,8 @@
 # The exit status is diff's: 0 when both checkouts behave byte-identically.
 # Inputs that are not produced by a CLI command (pointed functors on
 # delta_bt 4, fi_sharp 3 and cube 2, one of them also with rational entries,
-# structures that fail the axioms, a par base category, idempotent lists,
+# structures that fail the axioms (fi_sharp 2, delta_bt 4 and cube 2 with
+# their embeddings cut), a par base category, idempotent lists,
 # and the malformed files of the exit-3 cases) are written once, by the old
 # checkout, and copied to both sides.
 # Cases whose outcome an assert decided run again under python -O.
@@ -69,8 +70,12 @@ data["star"][m] = str(data["identities"][0])
 with open("bad_star.json", "w") as fh:
     json.dump(data, fh)
 # embeddings cut to the isomorphisms plus a few injections: axiom failures
-s = build_fi_sharp(2)
-for tag, extra in (("cut1", {1}), ("cut78", {7, 8})):
+for tag, s, extra in (
+    ("cut1", build_fi_sharp(2), {1}),
+    ("cut78", build_fi_sharp(2), {7, 8}),
+    ("cut_delta3", build_delta_bt(4), {3}),
+    ("cut_cube1", build_cube(2), {1}),
+):
     ms = s.cat.isos() | extra
     with open(f"{tag}.json", "w") as fh:
         fh.write(MRStructure(s.cat, ms, {k: s.star[k] for k in ms}).to_json())
@@ -138,7 +143,7 @@ cases() {
     for t in delta_bt_4 fi_sharp_3 cube_2 pt; do
         run "check_$t" -m dkequiv.cli check "ex/$t.structure.json" --out "check_$t.json"
     done
-    for t in bad_star cut1 cut78; do
+    for t in bad_star cut1 cut78 cut_delta3 cut_cube1; do
         run "check_$t" -m dkequiv.cli check "$t.json" --out "check_$t.json"
     done
     run cert_fi -m dkequiv.cli certify --name fi_sharp --size 3 --seeds 5 --out cert_fi.json

@@ -74,7 +74,7 @@ def _report_payload(structure, report):
     cat = structure.cat
     payload = report.to_jsonable()
     if report.structural.ok:
-        der = structure.derived()
+        der = structure.derived
         payload["r_class"] = sorted(der.r_class)
         payload["r_class_labels"] = [
             cat.mor_labels[i] for i in sorted(der.r_class)

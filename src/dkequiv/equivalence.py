@@ -19,6 +19,7 @@ builds the triangular coproduct-to-product comparison used to prove it.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -31,6 +32,7 @@ from .exactlin import (
     restrict,
     solve_exact,
 )
+from .fincat import group_by
 from .functors import AdditiveFunctor, NatTransform, PointedFunctor
 from .structure import MRStructure, build_d_cat
 
@@ -52,7 +54,7 @@ class KernelModule:
         self.structure = structure
         self.d = build_d_cat(structure)
         cat = structure.cat
-        structure._all_parts()  # precompute factorizations
+        structure.parts  # precompute factorizations
         self.elements = {}
         for a in cat.objects():
             for b in cat.objects():
@@ -91,51 +93,42 @@ class KernelModule:
         s = self.structure
         cat = s.cat
         comp = cat.comp
-        s_in_r = s._all_parts()[2]
+        s_in_r = s.parts.s_in_r
+        # the action's value at a composite w: w itself, or the basepoint
+        kept = [w if ok else None for w, ok in enumerate(s_in_r)]
         rset = s.r_class
         problems = []
 
-        elems_by_dom = {a: [] for a in cat.objects()}
-        elems_by_cod = {b: [] for b in cat.objects()}
-        for (a, b), us in self.elements.items():
-            elems_by_dom[a].extend(us)
-            elems_by_cod[b].extend(us)
+        elems = list(itertools.chain.from_iterable(self.elements.values()))
+        elems_by_dom = group_by(elems, cat.dom)
+        elems_by_cod = group_by(elems, cat.cod)
 
         # identity actions
         for (a, b), us in sorted(self.elements.items()):
             ia, ib = cat.identity(a), cat.identity(b)
             for u in us:
-                if comp[ib][comp[u][ia]] != u or not s_in_r[u]:
+                if kept[comp[ib][comp[u][ia]]] != u:
                     problems.append(("identity", u))
 
         r_sorted = sorted(rset)
-        r_by_cod = {}
-        for r in r_sorted:
-            r_by_cod.setdefault(cat.cod[r], []).append(r)
+        r_by_cod = group_by(r_sorted, cat.cod)
 
         # contravariant variable composed
         for r in r_sorted:
             a1, a = cat.dom[r], cat.cod[r]
-            us = elems_by_dom[a]
+            us = elems_by_dom.get(a, ())
             for r1 in r_by_cod.get(a1, ()):
                 rr1 = comp[r][r1]
                 rr1_in = rr1 in rset
                 for u in us:
                     ur = comp[u][r]
-                    step = comp[ur][r1] if s_in_r[ur] else None
-                    if step is not None and not s_in_r[step]:
-                        step = None
-                    whole = comp[u][rr1] if rr1_in else None
-                    if whole is not None and not s_in_r[whole]:
-                        whole = None
+                    step = kept[comp[ur][r1]] if s_in_r[ur] else None
+                    whole = kept[comp[u][rr1]] if rr1_in else None
                     if step != whole:
                         problems.append(("left", r, r1, u))
 
         # covariant variable composed
-        for b in cat.objects():
-            us = elems_by_cod[b]
-            if not us:
-                continue
+        for b, us in sorted(elems_by_cod.items()):
             for f in cat.morphisms_from(b):
                 cf = comp[f]
                 tus = [(u, cf[u]) for u in us]
@@ -143,32 +136,21 @@ class KernelModule:
                     cf1 = comp[f1]
                     cff1 = comp[cf1[f]]
                     for (u, t) in tus:
-                        if s_in_r[t]:
-                            w = cf1[t]
-                            step = w if s_in_r[w] else None
-                        else:
-                            step = None
-                        w2 = cff1[u]
-                        whole = w2 if s_in_r[w2] else None
-                        if step != whole:
+                        step = kept[cf1[t]] if s_in_r[t] else None
+                        if step != kept[cff1[u]]:
                             problems.append(("right", f, f1, u))
 
         # interchange of the two actions
         for r in r_sorted:
-            a1, a = cat.dom[r], cat.cod[r]
-            for u in elems_by_dom[a]:
+            a = cat.cod[r]
+            for u in elems_by_dom.get(a, ()):
                 ur = comp[u][r]
                 ur_ok = s_in_r[ur]
                 for f in cat.morphisms_from(cat.cod[u]):
                     fu = comp[f][u]
-                    fur = comp[f][ur]
-                    both = fur if s_in_r[fur] else None
-                    via_left = (comp[f][ur] if ur_ok else None)
-                    if via_left is not None and not s_in_r[via_left]:
-                        via_left = None
-                    via_right = (comp[fu][r] if s_in_r[fu] else None)
-                    if via_right is not None and not s_in_r[via_right]:
-                        via_right = None
+                    both = kept[comp[f][ur]]
+                    via_left = both if ur_ok else None
+                    via_right = kept[comp[fu][r]] if s_in_r[fu] else None
                     if not (via_left == via_right == both):
                         problems.append(("interchange", r, f, u))
         return problems

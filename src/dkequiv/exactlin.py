@@ -303,7 +303,6 @@ class Subspace:
         assert basis.nrows == ambient_dim
         self.ambient_dim = ambient_dim
         self.basis = _column_echelon(basis)
-        assert self.basis.rank() == self.basis.ncols, "basis columns must be independent"
 
     @classmethod
     def full(cls, n):
@@ -361,6 +360,15 @@ def intersect_all(ambient_dim, subspaces) -> Subspace:
 
 
 def _column_echelon(m: QMat) -> QMat:
+    """A basis of the column space of m in reduced column echelon form.
+
+    Its columns are independent by construction, so no rank check follows:
+    they are the nonzero rows of the RREF of m^T, which span the row space
+    of m^T (row operations keep it), that is the column space of m.  Row i
+    of them has a 1 in pivot column p_i where every other row has a 0, so
+    in a vanishing combination the coefficient of row i is its entry at
+    p_i, which is 0.
+    """
     red, pivots = m.transpose().rref()
     return QMat(len(pivots), m.nrows, red.rows[:len(pivots)], red.den).transpose()
 

@@ -22,6 +22,15 @@ def int_list(value, field):
     return value
 
 
+def group_by(members, ends):
+    """members, in their given order, grouped by ends[x]: ends is a dom or
+    a cod table, so the groups are keyed by an endpoint object."""
+    out = {}
+    for x in members:
+        out.setdefault(ends[x], []).append(x)
+    return out
+
+
 class ValidationReport:
     """Violations found by a structural/law check; empty means valid."""
 
@@ -139,9 +148,7 @@ class FinCat:
             if comp[f][self.identities[self.dom[f]]] != f:
                 rep.add_law("f o id != f", f=f, label=self.mor_labels[f])
         # associativity: h o (g o f) == (h o g) o f over every composable triple
-        by_dom = {}
-        for h in range(n):
-            by_dom.setdefault(self.dom[h], []).append(h)
+        by_dom = group_by(range(n), self.dom)
         for g in range(n):
             row_g = comp[g]
             outs = by_dom.get(self.cod[g], [])

@@ -149,8 +149,8 @@ class PointedFunctor:
         cat = self.base
         for g in self.morphisms():
             mg = self.mats[g]
-            for f in self.morphisms():
-                if cat.cod[f] != cat.dom[g]:
+            for f in cat._hom_into(cat.dom[g]):
+                if self.d.is_zero(f):
                     continue
                 h = cat.comp[g][f]
                 prod = mg.mul(self.mats[f])

@@ -22,9 +22,11 @@ from __future__ import annotations
 import heapq
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import cached_property
+from typing import NamedTuple
 
-from .fincat import FinCat, ValidationReport, int_list
+from .fincat import FinCat, ValidationReport, group_by, int_list
 
 
 class StructureError(Exception):
@@ -61,6 +63,15 @@ class DerivedClasses:
     s_class: frozenset
     k_class: frozenset
     i_class: frozenset
+
+
+class Parts(NamedTuple):
+    """Tables indexed by morphism id: u = m[u] o s[u] with m[u] an
+    embedding, and s_in_r[u] whether s[u] is irreducible."""
+
+    m: tuple
+    s: tuple
+    s_in_r: tuple
 
 
 class SubPoset:
@@ -137,13 +148,9 @@ class MRStructure:
         self.cat = cat
         self.m_class = frozenset(m_class)
         self.star = dict(star)
-        self._derived = None
-        self._canonical_emb = None
-        self._nr_decomp = None
+        self._canonical_emb = {}
         self._facts = {}
         self._sub_posets = {}
-        self._s_parts = None
-        self._d_cat = None
 
     # -- structural validation ---------------------------------------------
 
@@ -208,51 +215,48 @@ class MRStructure:
 
     # -- derived classes -----------------------------------------------------
 
+    @cached_property
     def derived(self) -> DerivedClasses:
-        if self._derived is None:
-            cat = self.cat
-            isos = cat.isos()
-            noninv = [m for m in sorted(self.m_class) if m not in isos]
-            bad = set()
-            for m in noninv:
-                row = cat.comp[m]
-                for y in cat._hom_into(cat.dom[m]):
-                    bad.add(row[y])
-            for m in noninv:
-                sm = self.star[m]
-                for z in cat.morphisms_from(cat.dom[m]):
-                    bad.add(cat.comp[z][sm])
-            r_class = frozenset(f for f in cat.morphisms() if f not in bad)
-            s_class = frozenset(
-                cat.comp[r][self.star[m]]
-                for m in self.m_class
-                for r in r_class
-                if cat.dom[r] == cat.dom[m]
-            )
-            k_class = frozenset(
-                cat.comp[m][self.star[nn]]
-                for nn in self.m_class
-                for m in self.m_class
-                if cat.dom[m] == cat.dom[nn]
-            )
-            self._derived = DerivedClasses(r_class, s_class, k_class, frozenset(isos))
-        return self._derived
+        cat = self.cat
+        isos = cat.isos()
+        noninv = [m for m in sorted(self.m_class) if m not in isos]
+        bad = set()
+        for m in noninv:
+            row = cat.comp[m]
+            for y in cat._hom_into(cat.dom[m]):
+                bad.add(row[y])
+        for m in noninv:
+            sm = self.star[m]
+            for z in cat.morphisms_from(cat.dom[m]):
+                bad.add(cat.comp[z][sm])
+        r_class = frozenset(f for f in cat.morphisms() if f not in bad)
+        s_class = frozenset(
+            cat.comp[r][self.star[m]]
+            for m in self.m_class
+            for r in r_class
+            if cat.dom[r] == cat.dom[m]
+        )
+        k_class = frozenset(
+            cat.comp[m][self.star[nn]]
+            for nn in self.m_class
+            for m in self.m_class
+            if cat.dom[m] == cat.dom[nn]
+        )
+        return DerivedClasses(r_class, s_class, k_class, frozenset(isos))
 
     @property
     def r_class(self):
-        return self.derived().r_class
+        return self.derived.r_class
 
     @property
     def k_class(self):
-        return self.derived().k_class
+        return self.derived.k_class
 
     # -- canonical class representatives -------------------------------------
 
     def canonical_emb(self, m):
         """Least member of the iso-class of the embedding m (precomposition
         by isomorphisms)."""
-        if self._canonical_emb is None:
-            self._canonical_emb = {}
         out = self._canonical_emb.get(m)
         if out is None:
             cat = self.cat
@@ -262,22 +266,21 @@ class MRStructure:
 
     # -- factorization --------------------------------------------------------
 
+    @cached_property
     def _decomps(self):
         """All composites n o r with n in m_class, r in r_class, keyed by value."""
-        if self._nr_decomp is None:
-            cat = self.cat
-            table = {}
-            for nn in sorted(self.m_class):
-                for r in sorted(self.r_class):
-                    if cat.cod[r] == cat.dom[nn]:
-                        table.setdefault(cat.comp[nn][r], []).append((nn, r))
-            self._nr_decomp = table
-        return self._nr_decomp
+        cat = self.cat
+        table = {}
+        for nn in sorted(self.m_class):
+            for r in sorted(self.r_class):
+                if cat.cod[r] == cat.dom[nn]:
+                    table.setdefault(cat.comp[nn][r], []).append((nn, r))
+        return table
 
     def factor_candidates(self, f):
         """Every valid triple (n, r, m) with f = n o r o star(m)."""
         cat = self.cat
-        decomps = self._decomps()
+        decomps = self._decomps
         cands = []
         for m in sorted(self.m_class):
             if cat.cod[m] != cat.dom[f]:
@@ -335,33 +338,31 @@ class MRStructure:
         self._facts[f] = out
         return out
 
-    def _all_parts(self):
-        if self._s_parts is None:
-            cat = self.cat
-            m_part = []
-            s_part = []
-            for u in cat.morphisms():
-                fact = self.factorize(u)
-                m_part.append(fact.n)
-                s_part.append(cat.comp[fact.r][self.star[fact.m]])
-            r = self.r_class
-            self._s_parts = (
-                tuple(m_part),
-                tuple(s_part),
-                tuple(s in r for s in s_part),
-            )
-        return self._s_parts
+    @cached_property
+    def parts(self) -> Parts:
+        """The two-part split of every morphism, read off its factorization."""
+        cat = self.cat
+        facts = [self.factorize(u) for u in cat.morphisms()]
+        s_part = tuple(cat.comp[t.r][self.star[t.m]] for t in facts)
+        r = self.r_class
+        return Parts(tuple(t.n for t in facts), s_part,
+                     tuple(s in r for s in s_part))
 
     def m_part(self, u):
         """The embedding through which u lands: u = m_part(u) o s_part(u)."""
-        return self._all_parts()[0][u]
+        return self.parts.m[u]
 
     def s_part(self, u):
-        return self._all_parts()[1][u]
+        return self.parts.s[u]
 
     def s_in_r(self, u):
         """Whether the non-embedding part of u is irreducible."""
-        return self._all_parts()[2][u]
+        return self.parts.s_in_r[u]
+
+    @cached_property
+    def d_cat(self) -> "DCat":
+        """The zero-completed category on r_class."""
+        return DCat(self)
 
     # -- subobject posets ------------------------------------------------------
 
@@ -484,14 +485,10 @@ class DCat:
             for f in range(n):
                 if cod[f] != dom[g]:
                     continue
-                if g >= nz or f >= nz:
-                    comp[g][f] = self.zero[(dom[f], cod[g])]
-                    continue
-                p = base.comp[self.d_to_r[g]][self.d_to_r[f]]
-                if p in rset:
-                    comp[g][f] = self.r_to_d[p]
-                else:
-                    comp[g][f] = self.zero[(dom[f], cod[g])]
+                p = base.comp[r[g]][r[f]] if g < nz and f < nz else None
+                # an irreducible composite, else the zero of the hom-pair
+                comp[g][f] = (self.r_to_d[p] if p in rset
+                              else self.zero[(dom[f], cod[g])])
         identities = [self.r_to_d[base.identity(a)] for a in base.objects()]
         self.cat = FinCat(
             base.n_objects, dom, cod, identities, comp, base.obj_labels, labels
@@ -509,9 +506,7 @@ class DCat:
 
 
 def build_d_cat(s: MRStructure) -> DCat:
-    if s._d_cat is None:
-        s._d_cat = DCat(s)
-    return s._d_cat
+    return s.d_cat
 
 
 # -- assumption checking ---------------------------------------------------------
@@ -525,12 +520,7 @@ class AssumptionCheck:
     witness: object = None
 
     def to_jsonable(self):
-        return {
-            "key": self.key,
-            "description": self.description,
-            "passed": self.passed,
-            "witness": self.witness,
-        }
+        return asdict(self)
 
 
 class AssumptionReport:
@@ -556,180 +546,130 @@ class AssumptionReport:
         return f"AssumptionReport({state}, {len(self.checks)} checks)"
 
 
-def check_assumptions(s: MRStructure) -> AssumptionReport:
-    """Verify every structural axiom the transport theory relies on.
-
-    Structural invariants are checked first; when they fail the axiom checks
-    are not attempted.  Each axiom failure carries a concrete witness.
-    """
-    structural = s.validate()
-    if not structural.ok:
-        return AssumptionReport(structural, [])
+def _factorization_witnesses(s, der):
     cat = s.cat
-    checks = []
-
-    # unique three-part factorization of every morphism
-    witness = None
     for f in cat.morphisms():
         try:
             s.factorize(f)
         except NoFactorizationError:
-            witness = {"morphism": f, "label": cat.mor_labels[f], "reason": "none"}
-            break
+            yield {"morphism": f, "label": cat.mor_labels[f], "reason": "none"}
         except AmbiguousFactorizationError as e:
-            witness = {
+            yield {
                 "morphism": f,
                 "label": cat.mor_labels[f],
                 "reason": "non-conjugate triples",
                 "triples": [[t.n, t.r, t.m] for t in e.triples],
             }
-            break
-    checks.append(
-        AssumptionCheck(
-            "factorization",
-            "every morphism factors as embedding o irreducible o retraction, "
-            "uniquely up to isomorphism",
-            witness is None,
-            witness,
-        )
-    )
 
-    der = s.derived()
-    r_by_dom = {}
-    for r in sorted(der.r_class):
-        r_by_dom.setdefault(cat.dom[r], []).append(r)
 
-    # composites of irreducibles land in s_class
-    witness = None
+def _composition_witnesses(s, der):
+    cat = s.cat
+    r_by_dom = group_by(sorted(der.r_class), cat.dom)
     for r in sorted(der.r_class):
         for r2 in r_by_dom.get(cat.cod[r], ()):
             if cat.comp[r2][r] not in der.s_class:
-                witness = {
-                    "r": r, "r2": r2,
-                    "labels": [cat.mor_labels[r], cat.mor_labels[r2]],
-                }
-                break
-        if witness:
-            break
-    checks.append(
-        AssumptionCheck(
-            "composition",
-            "a composite of two irreducible morphisms is irreducible after "
-            "a retraction",
-            witness is None,
-            witness,
-        )
-    )
+                yield {"r": r, "r2": r2,
+                       "labels": [cat.mor_labels[r], cat.mor_labels[r2]]}
 
-    # star(m) o r irreducible forces m invertible
-    witness = None
-    isos = cat.isos()
-    for m in sorted(s.m_class):
-        if m in isos:
-            continue
+
+def _cancellation_witnesses(s, der):
+    cat = s.cat
+    for m in sorted(s.m_class - der.i_class):
         sm = s.star[m]
         for r in sorted(der.r_class):
             if cat.cod[r] == cat.cod[m] and cat.comp[sm][r] in der.r_class:
-                witness = {
-                    "m": m, "r": r,
-                    "labels": [cat.mor_labels[m], cat.mor_labels[r]],
-                }
-                break
-        if witness:
-            break
-    checks.append(
-        AssumptionCheck(
-            "cancellation",
-            "a retraction of a non-invertible embedding never leaves an "
-            "irreducible morphism irreducible",
-            witness is None,
-            witness,
-        )
-    )
+                yield {"m": m, "r": r,
+                       "labels": [cat.mor_labels[m], cat.mor_labels[r]]}
 
-    # embedding-after-retraction composites are closed under composition
-    witness = None
-    k_by_dom = {}
-    for k in sorted(der.k_class):
-        k_by_dom.setdefault(cat.dom[k], []).append(k)
+
+def _closure_witnesses(s, der):
+    cat = s.cat
+    k_by_dom = group_by(sorted(der.k_class), cat.dom)
     for k in sorted(der.k_class):
         for k2 in k_by_dom.get(cat.cod[k], ()):
             if cat.comp[k2][k] not in der.k_class:
-                witness = {
-                    "k": k, "k2": k2,
-                    "labels": [cat.mor_labels[k], cat.mor_labels[k2]],
-                }
-                break
-        if witness:
-            break
-    checks.append(
-        AssumptionCheck(
-            "closure",
-            "embedding-after-retraction composites form a subcategory",
-            witness is None,
-            witness,
-        )
-    )
+                yield {"k": k, "k2": k2,
+                       "labels": [cat.mor_labels[k], cat.mor_labels[k2]]}
 
-    # finite subobject posets with a unique maximum at every object
-    witness = None
-    sizes = {}
-    for a in cat.objects():
+
+def _finiteness_witnesses(s, der):
+    for a in s.cat.objects():
         try:
-            poset = s.sub_poset(a)
-            problems = poset.check()
-            if problems:
-                witness = {"object": a, "problems": problems}
-                break
-            sizes[str(a)] = len(poset)
+            problems = s.sub_poset(a).check()
         except StructureError as e:
-            witness = {"object": a, "problems": [str(e)]}
-            break
-    checks.append(
-        AssumptionCheck(
-            "finiteness",
-            "the subobject classes of each object form a finite poset with "
-            "the whole object as unique maximum",
-            witness is None,
-            witness if witness else {"sizes": sizes},
-        )
-    )
+            problems = [str(e)]
+        if problems:
+            yield {"object": a, "problems": problems}
 
-    # derived sanity: if t o s = embedding o irreducible with s, t both of
-    # the retracted form, then s and t are already irreducible
-    witness = None
-    r_by_cod = {}
-    for r in sorted(der.r_class):
-        r_by_cod.setdefault(cat.cod[r], []).append(r)
-    mr_values = set()
-    for m in sorted(s.m_class):
-        for r in r_by_cod.get(cat.dom[m], ()):
-            mr_values.add(cat.comp[m][r])
+
+def _sandwich_witnesses(s, der):
+    cat = s.cat
+    r_by_cod = group_by(sorted(der.r_class), cat.cod)
+    mr_values = {
+        cat.comp[m][r]
+        for m in s.m_class
+        for r in r_by_cod.get(cat.dom[m], ())
+    }
     s_sorted = sorted(der.s_class)
-    s_by_dom = {}
-    for t in s_sorted:
-        s_by_dom.setdefault(cat.dom[t], []).append(t)
+    s_by_dom = group_by(s_sorted, cat.dom)
     for u in s_sorted:
         for t in s_by_dom.get(cat.cod[u], ()):
-            if cat.comp[t][u] in mr_values:
-                if u not in der.r_class or t not in der.r_class:
-                    witness = {
-                        "s": u, "t": t,
-                        "labels": [cat.mor_labels[u], cat.mor_labels[t]],
-                    }
-                    break
-        if witness:
-            break
-    checks.append(
-        AssumptionCheck(
-            "sandwich",
-            "when a composite of two retracted-form morphisms equals an "
-            "embedding after an irreducible, both factors are irreducible",
-            witness is None,
-            witness,
-        )
-    )
+            if cat.comp[t][u] in mr_values and (
+                u not in der.r_class or t not in der.r_class
+            ):
+                yield {"s": u, "t": t,
+                       "labels": [cat.mor_labels[u], cat.mor_labels[t]]}
 
+
+# (key, description, witnesses): witnesses(s, derived classes) yields the
+# instances that violate the axiom, in the order the report names the first
+AXIOMS = (
+    ("factorization",
+     "every morphism factors as embedding o irreducible o retraction, "
+     "uniquely up to isomorphism",
+     _factorization_witnesses),
+    ("composition",
+     "a composite of two irreducible morphisms is irreducible after "
+     "a retraction",
+     _composition_witnesses),
+    ("cancellation",
+     "a retraction of a non-invertible embedding never leaves an "
+     "irreducible morphism irreducible",
+     _cancellation_witnesses),
+    ("closure",
+     "embedding-after-retraction composites form a subcategory",
+     _closure_witnesses),
+    ("finiteness",
+     "the subobject classes of each object form a finite poset with "
+     "the whole object as unique maximum",
+     _finiteness_witnesses),
+    ("sandwich",
+     "when a composite of two retracted-form morphisms equals an "
+     "embedding after an irreducible, both factors are irreducible",
+     _sandwich_witnesses),
+)
+
+
+def check_assumptions(s: MRStructure) -> AssumptionReport:
+    """Verify every structural axiom the transport theory relies on.
+
+    Structural invariants are checked first; when they fail the axiom checks
+    are not attempted.  Each axiom failure carries a concrete witness, the
+    first its search finds; a passing finiteness check reports the sizes of
+    the subobject posets instead.
+    """
+    structural = s.validate()
+    if not structural.ok:
+        return AssumptionReport(structural, [])
+    cat = s.cat
+    der = s.derived
+    checks = []
+    for key, description, witnesses in AXIOMS:
+        witness = next(witnesses(s, der), None)
+        passed = witness is None
+        if passed and key == "finiteness":
+            witness = {"sizes": {str(a): len(s.sub_poset(a)) for a in cat.objects()}}
+        checks.append(AssumptionCheck(key, description, passed, witness))
     sizes = {
         "morphisms": cat.n_morphisms,
         "m_class": len(s.m_class),
@@ -759,16 +699,10 @@ def idempotent_ordering(s: MRStructure, a, cap=8):
         )
     cs = {m: cat.comp[m][s.star[m]] for m in maxima}
     for perm in itertools.permutations(maxima):
-        ok = True
-        for j in range(len(perm)):
-            for i in range(j):
-                ci, cj = cs[perm[i]], cs[perm[j]]
-                if cat.comp[cj][cat.comp[ci][cj]] != cat.comp[cj][ci]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        if all(
+            cat.comp[cs[mj]][cat.comp[cs[mi]][cs[mj]]] == cat.comp[cs[mj]][cs[mi]]
+            for mi, mj in itertools.combinations(perm, 2)
+        ):
             return list(perm)
     return None
 
@@ -813,15 +747,7 @@ class CoendPairReport:
         return not self.problems and self.class_count == self.target_count
 
     def to_jsonable(self):
-        return {
-            "kind": self.kind,
-            "source": self.source,
-            "target": self.target,
-            "class_count": self.class_count,
-            "target_count": self.target_count,
-            "problems": self.problems,
-            "ok": self.ok,
-        }
+        return {**asdict(self), "ok": self.ok}
 
 
 class CoendReport:
@@ -842,6 +768,59 @@ class CoendReport:
         return {"entries": [e.to_jsonable() for e in self.entries], "ok": self.ok}
 
 
+_ZERO = ("zero",)  # the left comparison's basepoint, valued at zero
+
+
+def _bijection_report(kind, source, target, classes, comp, tgt, basepoint=None):
+    """The report on the map sending each class of composable pairs (g, f)
+    to the value g o f of its members, checked to be a bijection onto tgt:
+    constant on each class, inside tgt, injective and surjective.
+
+    Given basepoint, the root of the class of _ZERO, the map is checked to
+    be a bijection of pointed sets onto tgt plus zero instead: a value
+    outside tgt is zero, the basepoint class must map to zero and no other
+    class may.
+    """
+    inside = set(tgt)
+    hit = set()
+    problems = []
+    for root, members in classes.items():
+        vals = {None if x == _ZERO else comp[x[0]][x[1]] for x in members}
+        if basepoint is not None:
+            vals = {v if v in inside else None for v in vals}
+        if len(vals) > 1:
+            shown = sorted(vals) if basepoint is None else [
+                "zero" if v is None else v for v in sorted(vals, key=str)
+            ]
+            problems.append(
+                {"problem": "value not constant on class", "values": shown}
+            )
+            continue
+        v = vals.pop()
+        if root == basepoint:
+            if v is not None:
+                problems.append(
+                    {"problem": "basepoint class has nonzero value", "value": v}
+                )
+        elif v is None:
+            problems.append(
+                {"problem": "non-basepoint class maps to zero",
+                 "witness": sorted(members)[0]}
+            )
+        elif v not in inside:
+            problems.append(
+                {"problem": "class maps outside the target", "value": v}
+            )
+        elif v in hit:
+            problems.append({"problem": "two classes share a value", "value": v})
+        else:
+            hit.add(v)
+    problems += [{"problem": "value not hit", "value": u}
+                 for u in tgt if u not in hit]
+    count = len(classes) - (basepoint is not None)
+    return CoendPairReport(kind, source, target, count, len(tgt), problems)
+
+
 def verify_coend_bijections(s: MRStructure) -> CoendReport:
     """Check the two colimit comparison maps that reduce the transport
     problem to the embedding-after-retraction subcategory.
@@ -853,18 +832,13 @@ def verify_coend_bijections(s: MRStructure) -> CoendReport:
     witnesses.
     """
     cat = s.cat
-    der = s.derived()
-    isos = cat.isos()
+    der = s.derived
     entries = []
-
-    m_by_cod = {}
-    m_by_dom = {}
-    for m in sorted(s.m_class):
-        m_by_cod.setdefault(cat.cod[m], []).append(m)
-        m_by_dom.setdefault(cat.dom[m], []).append(m)
-    r_by_cod = {}
-    for r in sorted(der.r_class):
-        r_by_cod.setdefault(cat.cod[r], []).append(r)
+    m_sorted = sorted(s.m_class)
+    m_by_cod = group_by(m_sorted, cat.cod)
+    m_by_dom = group_by(m_sorted, cat.dom)
+    r_by_cod = group_by(sorted(der.r_class), cat.cod)
+    k_by_dom = group_by(sorted(der.k_class), cat.dom)
 
     def target_set(a, b):
         return [u for u in cat.hom(a, b) if s.s_in_r(u)]
@@ -887,52 +861,20 @@ def verify_coend_bijections(s: MRStructure) -> CoendReport:
                     for r2 in r_by_cod.get(cat.dom[i], ()):
                         if cat.dom[r2] == a:
                             dsu.union((mi, r2), (m, cat.comp[i][r2]))
-            problems = []
-            values = {}
-            classes = dsu.classes()
-            for root, members in classes.items():
-                vals = {cat.comp[m][r] for (m, r) in members}
-                if len(vals) > 1:
-                    problems.append(
-                        {"problem": "value not constant on class",
-                         "values": sorted(vals)}
-                    )
-                    continue
-                v = vals.pop()
-                if not s.s_in_r(v):
-                    problems.append(
-                        {"problem": "class maps outside the target", "value": v}
-                    )
-                elif v in values:
-                    problems.append(
-                        {"problem": "two classes share a value", "value": v}
-                    )
-                else:
-                    values[v] = root
-            tgt = target_set(a, d)
-            for u in tgt:
-                if u not in values:
-                    problems.append({"problem": "value not hit", "value": u})
-            entries.append(
-                CoendPairReport(
-                    "right", a, d, len(classes), len(tgt), problems
-                )
-            )
+            entries.append(_bijection_report(
+                "right", a, d, dsu.classes(), cat.comp, target_set(a, d)
+            ))
 
     # left comparison: pairs (any g, embedding m) through a middle object,
     # identified along the embedding-after-retraction subcategory including
     # the fall-to-zero identifications
-    BASE = ("base",)
-    k_by_dom = {}
-    for k in sorted(der.k_class):
-        k_by_dom.setdefault(cat.dom[k], []).append(k)
     for c in cat.objects():
         for b in cat.objects():
             pairs = []
             for m in m_by_dom.get(c, ()):
                 for g in cat.hom(cat.cod[m], b):
                     pairs.append((g, m))
-            dsu = _DSU(pairs + [BASE])
+            dsu = _DSU(pairs + [_ZERO])
             for m in m_by_dom.get(c, ()):
                 d0 = cat.cod[m]
                 for k in k_by_dom.get(d0, ()):
@@ -942,53 +884,11 @@ def verify_coend_bijections(s: MRStructure) -> CoendReport:
                         if km in s.m_class:
                             dsu.union((gk, m), (g, km))
                         else:
-                            dsu.union((gk, m), BASE)
-            problems = []
-            values = {}
-            base_root = dsu.find(BASE)
-            classes = dsu.classes()
-            for root, members in classes.items():
-                vals = set()
-                for member in members:
-                    if member == BASE:
-                        vals.add(None)
-                        continue
-                    g, m = member
-                    u = cat.comp[g][m]
-                    vals.add(u if s.s_in_r(u) else None)
-                if len(vals) > 1:
-                    problems.append(
-                        {"problem": "value not constant on class",
-                         "values": [v if v is not None else "zero" for v in sorted(vals, key=str)]}
-                    )
-                    continue
-                v = vals.pop()
-                if root == base_root:
-                    if v is not None:
-                        problems.append(
-                            {"problem": "basepoint class has nonzero value",
-                             "value": v}
-                        )
-                    continue
-                if v is None:
-                    problems.append(
-                        {"problem": "non-basepoint class maps to zero",
-                         "witness": sorted(members)[0]}
-                    )
-                elif v in values:
-                    problems.append(
-                        {"problem": "two classes share a value", "value": v}
-                    )
-                else:
-                    values[v] = root
-            tgt = target_set(c, b)
-            for u in tgt:
-                if u not in values:
-                    problems.append({"problem": "value not hit", "value": u})
-            entries.append(
-                CoendPairReport("left", c, b, len(classes) - 1, len(tgt),
-                                problems)
-            )
+                            dsu.union((gk, m), _ZERO)
+            entries.append(_bijection_report(
+                "left", c, b, dsu.classes(), cat.comp, target_set(c, b),
+                basepoint=dsu.find(_ZERO),
+            ))
 
     return CoendReport(entries)
 
@@ -999,18 +899,19 @@ def verify_coend_bijections(s: MRStructure) -> CoendReport:
 def restricted_to_k(s: MRStructure):
     """The induced structure on the subcategory of embedding-after-retraction
     composites, with the same embeddings; returns (structure, morphism map).
+    Raises StructureError with the first witness of the closure axiom when
+    those composites are not closed.
     """
     cat = s.cat
-    der = s.derived()
+    der = s.derived
+    witness = next(_closure_witnesses(s, der), None)
+    if witness is not None:
+        raise StructureError(
+            "embedding-after-retraction composites are not closed; "
+            f"witness ({witness['k2']}, {witness['k']})"
+        )
     kept = sorted(der.k_class)
     old_to_new = {p: i for i, p in enumerate(kept)}
-    for k in kept:
-        for k2 in kept:
-            if cat.composable(k2, k) and cat.comp[k2][k] not in old_to_new:
-                raise StructureError(
-                    "embedding-after-retraction composites are not closed; "
-                    f"witness ({k2}, {k})"
-                )
     comp = [
         [
             old_to_new[cat.comp[g][f]] if cat.composable(g, f) else None

@@ -229,7 +229,7 @@ def test_criterion_7_idempotent_decomposition():
 def test_criterion_8_derived_propositions(delta5, fi4, cube3, pt):
     for s in (delta5, fi4, cube3, pt):
         cat = s.cat
-        der = s.derived()
+        der = s.derived
         mr = set()
         r_by_cod = {}
         for r in sorted(der.r_class):

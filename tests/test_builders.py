@@ -127,7 +127,7 @@ def test_par_finset_passes_assumptions(par_finset2):
     rep = check_assumptions(par_finset2)
     assert rep.passed, rep.to_jsonable()
     # the irreducible class is the surjection class, embedded as spans
-    der = par_finset2.derived()
+    der = par_finset2.derived
     assert len(der.r_class) == sum(
         _surj_count(m, n) for m in range(3) for n in range(3)
     )
@@ -192,7 +192,7 @@ def test_par_flinj_fragment():
     # partial injective linear maps 2 -> 2: identity-domain 6, line-domain
     # 3 lines * 3 embeddings, zero-domain 1
     assert len(par.cat.hom(2, 2)) == 6 + 9 + 1
-    der = par.derived()
+    der = par.derived
     # irreducibles are the linear bijections, as spans
     assert len([r for r in der.r_class if par.cat.dom[r] == 2 == par.cat.cod[r]]) == 6
 

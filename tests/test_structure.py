@@ -366,7 +366,7 @@ def test_proposition_sandwich_exhaustive(delta4, fi3):
     # forces both factors irreducible
     for s in (delta4, fi3):
         cat = s.cat
-        der = s.derived()
+        der = s.derived
         mr = set()
         for m in sorted(s.m_class):
             for r in sorted(der.r_class):
@@ -385,7 +385,7 @@ def test_proposition_two_step_exhaustive(delta4, fi3):
     # is also of retracted form, u itself and v's part are irreducible
     for s in (delta4, fi3):
         cat = s.cat
-        der = s.derived()
+        der = s.derived
         for u in cat.morphisms():
             for v in cat.morphisms_from(cat.cod[u]):
                 vu = cat.comp[v][u]
