@@ -771,17 +771,17 @@ class CoendReport:
 _ZERO = ("zero",)  # the left comparison's basepoint, valued at zero
 
 
-def _bijection_report(kind, source, target, classes, comp, tgt, basepoint=None):
+def _bijection_report(kind, source, target, classes, comp, targets, basepoint=None):
     """The report on the map sending each class of composable pairs (g, f)
-    to the value g o f of its members, checked to be a bijection onto tgt:
-    constant on each class, inside tgt, injective and surjective.
+    to the value g o f of its members, checked to be a bijection onto targets:
+    constant on each class, inside targets, injective and surjective.
 
     Given basepoint, the root of the class of _ZERO, the map is checked to
-    be a bijection of pointed sets onto tgt plus zero instead: a value
-    outside tgt is zero, the basepoint class must map to zero and no other
+    be a bijection of pointed sets onto targets plus zero instead: a value
+    outside targets is zero, the basepoint class must map to zero and no other
     class may.
     """
-    inside = set(tgt)
+    inside = set(targets)
     hit = set()
     problems = []
     for root, members in classes.items():
@@ -816,9 +816,9 @@ def _bijection_report(kind, source, target, classes, comp, tgt, basepoint=None):
         else:
             hit.add(v)
     problems += [{"problem": "value not hit", "value": u}
-                 for u in tgt if u not in hit]
+                 for u in targets if u not in hit]
     count = len(classes) - (basepoint is not None)
-    return CoendPairReport(kind, source, target, count, len(tgt), problems)
+    return CoendPairReport(kind, source, target, count, len(targets), problems)
 
 
 def verify_coend_bijections(s: MRStructure) -> CoendReport:
@@ -826,10 +826,10 @@ def verify_coend_bijections(s: MRStructure) -> CoendReport:
     problem to the embedding-after-retraction subcategory.
 
     For each pair of objects the relevant identification classes are built
-    by union-find over their generating relations, and the induced map onto
-    p{u : s_part(u) irreducible} is checked to be a bijection of pointed
-    sets.  Non-injective or non-surjective instances are reported with
-    witnesses.
+    by union-find over their generating relations, and _bijection_report
+    checks the induced map onto {u : s_part(u) irreducible}: a bijection on
+    the right, a bijection of pointed sets on the left, whose fall-to-zero
+    identifications make a basepoint class.  Problems carry witnesses.
     """
     cat = s.cat
     der = s.derived
