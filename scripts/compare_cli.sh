@@ -13,6 +13,7 @@
 # and the malformed files of the exit-3 cases) are written once, by the old
 # checkout, and copied to both sides.
 # Cases whose outcome an assert decided run again under python -O.
+# One case runs each checkout's own scripts/roundtrip_demo.py.
 set -e
 OLD=$(cd "$1" && pwd)
 NEW=$(cd "$2" && pwd)
@@ -172,6 +173,12 @@ cases() {
     run theta_rational -m dkequiv.cli theta --category ex/delta_bt_4.structure.json \
         --functor T_rational.json --out theta_rational.json
     run cert_cube -m dkequiv.cli certify --name cube --size 2 --out cert_cube.json
+    run cert_delta5 -m dkequiv.cli certify --name delta_bt --size 5 --seeds 5 \
+        --out cert_delta5.json
+    run cert_pt -m dkequiv.cli certify --name pt --seeds 3 --out cert_pt.json
+    run cert_fi_file -m dkequiv.cli certify --category ex/fi_sharp_3.structure.json \
+        --seeds 3 --seed 7 --out cert_fi_file.json
+    run roundtrip_demo "$1/scripts/roundtrip_demo.py"
     # malformed input
     run ex_bogus -m dkequiv.cli example bogus --out ex
     run cert_bogus -m dkequiv.cli certify --name bogus --out cert_bogus.json

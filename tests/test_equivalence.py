@@ -393,3 +393,43 @@ def test_certificate_json_deterministic(km_delta4):
         [random_pointed_functor(km_delta4.d, (1, 1, 1, 1), seed=s) for s in range(2)],
     ).to_json()
     assert a == b
+
+
+def test_certificate_fails_when_hat_of_tilde_hat_is_corrupted(km_delta4, monkeypatch):
+    # hat's second call in a certificate is hat(tilde(hat f)), the source of
+    # the counit; one changed entry on a non-identity embedding leaves every
+    # kernel intersection as it was and breaks the counit's naturality
+    from dkequiv import equivalence
+
+    km = km_delta4
+    s = km.structure
+    f = random_pointed_functor(km.d, (1, 2, 2, 1), seed=3)
+    real_hat = equivalence.hat
+    calls, keys = [], []
+
+    def corrupting_hat(km_, g):
+        out = real_hat(km_, g)
+        calls.append(g)
+        if len(calls) != 2:
+            return out
+        key = next(
+            m for m in sorted(s.m_class)
+            if not s.cat.is_identity(m) and out.mats[m].nrows and out.mats[m].ncols
+        )
+        keys.append(key)
+        mats = dict(out.mats)
+        mats[key] = _bump(mats[key])
+        return AdditiveFunctor(out.base, out.dims, mats)
+
+    monkeypatch.setattr(equivalence, "hat", corrupting_hat)
+    entry = equivalence.certify_functor(km, f, "corrupted")
+    assert len(calls) >= 2 and keys
+    assert not entry.counit_natural
+    assert not entry.ok
+    assert not entry.to_jsonable()["ok"]
+    assert entry.unit_natural and entry.counit_invertible
+    assert entry.witness == {"counit": [{
+        "message": "naturality square does not commute",
+        "morphism": keys[0],
+        "label": s.cat.mor_labels[keys[0]],
+    }]}

@@ -138,3 +138,71 @@ def test_functor_json_round_trip(km_delta4, delta4):
     data = t.to_jsonable()
     back = AdditiveFunctor.from_jsonable(delta4.cat, data)
     assert back.dims == t.dims and back.mats == t.mats
+
+
+def test_additive_validation_reports_are_pinned(pt):
+    # the walking split epi with the 1x1 identity everywhere is a functor;
+    # a copy with mu missing and mu* of the wrong shape fails structurally,
+    # and a copy with id1 doubled breaks the identity and composition laws
+    cat = pt.cat
+    one = QMat.identity(1)
+    good = {f: one for f in cat.morphisms()}
+    assert AdditiveFunctor(cat, [1, 1], good).validate().ok
+    mats = dict(good)
+    del mats[2]
+    mats[3] = QMat.zeros(2, 1)
+    assert AdditiveFunctor(cat, [1, 1], mats).validate().to_jsonable() == {
+        "structural": [
+            {"message": "missing matrix", "morphism": 2},
+            {"message": "matrix shape mismatch", "morphism": 3, "shape": [2, 1]},
+        ],
+        "law": [],
+        "ok": False,
+    }
+    mats = dict(good)
+    mats[1] = QMat.from_rows([[2]])
+    assert AdditiveFunctor(cat, [1, 1], mats).validate().to_jsonable() == {
+        "structural": [],
+        "law": [
+            {"message": "identity not sent to identity", "object": 1},
+            {"message": "composition not preserved", "g": 1, "f": 1},
+            {"message": "composition not preserved", "g": 1, "f": 2},
+            {"message": "composition not preserved", "g": 1, "f": 4},
+            {"message": "composition not preserved", "g": 3, "f": 1},
+            {"message": "composition not preserved", "g": 4, "f": 1},
+        ],
+        "ok": False,
+    }
+
+
+def test_pointed_validation_reports_are_pinned(delta3):
+    # delta_bt 3's completion has nonzero morphisms 0..4: the identities 0,
+    # 2, 4 and the collapses 1 (1 -> 0) and 3 (2 -> 1), whose composite is a
+    # formal zero.  The 1x1 identity everywhere sends that zero to 1.
+    d = build_d_cat(delta3)
+    assert list(d.nonzero_morphisms()) == [0, 1, 2, 3, 4]
+    one = QMat.identity(1)
+    good = {f: one for f in d.nonzero_morphisms()}
+    mats = dict(good)
+    del mats[1]
+    mats[3] = QMat.zeros(1, 2)
+    assert PointedFunctor(d, [1, 1, 1], mats).validate().to_jsonable() == {
+        "structural": [
+            {"message": "missing matrix", "morphism": 1},
+            {"message": "matrix shape mismatch", "morphism": 3, "shape": [1, 2]},
+        ],
+        "law": [],
+        "ok": False,
+    }
+    mats = dict(good)
+    mats[4] = QMat.from_rows([[2]])
+    assert PointedFunctor(d, [1, 1, 1], mats).validate().to_jsonable() == {
+        "structural": [],
+        "law": [
+            {"message": "identity not sent to identity", "object": 2},
+            {"message": "zero composite not sent to zero", "g": 1, "f": 3},
+            {"message": "composition not preserved", "g": 3, "f": 4},
+            {"message": "composition not preserved", "g": 4, "f": 4},
+        ],
+        "ok": False,
+    }
