@@ -14,7 +14,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from dkequiv.builders import build_delta_bt
-from dkequiv.equivalence import build_kernel_module, hat, unit_with
+from dkequiv.equivalence import build_kernel_module, hat, unit
 from dkequiv.functors import random_pointed_functor
 
 
@@ -35,11 +35,11 @@ def main():
     for dr in km.d.nonzero_morphisms():
         r = km.d.d_to_r[dr]
         if s.cat.dom[r] == s.cat.cod[r] + 1:
-            ranks.append((s.cat.dom[r] + 1, f.mat(dr).rank()))
+            ranks.append((s.cat.dom[r] + 1, f.mats[dr].rank()))
     print("boundary ranks by level:", sorted(ranks))
-    t = hat(km, f)
-    print("transported dims:       ", list(t.dims))
-    eta, ft = unit_with(km, f, t)
+    print("transported dims:       ", list(hat(km, f).dims))
+    eta = unit(km, f)
+    ft = eta.target
     print("normalized complex dims:", list(ft.dims))
     print("unit is a natural iso:  ", eta.validate().ok and eta.is_iso())
     assert ft.dims == f.dims

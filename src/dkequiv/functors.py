@@ -25,24 +25,39 @@ class InfeasibleRelations(FunctorError):
     """The requested dimension vector cannot be realized soundly."""
 
 
-def _shapes_and_identities(functor) -> ValidationReport:
-    """Every stored matrix present with the right shape, then identities
-    sent to identities; the part of validation both functor kinds share."""
+def _functor_laws(functor, is_zero) -> ValidationReport:
+    """The functor laws, in report order: every stored matrix present with
+    the right shape; then identities sent to identities; then, for every
+    stored g and every f into its domain that is not a formal zero, the
+    composite g o f sent to the product of their matrices, or to zero when
+    is_zero(g o f)."""
     rep = ValidationReport()
-    base = functor.base
+    base, mats, dims = functor.base, functor.mats, functor.dims
     for f in functor.morphisms():
-        m = functor.mats.get(f)
+        m = mats.get(f)
         if m is None:
             rep.add_structural("missing matrix", morphism=f)
-        elif m.shape != (functor.dims[base.cod[f]], functor.dims[base.dom[f]]):
+        elif m.shape != (dims[base.cod[f]], dims[base.dom[f]]):
             rep.add_structural(
                 "matrix shape mismatch", morphism=f, shape=list(m.shape)
             )
     if not rep.ok:
         return rep
     for a in base.objects():
-        if not functor.mats[base.identity(a)].is_identity():
+        if not mats[base.identity(a)].is_identity():
             rep.add_law("identity not sent to identity", object=a)
+    for g in functor.morphisms():
+        mg = mats[g]
+        for f in base._hom_into(base.dom[g]):
+            if is_zero(f):
+                continue
+            h = base.comp[g][f]
+            prod = mg.mul(mats[f])
+            if is_zero(h):
+                if not prod.is_zero():
+                    rep.add_law("zero composite not sent to zero", g=g, f=f)
+            elif mats[h] != prod:
+                rep.add_law("composition not preserved", g=g, f=f)
     return rep
 
 
@@ -82,21 +97,9 @@ class AdditiveFunctor:
         """The morphisms carrying a stored matrix: all of them."""
         return self.base.morphisms()
 
-    def mat(self, f) -> QMat:
-        return self.mats[f]
-
     def validate(self) -> ValidationReport:
         """Exhaustive functor-law check: shapes, identities, all composites."""
-        rep = _shapes_and_identities(self)
-        if rep.structural:
-            return rep
-        base = self.base
-        for g in base.morphisms():
-            mg = self.mats[g]
-            for f in base._hom_into(base.dom[g]):
-                if self.mats[base.comp[g][f]] != mg.mul(self.mats[f]):
-                    rep.add_law("composition not preserved", g=g, f=f)
-        return rep
+        return _functor_laws(self, lambda f: False)
 
     def to_jsonable(self, category=None):
         return {
@@ -133,33 +136,9 @@ class PointedFunctor:
         """The morphisms carrying a stored matrix: the nonzero ones."""
         return self.d.nonzero_morphisms()
 
-    def mat(self, d_mor) -> QMat:
-        got = self.mats.get(d_mor)
-        if got is not None:
-            return got
-        assert self.d.is_zero(d_mor), f"missing matrix for nonzero morphism {d_mor}"
-        cat = self.base
-        return QMat.zeros(self.dims[cat.cod[d_mor]], self.dims[cat.dom[d_mor]])
-
     def validate(self) -> ValidationReport:
         """Exhaustive check including zero-composites falling to zero."""
-        rep = _shapes_and_identities(self)
-        if rep.structural:
-            return rep
-        cat = self.base
-        for g in self.morphisms():
-            mg = self.mats[g]
-            for f in cat._hom_into(cat.dom[g]):
-                if self.d.is_zero(f):
-                    continue
-                h = cat.comp[g][f]
-                prod = mg.mul(self.mats[f])
-                if self.d.is_zero(h):
-                    if not prod.is_zero():
-                        rep.add_law("zero composite not sent to zero", g=g, f=f)
-                elif self.mats[h] != prod:
-                    rep.add_law("composition not preserved", g=g, f=f)
-        return rep
+        return _functor_laws(self, self.d.is_zero)
 
     def to_jsonable(self, category=None):
         return {
@@ -195,9 +174,6 @@ class NatTransform:
         self.target = target
         self.components = list(components)
 
-    def component(self, a) -> QMat:
-        return self.components[a]
-
     def validate(self) -> ValidationReport:
         rep = ValidationReport()
         base = self.source.base
@@ -212,8 +188,8 @@ class NatTransform:
             return rep
         for f in self.source.morphisms():
             a, b = base.dom[f], base.cod[f]
-            lhs = self.components[b].mul(self.source.mat(f))
-            rhs = self.target.mat(f).mul(self.components[a])
+            lhs = self.components[b].mul(self.source.mats[f])
+            rhs = self.target.mats[f].mul(self.components[a])
             if lhs != rhs:
                 rep.add_law(
                     "naturality square does not commute",

@@ -437,5 +437,5 @@ def test_unit_with_zero_subspaces_raises_with_object_witness(delta3):
     t = hat(km, f)
     zeros = [Subspace.zero(n) for n in t.dims]
     with pytest.raises(TransportError) as exc:
-        unit_with(km, f, t, subspaces=zeros, validate=False)
+        unit_with(km, f, zeros)
     assert exc.value.witness == {"object": 1}
