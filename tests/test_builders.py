@@ -1,3 +1,5 @@
+import hashlib
+import json
 from math import comb
 
 import pytest
@@ -12,6 +14,7 @@ from dkequiv.builders import (
     build_finset_input,
     build_flinj_input,
     build_par,
+    build_pt,
     cube_maps,
     pullback,
 )
@@ -241,3 +244,167 @@ def test_pt_matches_expected_structure(pt):
     assert sorted(pt.r_class) == sorted(
         [pt.cat.identity(0), pt.cat.identity(1)]
     )
+
+
+# -- every built category, byte for byte ---------------------------------------
+
+# sha256 of json.dumps(to_jsonable(), sort_keys=True) for each output.  Ids,
+# labels, classes and retractions reach every structure file and certificate,
+# so how a table is assembled must leave these bytes unchanged.
+BUILT_DIGESTS = {
+    "delta_bt_1": (
+        lambda: build_delta_bt(1),
+        "44010dd3e82e178a43ac19b5dc9d53d420e30379982f86046c1572c7ce80a645",
+    ),
+    "delta_bt_2": (
+        lambda: build_delta_bt(2),
+        "8a3a28e499784572020f9035799e5a9a34eb53d363879f693680c00ffc1c73e4",
+    ),
+    "delta_bt_3": (
+        lambda: build_delta_bt(3),
+        "d0e9e139502c4ac18df151942d6db4d9727dd78ac7b5fa6836a6e8b06c5f3b48",
+    ),
+    "delta_bt_4": (
+        lambda: build_delta_bt(4),
+        "ea13942706ab186b547448f130d138ac63c1d077b24a0e903d9c03916e3c2925",
+    ),
+    "delta_bt_5": (
+        lambda: build_delta_bt(5),
+        "e0c0423c63ce6cef719006889104509a197802b49b78bc2ea61829a1a38c4d73",
+    ),
+    "delta_bt_6": (
+        lambda: build_delta_bt(6),
+        "b63f54826bffeebdcfd22ddf19696b1684b5365cecfc06fc2207f7b1794d5dd3",
+    ),
+    "fi_sharp_0": (
+        lambda: build_fi_sharp(0),
+        "d8fd3d94c639abb6bc791d0d4ed48d58eee934677af36740c1cdbe4937668291",
+    ),
+    "fi_sharp_1": (
+        lambda: build_fi_sharp(1),
+        "486b8d5f66397b1c8ef29ab9e38f07ff63e2869859e1015dcc562f9f54de7ee4",
+    ),
+    "fi_sharp_2": (
+        lambda: build_fi_sharp(2),
+        "4d485148bfa85618ecc35fce4fee37867ef2e72b5a4fd1bf30d8c44f61eb81b3",
+    ),
+    "fi_sharp_3": (
+        lambda: build_fi_sharp(3),
+        "353f2162d5b0c04d5dcf8a61c940104b489f0b0717fe5cfc1210f6f053cca153",
+    ),
+    "fi_sharp_4": (
+        lambda: build_fi_sharp(4),
+        "5a0fb82a76e4d19ad9c4f1df185739371baea2530cc33840508b20728bf107e5",
+    ),
+    "cube_0": (
+        lambda: build_cube(0),
+        "24bf16f50817b59d9abfc387953686b34e2601545b902af9ea34ae9766f20762",
+    ),
+    "cube_1": (
+        lambda: build_cube(1),
+        "9fb591bd9bbafd743078050a312b9f2af095ae27022e0d9afcd6cae06c8737c6",
+    ),
+    "cube_2": (
+        lambda: build_cube(2),
+        "3f8d4b8063b944010531424782515c2eef6f14e996a8914e9ba304a8c988c84f",
+    ),
+    "cube_3": (
+        lambda: build_cube(3),
+        "ad5c9308091cb9b2fe034cad01c5ce97c01ec3fdf185f0102b402c27e13ada8a",
+    ),
+    "pt": (
+        build_pt,
+        "8a5cadbc08148e9c54a10de86e20be4f8b632b18543427cac82504e9a2c80752",
+    ),
+    "finset_input_0": (
+        lambda: build_finset_input(0),
+        "e1be5edb20dea5177d9b00383644384606c3df54d395e1b40042762d3115519f",
+    ),
+    "finset_input_1": (
+        lambda: build_finset_input(1),
+        "105113fd91f116fbe922d5c6b9c79402a32c3adfca457fd82228753441389244",
+    ),
+    "finset_input_2": (
+        lambda: build_finset_input(2),
+        "b971c118ea1411e14c71d494d49cc9b9abe9b82166b98c56b7aa1826191ec0fb",
+    ),
+    "finset_input_3": (
+        lambda: build_finset_input(3),
+        "df17cfbf92144e226d3300423de01d37c9688b9028a80c895753b36e1129206d",
+    ),
+    "fi_input_0": (
+        lambda: build_fi_input(0),
+        "e1be5edb20dea5177d9b00383644384606c3df54d395e1b40042762d3115519f",
+    ),
+    "fi_input_1": (
+        lambda: build_fi_input(1),
+        "105113fd91f116fbe922d5c6b9c79402a32c3adfca457fd82228753441389244",
+    ),
+    "fi_input_2": (
+        lambda: build_fi_input(2),
+        "ba9d0be2bf146415bbc7a22db11aad110250caa1c54801363ed8446b6a2cc088",
+    ),
+    "fi_input_3": (
+        lambda: build_fi_input(3),
+        "ddd887476163d6eb14328d989b68bf2278f89e4098d26441c32cccc605a74d0b",
+    ),
+    "flinj_input_0_q2": (
+        lambda: build_flinj_input(0, q=2),
+        "e1be5edb20dea5177d9b00383644384606c3df54d395e1b40042762d3115519f",
+    ),
+    "flinj_input_1_q2": (
+        lambda: build_flinj_input(1, q=2),
+        "f9d80f58fe0072da6636684da159629c08dac47ffca7e2bfeed43f17258d453c",
+    ),
+    "flinj_input_2_q2": (
+        lambda: build_flinj_input(2, q=2),
+        "000012bfb2180663e4195479ef637f7efca67d8f0b8ad05226d4a5476291afa9",
+    ),
+    "flinj_input_1_q3": (
+        lambda: build_flinj_input(1, q=3),
+        "fb33f5eac714a349d5733b3af9800547cc7d51e7d6f479c68f8715451dc5a1e2",
+    ),
+    "flinj_input_2_q3": (
+        lambda: build_flinj_input(2, q=3),
+        "42a98b1417168c2ceb3455e607afc3d426b59f2ec332c0f7c8395c07f515d83c",
+    ),
+    "par_finset_0": (
+        lambda: build_par(build_finset_input(0)),
+        "a186201969a281379f684574e4a47abbc78750a2489062a6216bb2f55c2ae353",
+    ),
+    "par_finset_1": (
+        lambda: build_par(build_finset_input(1)),
+        "2c1b4143de70f096f82cd52a9732fd38d881e16905fcad7a64dcccb3a1b725d0",
+    ),
+    "par_finset_2": (
+        lambda: build_par(build_finset_input(2)),
+        "084ec71f5af7f9b50419a051b0f0dec4c8e9eac8f4b50cee1c94ba24ab32aa3c",
+    ),
+    "par_fi_0": (
+        lambda: build_par(build_fi_input(0)),
+        "a186201969a281379f684574e4a47abbc78750a2489062a6216bb2f55c2ae353",
+    ),
+    "par_fi_1": (
+        lambda: build_par(build_fi_input(1)),
+        "2c1b4143de70f096f82cd52a9732fd38d881e16905fcad7a64dcccb3a1b725d0",
+    ),
+    "par_fi_2": (
+        lambda: build_par(build_fi_input(2)),
+        "22c99062592168c081b501552f46282811b22fce891b840f5e31b2b3a1207985",
+    ),
+    "par_fi_3": (
+        lambda: build_par(build_fi_input(3)),
+        "833d08729a03a7b69120d5a50f6878ce997fcf4e5fccac3b7240d757eefde348",
+    ),
+    "par_flinj_2": (
+        lambda: build_par(build_flinj_input(2)),
+        "24a8438704b3803a19e0617d1f6bab7b643bc1686bef9c588fad3a1b833ff46a",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(BUILT_DIGESTS))
+def test_built_categories_are_byte_identical(name):
+    build, digest = BUILT_DIGESTS[name]
+    text = json.dumps(build().to_jsonable(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
