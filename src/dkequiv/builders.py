@@ -10,8 +10,37 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .fincat import FinCat, TableBuilder, int_list
+from .fincat import FinCat, int_list, table_category
 from .structure import MRStructure
+
+
+def tuple_category(obj_labels, homs, compose, identity):
+    """The category whose maps d -> c are the tuples homs(d, c), for every
+    pair of objects, each labelled by its entries; compose(g, f) is the
+    tuple of g after f and identity(a) that of the identity of a.  Returns
+    the FinCat and the index from each (d, c, tuple) to its id."""
+    n = len(obj_labels)
+    return table_category(
+        obj_labels,
+        [(d, c, t, ",".join(map(str, t)) or "()")
+         for d in range(n) for c in range(n) for t in homs(d, c)],
+        compose,
+        identity,
+    )
+
+
+def split_embeddings(cat, index, retraction) -> MRStructure:
+    """cat with the maps (d, c, key) of index for which retraction(d, c, key)
+    returns a key as its embeddings, each retracted by the map c -> d of
+    that key."""
+    star = {i: index[(c, d, back)] for (d, c, key), i in index.items()
+            if (back := retraction(d, c, key)) is not None}
+    return MRStructure(cat, list(star), star)
+
+
+def compose_maps(g, f):
+    """g after f, for maps given as tuples of 0-based images."""
+    return tuple(g[x] for x in f)
 
 
 # -- ordinals with endpoints --------------------------------------------------
@@ -26,80 +55,63 @@ def interval_maps(m, n):
     return [(0,) + mid + (n - 1,) for mid in mids]
 
 
-def interval_star(t, n):
-    """Left adjoint of an injective endpoint-preserving map, as a tuple."""
-    out = []
-    for x in range(n):
-        out.append(next(i for i in range(len(t)) if t[i] >= x))
-    return tuple(out)
+def interval_star(d, c, t):
+    """The left adjoint {0..c} -> {0..d} of an injective endpoint-preserving
+    map t, or None when t is not injective."""
+    if len(set(t)) < len(t):
+        return None
+    return tuple(next(i for i, y in enumerate(t) if y >= x) for x in range(c + 1))
 
 
 def build_delta_bt(n_max) -> MRStructure:
     """Ordinals 1..n_max with endpoint-and-order-preserving maps; embeddings
     are the injections, each retracted by its left adjoint."""
     assert n_max >= 1
-    tb = TableBuilder(n_max, [str(k + 1) for k in range(n_max)])
-    for d in range(n_max):
-        for c in range(n_max):
-            for t in interval_maps(d + 1, c + 1):
-                tb.add(d, c, t, ",".join(map(str, t)) or "()")
-    cat = tb.build(
-        lambda g, f: tuple(g[x] for x in f),
+    return split_embeddings(*tuple_category(
+        [str(k + 1) for k in range(n_max)],
+        lambda d, c: interval_maps(d + 1, c + 1),
+        compose_maps,
         lambda a: tuple(range(a + 1)),
-    )
-    m_class = []
-    star = {}
-    for i, (d, c, t) in enumerate(tb.keys):
-        if len(set(t)) == len(t):
-            m_class.append(i)
-            star[i] = tb.morphism_id(c, d, interval_star(t, c + 1))
-    return MRStructure(cat, m_class, star)
+    ), interval_star)
 
 
 # -- finite sets and partial injections ----------------------------------------
 
 
 def partial_injections(m, n):
-    """Partial injections {1..m} -> {1..n} as tuples, 0 marking undefined."""
-    out = []
-    for k in range(min(m, n) + 1):
-        for defined in itertools.combinations(range(m), k):
-            for image in itertools.permutations(range(1, n + 1), k):
-                t = [0] * m
-                for pos, val in zip(defined, image):
-                    t[pos] = val
-                out.append(tuple(t))
-    return sorted(out)
+    """Partial injections {1..m} -> {1..n} as tuples, 0 marking undefined,
+    in increasing order."""
+    return [t for t in itertools.product(range(n + 1), repeat=m)
+            if len(set(t) - {0}) == m - t.count(0)]
 
 
 def compose_partial(g, f):
+    """g after f, for partial maps given as tuples of 1-based images, 0
+    marking undefined."""
     return tuple(g[x - 1] if x else 0 for x in f)
+
+
+def partial_inverse(d, c, t):
+    """The partial inverse {1..c} -> {1..d} of a total injection t, or None
+    when t is not total."""
+    if 0 in t:
+        return None
+    inv = [0] * c
+    for pos, val in enumerate(t):
+        inv[val - 1] = pos + 1
+    return tuple(inv)
 
 
 def build_fi_sharp(n_max) -> MRStructure:
     """Sets {1..k} for k <= n_max with injective partial functions; embeddings
     are the total injections, each retracted by its partial inverse."""
     assert n_max >= 0
-    n_obj = n_max + 1
-    tb = TableBuilder(n_obj, [str(k) for k in range(n_obj)])
-    for d in range(n_obj):
-        for c in range(n_obj):
-            for t in partial_injections(d, c):
-                tb.add(d, c, t, ",".join(map(str, t)) or "()")
-    cat = tb.build(
+    return split_embeddings(*tuple_category(
+        [str(k) for k in range(n_max + 1)],
+        partial_injections,
         compose_partial,
         lambda a: tuple(range(1, a + 1)),
-    )
-    m_class = []
-    star = {}
-    for i, (d, c, t) in enumerate(tb.keys):
-        if all(x != 0 for x in t):
-            m_class.append(i)
-            inv = [0] * c
-            for pos, val in enumerate(t):
-                inv[val - 1] = pos + 1
-            star[i] = tb.morphism_id(c, d, tuple(inv))
-    return MRStructure(cat, m_class, star)
+    ), partial_inverse)
 
 
 # -- the cube category -----------------------------------------------------------
@@ -107,26 +119,22 @@ def build_fi_sharp(n_max) -> MRStructure:
 
 def cube_maps(k, h):
     """Maps <k> -> <h> (0 = bottom, 1..k interior, k+1 = top) preserving the
-    endpoints and strictly increasing on the interior preimage."""
+    endpoints and strictly increasing on the interior preimage, in
+    increasing order."""
     out = []
-    for r in range(min(k, h) + 1):
-        for pos in itertools.combinations(range(1, k + 1), r):
-            posset = set(pos)
-            rest = [i for i in range(1, k + 1) if i not in posset]
-            for img in itertools.combinations(range(1, h + 1), r):
-                base = [0] * (k + 2)
-                base[k + 1] = h + 1
-                for p, v in zip(pos, img):
-                    base[p] = v
-                for assign in itertools.product((0, h + 1), repeat=len(rest)):
-                    t = list(base)
-                    for p, v in zip(rest, assign):
-                        t[p] = v
-                    out.append(tuple(t))
-    return sorted(out)
+    for mid in itertools.product(range(h + 2), repeat=k):
+        inner = [x for x in mid if 1 <= x <= h]
+        if all(x < y for x, y in zip(inner, inner[1:])):
+            out.append((0, *mid, h + 1))
+    return out
 
 
-def cube_star(t, k, h):
+def cube_star(k, h, t):
+    """The retraction <h> -> <k> of a map t that sends the interior of <k>
+    into the interior of <h>: the inverse on t's interior image, the top
+    elsewhere; None for any other t."""
+    if not all(1 <= t[x] <= h for x in range(1, k + 1)):
+        return None
     inv = {t[i]: i for i in range(1, k + 1)}
     return tuple([0] + [inv.get(j, k + 1) for j in range(1, h + 1)] + [k + 1])
 
@@ -135,23 +143,12 @@ def build_cube(k_max) -> MRStructure:
     """The cube-shape category on <0>..<k_max>; embeddings are the injective
     maps, retracted by sending everything off the image to the top."""
     assert k_max >= 0
-    n_obj = k_max + 1
-    tb = TableBuilder(n_obj, [f"<{k}>" for k in range(n_obj)])
-    for d in range(n_obj):
-        for c in range(n_obj):
-            for t in cube_maps(d, c):
-                tb.add(d, c, t, ",".join(map(str, t)))
-    cat = tb.build(
-        lambda g, f: tuple(g[x] for x in f),
+    return split_embeddings(*tuple_category(
+        [f"<{k}>" for k in range(k_max + 1)],
+        cube_maps,
+        compose_maps,
         lambda a: tuple(range(a + 2)),
-    )
-    m_class = []
-    star = {}
-    for i, (d, c, t) in enumerate(tb.keys):
-        if all(1 <= t[x] <= c for x in range(1, d + 1)):
-            m_class.append(i)
-            star[i] = tb.morphism_id(c, d, cube_star(t, d, c))
-    return MRStructure(cat, m_class, star)
+    ), cube_star)
 
 
 # -- the walking split epimorphism ------------------------------------------------
@@ -160,12 +157,6 @@ def build_cube(k_max) -> MRStructure:
 def build_pt() -> MRStructure:
     """Two objects 0, 1 with a section mu: 0 -> 1, its retraction, and the
     induced idempotent on 1."""
-    tb = TableBuilder(2, ["0", "1"])
-    tb.add(0, 0, "id0", "id0")
-    tb.add(1, 1, "id1", "id1")
-    tb.add(0, 1, "mu", "mu")
-    tb.add(1, 0, "mu*", "mu*")
-    tb.add(1, 1, "e", "e")
     table = {
         ("mu", "mu*"): "e",
         ("mu*", "mu"): "id0",
@@ -181,12 +172,15 @@ def build_pt() -> MRStructure:
             return f
         return table[(g, f)]
 
-    cat = tb.build(ck, lambda a: f"id{a}")
-    id0 = tb.morphism_id(0, 0, "id0")
-    id1 = tb.morphism_id(1, 1, "id1")
-    mu = tb.morphism_id(0, 1, "mu")
-    mus = tb.morphism_id(1, 0, "mu*")
-    return MRStructure(cat, [id0, id1, mu], {id0: id0, id1: id1, mu: mus})
+    star = {"id0": "id0", "id1": "id1", "mu": "mu*"}
+    return split_embeddings(*table_category(
+        ["0", "1"],
+        [(d, c, key, key) for d, c, key in (
+            (0, 0, "id0"), (1, 1, "id1"), (0, 1, "mu"), (1, 0, "mu*"), (1, 1, "e"),
+        )],
+        ck,
+        lambda a: f"id{a}",
+    ), lambda d, c, key: star.get(key))
 
 
 # -- partial-map categories over a base with a factorization system ----------------
@@ -347,7 +341,17 @@ def validate_par_input(inp: ParInput):
 
 def build_par(inp: ParInput) -> MRStructure:
     """Category of m-partial maps of the base: morphisms are iso-classes of
-    spans whose left leg is in m_class, composed by pullback."""
+    spans whose left leg is in m_class, composed by pullback.  Its embeddings
+    are the total spans (i, m), i an iso and m in m_class, each retracted by
+    the span (m, i).
+
+    Composition only looks its pullback up.  Every key (m, f) has m = m0 o i
+    for some m0 in m_class and iso i, and validate_par_input has checked
+    that m_class holds the isos and is closed under composition, so m is in
+    m_class.  A composable pair (m2, f2) o (m1, f1) has cod f1 = cod m2, and
+    validate_par_input has either cached a pullback of (f1, m2) or reported
+    it missing, in which case build_par has raised already.
+    """
     problems, pb_cache = validate_par_input(inp)
     if problems:
         raise ParInputError(problems)
@@ -361,47 +365,24 @@ def build_par(inp: ParInput) -> MRStructure:
                 best = cand
         return best
 
-    tb = TableBuilder(cat.n_objects, list(cat.obj_labels))
-    for m in sorted(inp.m_class):
-        for f in cat.morphisms_from(cat.dom[m]):
-            key = canonical(m, f)
-            tb.add(
-                cat.cod[m],
-                cat.cod[f],
-                key,
-                f"[{cat.mor_labels[key[0]]}|{cat.mor_labels[key[1]]}]",
-            )
-
     def compose_keys(gkey, fkey):
-        m2, f2 = gkey
-        m1, f1 = fkey
-        pb = pb_cache.get((f1, m2))
-        if pb is None:
-            pb = pullback(cat, f1, m2)
-            if pb is None:
-                raise ParInputError(
-                    [{"problem": "missing pullback during composition",
-                      "cospan": [f1, m2]}]
-                )
-            pb_cache[(f1, m2)] = pb
-        (w, p, q) = pb
+        (m2, f2), (m1, f1) = gkey, fkey
+        w, p, q = pb_cache[(f1, m2)]
         return canonical(cat.comp[m1][p], cat.comp[f2][q])
 
-    par_cat = tb.build(
+    def retraction(d, c, key):
+        m, f = key
+        return canonical(f, m) if m in cat.isos() and f in inp.m_class else None
+
+    spans = [canonical(m, f) for m in sorted(inp.m_class)
+             for f in cat.morphisms_from(cat.dom[m])]
+    return split_embeddings(*table_category(
+        list(cat.obj_labels),
+        [(cat.cod[m], cat.cod[f], (m, f),
+          f"[{cat.mor_labels[m]}|{cat.mor_labels[f]}]") for m, f in spans],
         compose_keys,
         lambda a: canonical(cat.identity(a), cat.identity(a)),
-    )
-    m_class_par = []
-    star = {}
-    for m in sorted(inp.m_class):
-        u = cat.dom[m]
-        emb = tb.morphism_id(u, cat.cod[m], canonical(cat.identity(u), m))
-        if emb not in star:
-            m_class_par.append(emb)
-            star[emb] = tb.morphism_id(
-                cat.cod[m], u, canonical(m, cat.identity(u))
-            )
-    return MRStructure(par_cat, sorted(m_class_par), star)
+    ), retraction)
 
 
 # -- stock base categories for build_par --------------------------------------------
@@ -414,101 +395,55 @@ def total_maps(m, n):
 
 def build_finset_input(n_max) -> ParInput:
     """Finite sets with all functions, factored as surjections then injections."""
-    n_obj = n_max + 1
-    tb = TableBuilder(n_obj, [str(k) for k in range(n_obj)])
-    for d in range(n_obj):
-        for c in range(n_obj):
-            for t in total_maps(d, c):
-                if d > 0 and c == 0:
-                    continue
-                tb.add(d, c, t, ",".join(map(str, t)) or "()")
-    cat = tb.build(
-        lambda g, f: tuple(g[x - 1] for x in f),
+    cat, index = tuple_category(
+        [str(k) for k in range(n_max + 1)],
+        total_maps,
+        compose_partial,
         lambda a: tuple(range(1, a + 1)),
     )
-    e_class, m_class = [], []
-    for i, (d, c, t) in enumerate(tb.keys):
-        if set(t) == set(range(1, c + 1)):
-            e_class.append(i)
-        if len(set(t)) == d:
-            m_class.append(i)
+    e_class = [i for (d, c, t), i in index.items() if set(t) == set(range(1, c + 1))]
+    m_class = [i for (d, c, t), i in index.items() if len(set(t)) == d]
     return ParInput(cat, frozenset(e_class), frozenset(m_class))
 
 
 def build_fi_input(n_max) -> ParInput:
     """Finite sets with injective functions; every morphism is an embedding
     and the surjective-part class is just the bijections."""
-    n_obj = n_max + 1
-    tb = TableBuilder(n_obj, [str(k) for k in range(n_obj)])
-    for d in range(n_obj):
-        for c in range(n_obj):
-            for t in total_maps(d, c):
-                if len(set(t)) == d:
-                    tb.add(d, c, t, ",".join(map(str, t)) or "()")
-    cat = tb.build(
-        lambda g, f: tuple(g[x - 1] for x in f),
+    cat, index = tuple_category(
+        [str(k) for k in range(n_max + 1)],
+        lambda d, c: list(itertools.permutations(range(1, c + 1), d)),
+        compose_partial,
         lambda a: tuple(range(1, a + 1)),
     )
-    e_class = [i for i, (d, c, t) in enumerate(tb.keys) if d == c]
-    m_class = list(cat.morphisms())
-    return ParInput(cat, frozenset(e_class), frozenset(m_class))
-
-
-def _ffield_rank(vectors, q):
-    """Rank over the prime field of size q of a list of vectors."""
-    rows = [list(v) for v in vectors]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for c in range(ncols):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][c] % q), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][c], -1, q)
-        rows[rank] = [(x * inv) % q for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][c] % q:
-                f = rows[i][c]
-                rows[i] = [(x - f * y) % q for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
+    e_class = [i for (d, c, t), i in index.items() if d == c]
+    return ParInput(cat, frozenset(e_class), frozenset(cat.morphisms()))
 
 
 def build_flinj_input(dim_max, q=2) -> ParInput:
     """Vector spaces over the prime field of size q up to dim_max, with
     injective linear maps; embeddings are everything, bijections the rest.
 
-    The key of a map d -> c is its d-tuple of image vectors, each of length c.
+    The key of a map d -> c is its d-tuple of image vectors, each of length
+    c.  A map is injective exactly when its q^d images are distinct.
     """
-    n_obj = dim_max + 1
-    tb = TableBuilder(n_obj, [str(k) for k in range(n_obj)])
-    for d in range(n_obj):
-        for c in range(n_obj):
-            for cols in itertools.product(
-                itertools.product(range(q), repeat=c), repeat=d
-            ):
-                if d == 0 or _ffield_rank(cols, q) == d:
-                    tb.add(d, c, cols, str(cols))
 
-    def compose(g, f):
-        out = []
-        for col in f:
-            acc = [0] * (len(g[0]) if g else 0)
-            for coeff, gcol in zip(col, g):
-                for i, x in enumerate(gcol):
-                    acc[i] = (acc[i] + coeff * x) % q
-            out.append(tuple(acc))
-        return tuple(out)
+    def vectors(k):
+        return list(itertools.product(range(q), repeat=k))
 
-    cat = tb.build(
-        compose,
-        lambda a: tuple(
-            tuple(1 if i == j else 0 for i in range(a)) for j in range(a)
-        ),
+    def image(cols, v):
+        return tuple(sum(x * y for x, y in zip(v, row)) % q for row in zip(*cols))
+
+    cat, index = table_category(
+        [str(k) for k in range(dim_max + 1)],
+        [(d, c, cols, str(cols))
+         for d in range(dim_max + 1) for c in range(dim_max + 1)
+         for cols in itertools.product(vectors(c), repeat=d)
+         if len({image(cols, v) for v in vectors(d)}) == q ** d],
+        lambda g, f: tuple(image(g, col) for col in f),
+        lambda a: tuple(tuple(int(i == j) for i in range(a)) for j in range(a)),
     )
-    e_class = [i for i, (d, c, t) in enumerate(tb.keys) if d == c]
-    m_class = list(cat.morphisms())
-    return ParInput(cat, frozenset(e_class), frozenset(m_class))
+    e_class = [i for (d, c, cols), i in index.items() if d == c]
+    return ParInput(cat, frozenset(e_class), frozenset(cat.morphisms()))
 
 
 # -- the registry of stock categories ------------------------------------------

@@ -329,49 +329,30 @@ class FinCat:
         return f"FinCat({self.n_objects} objects, {self.n_morphisms} morphisms)"
 
 
-class TableBuilder:
-    """Helper for builders: collect morphisms keyed by payload, then compose."""
+def table_category(obj_labels, morphisms, compose_keys, identity_key):
+    """The category on the objects labelled obj_labels whose morphisms are
+    given as (dom, cod, key, label) in id order; a repeated (dom, cod, key)
+    names the morphism it first gave.  compose_keys(gkey, fkey) is the key
+    of g after f, asked only of composable pairs, and identity_key(a) the
+    key of the identity of a.
 
-    def __init__(self, n_objects, obj_labels=None):
-        self.n_objects = n_objects
-        self.obj_labels = obj_labels
-        self.keys = []
-        self.index = {}
-        self.dom = []
-        self.cod = []
-        self.labels = []
-
-    def add(self, dom, cod, key, label=None):
-        k = (dom, cod, key)
-        if k in self.index:
-            return self.index[k]
-        i = len(self.keys)
-        self.index[k] = i
-        self.keys.append(k)
-        self.dom.append(dom)
-        self.cod.append(cod)
-        self.labels.append(label if label is not None else str(key))
-        return i
-
-    def morphism_id(self, dom, cod, key):
-        return self.index[(dom, cod, key)]
-
-    def build(self, compose_keys, identity_keys) -> FinCat:
-        """compose_keys(gkey, fkey) -> key of the composite payload."""
-        n = len(self.keys)
-        comp = [[None] * n for _ in range(n)]
-        for g in range(n):
-            gd, gc, gk = self.keys[g]
-            for f in range(n):
-                fd, fc, fk = self.keys[f]
-                if fc != gd:
-                    continue
-                hk = compose_keys(gk, fk)
-                comp[g][f] = self.index[(fd, gc, hk)]
-        identities = [
-            self.index[(a, a, identity_keys(a))] for a in range(self.n_objects)
-        ]
-        return FinCat(
-            self.n_objects, self.dom, self.cod, identities, comp,
-            self.obj_labels, self.labels,
-        )
+    Returns the FinCat and the index from each (dom, cod, key) to its id.
+    """
+    index = {}
+    dom, cod, keys, labels = [], [], [], []
+    for d, c, key, label in morphisms:
+        if (d, c, key) not in index:
+            index[(d, c, key)] = len(keys)
+            dom.append(d)
+            cod.append(c)
+            keys.append(key)
+            labels.append(label)
+    n = len(keys)
+    into = group_by(range(n), cod)
+    comp = [[None] * n for _ in range(n)]
+    for g in range(n):
+        for f in into.get(dom[g], ()):
+            comp[g][f] = index[(dom[f], cod[g], compose_keys(keys[g], keys[f]))]
+    identities = [index[(a, a, identity_key(a))] for a in range(len(obj_labels))]
+    cat = FinCat(len(obj_labels), dom, cod, identities, comp, obj_labels, labels)
+    return cat, index

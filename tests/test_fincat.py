@@ -3,7 +3,7 @@ import json
 import pytest
 
 from dkequiv.builders import partial_injections
-from dkequiv.fincat import FinCat, FinCatError
+from dkequiv.fincat import FinCat, FinCatError, table_category
 
 
 def terminal_cat():
@@ -96,6 +96,32 @@ def hom_count_delta_normal_form(m, n):
     return sum(
         comb(m - 1, j - 1) * comb(n - 2, j - 2) for j in range(2, min(m, n) + 1)
     )
+
+
+def test_table_category_first_ids_identity_keys_and_composable_pairs():
+    # keys carry their endpoints, so compose can tell a pair that is not
+    # composable; the identities come after the arrow and are found by key
+    calls = []
+
+    def compose(g, f):
+        calls.append((g, f))
+        if f[1] != g[0]:
+            raise AssertionError(f"{g} after {f} is not composable")
+        return f if g[2] == "id" else g
+
+    cat, index = table_category(
+        ["x", "y"],
+        [(0, 1, (0, 1, "a"), "a"), (0, 0, (0, 0, "id"), "id_x"),
+         (1, 1, (1, 1, "id"), "id_y"), (0, 1, (0, 1, "a"), "a again")],
+        compose,
+        lambda o: (o, o, "id"),
+    )
+    assert cat.mor_labels == ("a", "id_x", "id_y")
+    assert index == {(0, 1, (0, 1, "a")): 0, (0, 0, (0, 0, "id")): 1,
+                     (1, 1, (1, 1, "id")): 2}
+    assert cat.identities == (1, 2)
+    assert len(calls) == 4  # of the 9 pairs, a o id_x, id_x o id_x, id_y o a, id_y o id_y
+    assert cat.check().ok
 
 
 def test_delta_hom_counts_two_formulas(delta4):
