@@ -376,10 +376,12 @@ def certify_functor(km: KernelModule, f: PointedFunctor, name) -> CertificateEnt
     """Both roundtrips and both triangle identities for one pointed functor
     f, computing each transport once: t = hat(f), its kernel intersections
     sub_t, ft = tilde(t), hft = hat(ft) and hft's kernel intersections
-    sub_hft.  The unit eta: f => ft and the counit eps: hft => t must be
-    natural isomorphisms.  The triangles are products of components that
-    must be identities: eps_b after the direct sum of eta over b's subobject
-    classes, and eps_a restricted to sub_hft_a -> sub_t_a after the unit at ft.
+    sub_hft.  f must first pass its functor laws; if it does not, the entry
+    fails with the law report as its witness.  The unit eta: f => ft and the
+    counit eps: hft => t must be natural isomorphisms.  The triangles are
+    products of components that must be identities: eps_b after the direct
+    sum of eta over b's subobject classes, and eps_a restricted to
+    sub_hft_a -> sub_t_a after the unit at ft.
 
     tilde(hft) is not built.  It would only check that hft(r) restricts to
     sub_hft for every irreducible r, and that check decides no entry:
@@ -391,6 +393,13 @@ def certify_functor(km: KernelModule, f: PointedFunctor, name) -> CertificateEnt
     s = km.structure
     cat = s.cat
     witness = None
+    laws = f.validate()
+    if not laws.ok:
+        return CertificateEntry(
+            name, list(f.dims), [], [], False, False, False, False, False,
+            False, witness={"error": "input functor invalid",
+                            "detail": laws.to_jsonable()},
+        )
     t = hat(km, f)
     sub_t = tilde_subspaces(km, t)
     try:

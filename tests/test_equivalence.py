@@ -1,3 +1,7 @@
+import itertools
+import json
+from fractions import Fraction
+
 import pytest
 
 from dkequiv.builders import build_delta_bt
@@ -335,6 +339,29 @@ def test_certify_small(km_delta4, km_fi3):
         assert cert.ok
         for e in cert.entries:
             assert e.dims == e.tilde_hat_dims
+
+
+def test_certify_fails_every_input_that_is_not_a_functor(km_delta4, km_fi3, cube2):
+    # seeded functors, each copied with one matrix entry raised by one
+    copies = rejected = 0
+    for km, dims in ((km_delta4, (1, 2, 2, 1)), (km_fi3, (1, 1, 2, 1)),
+                     (build_kernel_module(cube2), (1, 1, 2))):
+        data = random_pointed_functor(km.d, dims, seed=5).to_jsonable()
+        for key, rows in sorted(data["mats"].items()):
+            for i, j in itertools.product(range(len(rows)), range(len(rows[0]))):
+                copy = json.loads(json.dumps(data))
+                copy["mats"][key][i][j] = str(Fraction(rows[i][j]) + 1)
+                g = PointedFunctor.from_jsonable(km.d, copy)
+                copies += 1
+                laws = g.validate()
+                if laws.ok:
+                    continue
+                rejected += 1
+                entry = certify_equivalence(km, [g]).entries[0]
+                assert not entry.ok
+                assert entry.witness == {"error": "input functor invalid",
+                                         "detail": laws.to_jsonable()}
+    assert (copies, rejected) == (47, 40)
 
 
 def test_certify_vacuous(km_delta4):
