@@ -9,11 +9,16 @@
 # Inputs that are not produced by a CLI command (pointed functors on
 # delta_bt 4, fi_sharp 3 and cube 2, one of them also with rational entries,
 # structures that fail the axioms (fi_sharp 2, delta_bt 4 and cube 2 with
-# their embeddings cut), a par base category, idempotent lists,
+# their embeddings cut), the par base categories (injections of sets up to
+# 2, all maps of sets up to 2 and 3, and injective linear maps over F_2 up to
+# dimension 2), idempotent lists,
 # and the malformed files of the exit-3 cases) are written once, by the old
 # checkout, and copied to both sides.
 # Cases whose outcome an assert decided run again under python -O.
-# One case runs each checkout's own scripts/roundtrip_demo.py.
+# The benchmark's structures (delta_bt 6, fi_sharp 4, cube 3) are built by
+# each checkout.  `example par` on the finset bases builds Gamma_2 and
+# Gamma_3, and one case certifies Gamma_3.  One case runs each checkout's own
+# scripts/roundtrip_demo.py.
 set -e
 OLD=$(cd "$1" && pwd)
 NEW=$(cd "$2" && pwd)
@@ -28,6 +33,7 @@ from fractions import Fraction
 
 from dkequiv.builders import (
     build_cube, build_delta_bt, build_fi_input, build_fi_sharp,
+    build_finset_input, build_flinj_input,
 )
 from dkequiv.equivalence import build_kernel_module
 from dkequiv.functors import random_pointed_functor
@@ -62,8 +68,11 @@ for tag, built, dims in (("fi_sharp_3", build_fi_sharp(3), (1, 0, 2, 1)),
     with open(f"F_{tag}.json", "w") as fh:
         json.dump(fx.to_jsonable(category=f"ex/{tag}.structure.json"), fh,
                   sort_keys=True, indent=2)
-with open("fi2.base.json", "w") as fh:
-    json.dump(build_fi_input(2).to_jsonable(), fh)
+for tag, base in (("fi2", build_fi_input(2)), ("finset2", build_finset_input(2)),
+                  ("finset3", build_finset_input(3)),
+                  ("flinj2", build_flinj_input(2))):
+    with open(f"{tag}.base.json", "w") as fh:
+        json.dump(base.to_jsonable(), fh)
 # one non-identity retraction redirected to an identity
 data = build_fi_sharp(3).to_jsonable()
 m = next(k for k in data["star"] if int(k) not in set(data["identities"]))
@@ -141,6 +150,12 @@ cases() {
     run ex_cube -m dkequiv.cli example cube --size 2 --out ex
     run ex_pt -m dkequiv.cli example pt --out ex
     run ex_par -m dkequiv.cli example par --base fi2.base.json --out ex
+    for t in finset2 finset3 flinj2; do
+        run "ex_par_$t" -m dkequiv.cli example par --base "$t.base.json" --out ex
+    done
+    run ex_delta6 -m dkequiv.cli example delta_bt --size 6 --out ex
+    run ex_fi4 -m dkequiv.cli example fi_sharp --size 4 --out ex
+    run ex_cube3 -m dkequiv.cli example cube --size 3 --out ex
     for t in delta_bt_4 fi_sharp_3 cube_2 pt; do
         run "check_$t" -m dkequiv.cli check "ex/$t.structure.json" --out "check_$t.json"
     done
@@ -178,6 +193,8 @@ cases() {
     run cert_pt -m dkequiv.cli certify --name pt --seeds 3 --out cert_pt.json
     run cert_fi_file -m dkequiv.cli certify --category ex/fi_sharp_3.structure.json \
         --seeds 3 --seed 7 --out cert_fi_file.json
+    run cert_gamma3 -m dkequiv.cli certify --category ex/par_finset3.base.structure.json \
+        --seeds 3 --out cert_gamma3.json
     run roundtrip_demo "$1/scripts/roundtrip_demo.py"
     # malformed input
     run ex_bogus -m dkequiv.cli example bogus --out ex
