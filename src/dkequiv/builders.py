@@ -371,8 +371,8 @@ def build_par(inp: ParInput) -> MRStructure:
         return canonical(cat.comp[m1][p], cat.comp[f2][q])
 
     def retraction(d, c, key):
-        m, f = key
-        return canonical(f, m) if m in cat.isos() and f in inp.m_class else None
+        i, m = key
+        return canonical(m, i) if i in cat.isos() and m in inp.m_class else None
 
     spans = [canonical(m, f) for m in sorted(inp.m_class)
              for f in cat.morphisms_from(cat.dom[m])]
@@ -411,7 +411,7 @@ def build_fi_input(n_max) -> ParInput:
     and the surjective-part class is just the bijections."""
     cat, index = tuple_category(
         [str(k) for k in range(n_max + 1)],
-        lambda d, c: list(itertools.permutations(range(1, c + 1), d)),
+        lambda d, c: itertools.permutations(range(1, c + 1), d),
         compose_partial,
         lambda a: tuple(range(1, a + 1)),
     )

@@ -120,7 +120,8 @@ def test_table_category_first_ids_identity_keys_and_composable_pairs():
     assert index == {(0, 1, (0, 1, "a")): 0, (0, 0, (0, 0, "id")): 1,
                      (1, 1, (1, 1, "id")): 2}
     assert cat.identities == (1, 2)
-    assert len(calls) == 4  # of the 9 pairs, a o id_x, id_x o id_x, id_y o a, id_y o id_y
+    # of the 9 pairs: a o id_x, id_x o id_x, id_y o a and id_y o id_y
+    assert len(calls) == 4
     assert cat.check().ok
 
 
