@@ -10,6 +10,7 @@ from dkequiv.exactlin import (
     RestrictionError,
     SingularMatrixError,
     Subspace,
+    below,
     block,
     direct_sum,
     intersect_all,
@@ -439,3 +440,90 @@ def test_unit_with_zero_subspaces_raises_with_object_witness(delta3):
     with pytest.raises(TransportError) as exc:
         unit_with(km, f, zeros)
     assert exc.value.witness == {"object": 1}
+
+
+
+# -- Fraction reference for products ------------------------------------------
+
+
+def _ref_mul(a, b, n, m):
+    """The n x m product of Fraction rows a and b, summed over the whole
+    inner index, so that nothing is skipped."""
+    return [[sum((a[i][t] * b[t][j] for t in range(len(b))), Fraction(0))
+             for j in range(m)] for i in range(n)]
+
+
+def _sparse_rows(rng, nrows, ncols, density):
+    """Entries a/b with 1 <= |a| <= 6 and 1 <= b <= 4, each nonzero with
+    probability density, and about one row in eight and one column in eight
+    all zero."""
+    zero_cols = {j for j in range(ncols) if rng.randrange(8) == 0}
+    rows = []
+    for _ in range(nrows):
+        zero_row = rng.randrange(8) == 0
+        rows.append([
+            Fraction(rng.choice((-1, 1)) * rng.randint(1, 6), rng.randint(1, 4))
+            if not zero_row and j not in zero_cols and rng.random() < density
+            else Fraction(0)
+            for j in range(ncols)
+        ])
+    return rows
+
+
+def _idempotent_rows(rng, n, density):
+    """D + D N (1 - D) for a 0/1 diagonal D and a sparse N: an idempotent,
+    because (1 - D) D = 0."""
+    d = [rng.randrange(2) for _ in range(n)]
+    nn = _sparse_rows(rng, n, n, density)
+    return [[Fraction(d[i] * (int(i == j) + nn[i][j] * (1 - d[j])))
+             for j in range(n)] for i in range(n)]
+
+
+def _product_cases(count=720):
+    """Seeded pairs (a, b) of shapes n x k and k x m with n, k, m in 0..6,
+    one density per pair from 0 to 1.  One pair in three has a square
+    idempotent left factor, and half of those a right factor a x, so that
+    is_idempotent and below also meet true cases."""
+    import random
+
+    rng = random.Random(20142)
+    for c in range(count):
+        n, k, m = rng.randint(0, 6), rng.randint(0, 6), rng.randint(0, 6)
+        if c % 7 == 0:
+            k = 0
+        density = rng.choice((0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0))
+        if c % 3 == 0:
+            k = n
+            a = _idempotent_rows(rng, n, density)
+        else:
+            a = _sparse_rows(rng, n, k, density)
+        b = _sparse_rows(rng, k, m, density)
+        if c % 6 == 0:
+            b = _ref_mul(a, b, n, m)
+        yield n, k, m, a, b
+
+
+def _rep(x: QMat):
+    return x.shape, x.den, x.rows
+
+
+def test_mul_matches_fraction_reference():
+    seen = {"inner0": 0, "idem": 0, "below": 0, "dens": set()}
+    for n, k, m, a, b in _product_cases():
+        qa, qb = QMat.from_rows(a, k), QMat.from_rows(b, m)
+        want = QMat.from_rows(_ref_mul(a, b, n, m), m)
+        got = qa.mul(qb)
+        assert _rep(got) == _rep(want), (a, b)
+        if k == 0:
+            seen["inner0"] += 1
+            assert _rep(got) == _rep(QMat.zeros(n, m))
+        seen["dens"].add(got.den)
+        idem = n == k and _ref_mul(a, a, n, n) == a
+        assert is_idempotent(qa) == idem, a
+        seen["idem"] += idem
+        if n == k:
+            under = _ref_mul(a, b, n, m) == b
+            assert below(qb, qa) == under, (a, b)
+            seen["below"] += under
+    assert seen["inner0"] >= 100 and seen["idem"] >= 100 and seen["below"] >= 100
+    assert len(seen["dens"]) > 10
