@@ -102,13 +102,7 @@ class QMat:
         return all(x == 0 for row in self.rows for x in row)
 
     def is_identity(self):
-        if self.nrows != self.ncols or self.den != 1:
-            return False
-        return all(
-            x == (1 if i == j else 0)
-            for i, row in enumerate(self.rows)
-            for j, x in enumerate(row)
-        )
+        return self.nrows == self.ncols and self == QMat.identity(self.nrows)
 
     def __eq__(self, other):
         if not isinstance(other, QMat):
@@ -150,16 +144,24 @@ class QMat:
         return QMat(self.nrows, self.ncols, rows, self.den)
 
     def mul(self, other: "QMat") -> "QMat":
+        """The product, summing only the terms whose two factors are nonzero.
+
+        Entry (i, j) sums a_ik b_kj over the k with a_ik and b_kj nonzero.
+        The dense product sums over every k, and the terms it adds besides
+        have a zero factor, so every integer entry is the same (n x 0 times
+        0 x m is the zero matrix), over the same denominator self.den *
+        other.den, and QMat() reduces both to one canonical form.
+        """
         assert self.ncols == other.nrows, (
             f"cannot compose {self.shape} with {other.shape}"
         )
-        if other.nrows == 0:
-            return QMat.zeros(self.nrows, other.ncols)
-        cols = list(zip(*other.rows))
-        rows = tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-            for row in self.rows
-        )
+        right = [[(j, y) for j, y in enumerate(row) if y] for row in other.rows]
+        rows = [[0] * other.ncols for _ in self.rows]
+        for out, row in zip(rows, self.rows):
+            for a, nonzero in zip(row, right):
+                if a:
+                    for j, y in nonzero:
+                        out[j] += a * y
         return QMat(self.nrows, other.ncols, rows, self.den * other.den)
 
     def transpose(self):
