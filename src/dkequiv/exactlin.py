@@ -416,8 +416,17 @@ def below(x: QMat, y: QMat) -> bool:
     return y.mul(x) == x
 
 
-def check_idempotent_chain(idems) -> None:
-    """Check a_i a_j below a_j for i <= j; raise PreconditionViolated if not."""
+def check_idempotent_chain(idems) -> tuple[list[QMat], int]:
+    """idems as a list, and their size n, once checked to be a chain: a
+    ValueError, never an assert, when the list is empty or its matrices are
+    not all n x n; PreconditionViolated when some a_i is not idempotent or
+    some a_i a_j is not below a_j for i <= j."""
+    idems = list(idems)
+    if not idems:
+        raise ValueError("need at least one idempotent")
+    n = idems[0].nrows
+    if any(a.shape != (n, n) for a in idems):
+        raise ValueError(f"idempotents must all be {n} x {n} matrices")
     for i, a in enumerate(idems):
         if not is_idempotent(a):
             raise PreconditionViolated(i, i, f"matrix {i} is not idempotent")
@@ -425,9 +434,8 @@ def check_idempotent_chain(idems) -> None:
         for j in range(i, len(idems)):
             prod = idems[i].mul(idems[j])
             if not below(prod, idems[j]):
-                raise PreconditionViolated(
-                    i, j, f"a[{i}] a[{j}] is not below a[{j}]"
-                )
+                raise PreconditionViolated(i, j, f"a[{i}] a[{j}] is not below a[{j}]")
+    return idems, n
 
 
 def orthogonal_idempotents(idems) -> list[QMat]:
@@ -438,13 +446,7 @@ def orthogonal_idempotents(idems) -> list[QMat]:
     with the completeness and orthogonality of the output asserted.  An
     empty list or matrices not all square of one size raise ValueError.
     """
-    idems = list(idems)
-    if not idems:
-        raise ValueError("need at least one idempotent")
-    n = idems[0].nrows
-    if any(a.shape != (n, n) for a in idems):
-        raise ValueError(f"idempotents must all be {n} x {n} matrices")
-    check_idempotent_chain(idems)
+    idems, n = check_idempotent_chain(idems)
     one = QMat.identity(n)
     suffix = [one] * (len(idems) + 1)
     for k in range(len(idems) - 1, -1, -1):
@@ -452,9 +454,7 @@ def orthogonal_idempotents(idems) -> list[QMat]:
     out = [suffix[0]]
     for i, a in enumerate(idems):
         out.append((one - a).mul(suffix[i + 1]))
-    total = QMat.zeros(n, n)
-    for e in out:
-        total = total + e
+    total = sum(out[1:], out[0])
     assert total == one, "orthogonal list does not sum to the identity"
     for i in range(len(out)):
         for j in range(len(out)):
@@ -464,10 +464,8 @@ def orthogonal_idempotents(idems) -> list[QMat]:
 
 
 def meet_of_idempotents(idems) -> QMat:
-    """Meet of a chain-compatible idempotent list: their ordered product."""
-    idems = list(idems)
-    assert idems
-    check_idempotent_chain(idems)
+    """Meet of a list check_idempotent_chain accepts: their ordered product."""
+    idems, _ = check_idempotent_chain(idems)
     prod = idems[0]
     for a in idems[1:]:
         prod = prod.mul(a)

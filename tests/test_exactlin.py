@@ -210,6 +210,58 @@ def test_meet_of_idempotents():
     assert meet_of_idempotents([i3, i3]) == i3
 
 
+_BAD_IDEMPOTENT_LISTS = {
+    "empty": ([], "need at least one idempotent"),
+    "I2, I3": ([[[1, 0], [0, 1]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]],
+               "idempotents must all be 2 x 2 matrices"),
+    "I3, I2": ([[[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 0], [0, 1]]],
+               "idempotents must all be 3 x 3 matrices"),
+    "1 x 2": ([[[1, 0]]], "idempotents must all be 1 x 1 matrices"),
+    "1 x 0": ([[[]]], "idempotents must all be 1 x 1 matrices"),
+}
+
+
+def test_idempotent_lists_of_wrong_shapes_raise_value_error():
+    for fn in (orthogonal_idempotents, meet_of_idempotents):
+        for rows, message in _BAD_IDEMPOTENT_LISTS.values():
+            with pytest.raises(ValueError) as exc:
+                fn([QMat.from_rows(r) for r in rows])
+            assert str(exc.value) == message
+
+
+def test_idempotent_lists_of_wrong_shapes_raise_without_asserts():
+    """The same checks under python -O, which strips every assert."""
+    import json
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    script = (
+        "import json, sys\n"
+        "from dkequiv.exactlin import QMat, meet_of_idempotents, orthogonal_idempotents\n"
+        "for fn in (orthogonal_idempotents, meet_of_idempotents):\n"
+        "    for rows, _ in json.loads(sys.argv[1]).values():\n"
+        "        try:\n"
+        "            fn([QMat.from_rows(r) for r in rows])\n"
+        "            print('no error')\n"
+        "        except Exception as e:\n"
+        "            print(type(e).__name__, e)\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script, json.dumps(_BAD_IDEMPOTENT_LISTS)],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.stderr == ""
+    assert proc.stdout.splitlines() == [
+        f"ValueError {message}" for message in
+        [m for _, m in _BAD_IDEMPOTENT_LISTS.values()] * 2
+    ]
+
+
 @settings(max_examples=25)
 @given(mats(3, 3), mats(3, 3), mats(3, 3), mats(3, 3), mats(3, 3))
 def test_absorption_transitivity_identity(a, u, b, v, c):
