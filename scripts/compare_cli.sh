@@ -16,8 +16,9 @@
 # checkout, and copied to both sides.
 # Cases whose outcome an assert decided run again under python -O.
 # The benchmark's structures (delta_bt 6, fi_sharp 4, cube 3) are built by
-# each checkout.  `example par` on the finset bases builds Gamma_2 and
-# Gamma_3, and one case certifies Gamma_3.  One case runs each checkout's own
+# each checkout, and one case certifies fi_sharp 4 with five seeds.
+# `example par` on the finset bases builds Gamma_2 and Gamma_3, and one case
+# certifies Gamma_3.  One case runs each checkout's own
 # scripts/roundtrip_demo.py.
 set -e
 OLD=$(cd "$1" && pwd)
@@ -163,6 +164,7 @@ cases() {
         run "check_$t" -m dkequiv.cli check "$t.json" --out "check_$t.json"
     done
     run cert_fi -m dkequiv.cli certify --name fi_sharp --size 3 --seeds 5 --out cert_fi.json
+    run cert_fi4 -m dkequiv.cli certify --name fi_sharp --size 4 --seeds 5 --out cert_fi4.json
     run cert_bad -m dkequiv.cli certify --category bad_star.json --seeds 1 --out cert_bad.json
     run cert_cut78 -m dkequiv.cli certify --category cut78.json --out cert_cut78.json
     run hat -m dkequiv.cli transport hat --category ex/delta_bt_4.structure.json \
