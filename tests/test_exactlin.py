@@ -222,15 +222,7 @@ _BAD_IDEMPOTENT_LISTS = {
 
 
 def test_idempotent_lists_of_wrong_shapes_raise_value_error():
-    for fn in (orthogonal_idempotents, meet_of_idempotents):
-        for rows, message in _BAD_IDEMPOTENT_LISTS.values():
-            with pytest.raises(ValueError) as exc:
-                fn([QMat.from_rows(r) for r in rows])
-            assert str(exc.value) == message
-
-
-def test_idempotent_lists_of_wrong_shapes_raise_without_asserts():
-    """The same checks under python -O, which strips every assert."""
+    """Also under python -O, which strips every assert."""
     import json
     import os
     import subprocess
@@ -260,6 +252,11 @@ def test_idempotent_lists_of_wrong_shapes_raise_without_asserts():
         f"ValueError {message}" for message in
         [m for _, m in _BAD_IDEMPOTENT_LISTS.values()] * 2
     ]
+    for fn in (orthogonal_idempotents, meet_of_idempotents):
+        for rows, message in _BAD_IDEMPOTENT_LISTS.values():
+            with pytest.raises(ValueError) as exc:
+                fn([QMat.from_rows(r) for r in rows])
+            assert str(exc.value) == message
 
 
 @settings(max_examples=25)
@@ -492,7 +489,6 @@ def test_unit_with_zero_subspaces_raises_with_object_witness(delta3):
     with pytest.raises(TransportError) as exc:
         unit_with(km, f, zeros)
     assert exc.value.witness == {"object": 1}
-
 
 
 # -- Fraction reference for products ------------------------------------------
