@@ -271,3 +271,73 @@ def test_from_jsonable_names_the_malformed_field(delta3):
         with pytest.raises(ValueError) as exc:
             FinCat.from_jsonable(bad)
         assert str(exc.value).startswith(field + ":")
+
+
+def _exhaustive_check(cat):
+    """Reference for FinCat.check: the identity laws, then associativity
+    over every composable triple, middle factor in id order."""
+    rep = cat.check_tables()
+    if rep.structural:
+        return rep.to_jsonable()
+    comp = cat.comp
+    for f in cat.morphisms():
+        if comp[cat.identities[cat.cod[f]]][f] != f:
+            rep.add_law("id o f != f", f=f, label=cat.mor_labels[f])
+        if comp[f][cat.identities[cat.dom[f]]] != f:
+            rep.add_law("f o id != f", f=f, label=cat.mor_labels[f])
+    for g in cat.morphisms():
+        for f in cat._hom_into(cat.dom[g]):
+            for h in cat.morphisms_from(cat.cod[g]):
+                if comp[h][comp[g][f]] != comp[comp[h][g]][f]:
+                    rep.add_law("associativity violated", h=h, g=g, f=f)
+    return rep.to_jsonable()
+
+
+def _single_entry_mutants(cat, count, rng):
+    """count copies of cat, each with one composite redirected to another
+    morphism with the same endpoints, so that check_tables still passes.
+    Half redirect g o f for two non-identities, which leaves the identity
+    laws intact; half redirect id o f or f o id."""
+    ids = set(cat.identities)
+    pairs = [(g, f) for g in cat.morphisms() if g not in ids
+             for f in cat._hom_into(cat.dom[g]) if f not in ids]
+    out = []
+    while len(out) < count:
+        kind = rng.choice(["associativity", "identity"])
+        if kind == "associativity":
+            g, f = rng.choice(pairs)
+        else:
+            f = rng.randrange(cat.n_morphisms)
+            g, f = rng.choice([(cat.identities[cat.cod[f]], f),
+                               (f, cat.identities[cat.dom[f]])])
+        h = cat.comp[g][f]
+        alt = [x for x in cat.hom(cat.dom[h], cat.cod[h]) if x != h]
+        if not alt:
+            continue
+        comp = [list(row) for row in cat.comp]
+        comp[g][f] = rng.choice(alt)
+        out.append((kind, FinCat(cat.n_objects, cat.dom, cat.cod, cat.identities,
+                                 comp, cat.obj_labels, cat.mor_labels)))
+    return out
+
+
+def test_check_matches_the_exhaustive_walk(delta3, fi2, cube2):
+    """FinCat.check reports exactly what the walk over every composable
+    triple does, on the stock tables and on 360 seeded single-entry
+    mutants of them, each of which still passes check_tables."""
+    import random
+
+    rng = random.Random(11)
+    failing = {"associativity": 0, "identity": 0}
+    for base in (delta3.cat, fi2.cat, cube2.cat):
+        assert base.check().to_jsonable() == _exhaustive_check(base)
+        assert base.check().ok
+        for kind, cat in _single_entry_mutants(base, 120, rng):
+            assert cat.check_tables().ok
+            want = _exhaustive_check(cat)
+            assert cat.check().to_jsonable() == want
+            laws = {v["message"] for v in want["law"]}
+            if kind == "associativity":
+                assert laws <= {"associativity violated"}
+            failing[kind] += bool(laws)
+    assert failing["associativity"] >= 100 and failing["identity"] >= 100

@@ -349,6 +349,194 @@ def test_coend_problems_are_pinned(flipped, overrides):
     assert verify_coend_bijections(s).to_jsonable() == _coend_report(overrides)
 
 
+def _reference_coends(s):
+    """Reference for verify_coend_bijections: the right relation along every
+    isomorphism and the left one along every member of K, on pairs kept as
+    tuples, and the report read off the classes entry by entry."""
+    cat, der = s.cat, s.derived
+    zero = ("zero",)
+
+    def classes(items, unions):
+        parent = {x: x for x in items}
+
+        def find(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        for x, y in unions:
+            rx, ry = find(x), find(y)
+            if rx != ry:
+                parent[rx] = ry
+        out = {}
+        for x in parent:
+            out.setdefault(find(x), []).append(x)
+        return list(out.values())
+
+    def report(kind, source, target, parts, pointed):
+        targets = [u for u in cat.hom(source, target) if s.s_in_r(u)]
+        hit, problems = set(), []
+        for members in parts:
+            vals = {None if x == zero else cat.comp[x[0]][x[1]] for x in members}
+            if pointed:
+                vals = {v if v in targets else None for v in vals}
+            if len(vals) > 1:
+                shown = sorted(vals) if not pointed else [
+                    "zero" if v is None else v for v in sorted(vals, key=str)]
+                problems.append({"problem": "value not constant on class",
+                                 "values": shown})
+                continue
+            v = vals.pop()
+            if zero in members:
+                if v is not None:
+                    problems.append({"problem": "basepoint class has nonzero value",
+                                     "value": v})
+            elif v is None:
+                problems.append({"problem": "non-basepoint class maps to zero",
+                                 "witness": min(members)})
+            elif v not in targets:
+                problems.append({"problem": "class maps outside the target",
+                                 "value": v})
+            elif v in hit:
+                problems.append({"problem": "two classes share a value", "value": v})
+            else:
+                hit.add(v)
+        problems += [{"problem": "value not hit", "value": u}
+                     for u in targets if u not in hit]
+        count = len(parts) - pointed
+        return {"kind": kind, "source": source, "target": target,
+                "class_count": count, "target_count": len(targets),
+                "problems": problems,
+                "ok": not problems and count == len(targets)}
+
+    entries = []
+    for a in cat.objects():
+        for d in cat.objects():
+            pairs = [(m, r) for m in sorted(s.m_class) if cat.cod[m] == d
+                     for r in sorted(der.r_class)
+                     if cat.cod[r] == cat.dom[m] and cat.dom[r] == a]
+            unions = [((cat.comp[m][i], r2), (m, cat.comp[i][r2]))
+                      for m, _ in pairs for i in cat.isos_into(cat.dom[m])
+                      for r2 in sorted(der.r_class)
+                      if cat.cod[r2] == cat.dom[i] and cat.dom[r2] == a]
+            entries.append(report("right", a, d, classes(pairs, unions), False))
+    for c in cat.objects():
+        for b in cat.objects():
+            ms = [m for m in sorted(s.m_class) if cat.dom[m] == c]
+            pairs = [(g, m) for m in ms for g in cat.hom(cat.cod[m], b)]
+            unions = [
+                ((cat.comp[g][k], m),
+                 (g, cat.comp[k][m]) if cat.comp[k][m] in s.m_class else zero)
+                for m in ms for k in sorted(der.k_class) if cat.dom[k] == cat.cod[m]
+                for g in cat.hom(cat.cod[k], b)
+            ]
+            entries.append(report("left", c, b, classes(pairs + [zero], unions), True))
+    return {"entries": entries, "ok": all(e["ok"] for e in entries)}
+
+
+def _coend_preconditions(s):
+    """Whether the table is associative; whether K holds the identities and
+    is closed under composition; and whether no k in K takes a member of
+    K o M outside M back into M."""
+    cat, der = s.cat, s.derived
+    k_class = der.k_class
+    closed = set(cat.identities) <= k_class and all(
+        cat.comp[k2][k] in k_class
+        for k in k_class for k2 in k_class if cat.composable(k2, k))
+    km = {cat.comp[k][m] for m in s.m_class for k in k_class
+          if cat.composable(k, m)} - s.m_class
+    pointed = not any(cat.comp[k][x] in s.m_class
+                      for x in km for k in k_class if cat.composable(k, x))
+    return cat.check().ok, closed, pointed
+
+
+def _outcome(fn, s):
+    """fn(s), or the name of the exception it raises."""
+    try:
+        return fn(s)
+    except Exception as e:  # both sides must fail alike
+        return ("raises", type(e).__name__)
+
+
+def _coend_report_of(s):
+    return verify_coend_bijections(s).to_jsonable()
+
+
+def _coend_mutants(s, count, rng):
+    """count seeded single-entry mutants of s that pass validate: a composite
+    redirected to another morphism with the same endpoints, or an
+    embedding's retraction replaced by another retraction of it."""
+    cat = s.cat
+    out = []
+    for _ in range(100 * count):
+        if len(out) == count:
+            break
+        if rng.random() < 0.5:
+            g = rng.randrange(cat.n_morphisms)
+            f = rng.choice(cat._hom_into(cat.dom[g]))
+            h = cat.comp[g][f]
+            alt = [x for x in cat.hom(cat.dom[h], cat.cod[h]) if x != h]
+            if not alt:
+                continue
+            comp = [list(row) for row in cat.comp]
+            comp[g][f] = rng.choice(alt)
+            mutant = MRStructure(FinCatMutation(cat, comp, s).cat, s.m_class, s.star)
+        else:
+            m = rng.choice(sorted(s.m_class))
+            alt = [x for x in cat.hom(cat.cod[m], cat.dom[m])
+                   if x != s.star[m] and cat.comp[x][m] == cat.identity(cat.dom[m])]
+            if not alt:
+                continue
+            mutant = MRStructure(cat, s.m_class, {**s.star, m: rng.choice(alt)})
+        if mutant.validate().ok:
+            out.append(mutant)
+    return out
+
+
+def test_coend_bijections_match_the_reference():
+    """verify_coend_bijections reports what the relations along every
+    isomorphism and every member of K give, on the stock structures of size
+    at most 3, Gamma_2 and Gamma_3, seeded mutants that pass validate, and
+    structures on which each precondition of the reduced left comparison
+    fails alone: a non-associative table, a K that is not closed, and a
+    K-action that is not pointed-functorial."""
+    import random
+
+    from dkequiv.builders import BUILDERS, build_finset_input, build_par
+
+    rng = random.Random(5)
+    cases = [build_pt()]
+    cases += [BUILDERS[name][0](n) for name in ("delta_bt", "fi_sharp", "cube")
+              for n in range(BUILDERS[name][1], 4)]
+    cases += [build_par(build_finset_input(n)) for n in (2, 3)]
+    for base in cases[:]:
+        if base.cat.n_morphisms <= 40:
+            cases += _coend_mutants(base, 12, rng)
+    # a retraction replaced by a morphism that is not one: K is not closed
+    cube2 = build_cube(2)
+    for _ in range(200):
+        m = rng.choice(sorted(cube2.m_class))
+        bad = MRStructure(cube2.cat, cube2.m_class, {
+            **cube2.star, m: rng.choice(cube2.cat.hom(cube2.cat.cod[m],
+                                                      cube2.cat.dom[m]))})
+        if (_coend_preconditions(bad) == (True, False, True)
+                and "entries" in _outcome(_reference_coends, bad)):
+            cases.append(bad)
+            break
+    # a 3-cycle dropped from the embeddings: its inverse in K o M leaves M
+    # and the 3-cycle in K brings it back
+    fi3 = build_fi_sharp(3)
+    cycle = fi3.cat.mor_labels.index("3,1,2")
+    kept = fi3.m_class - {cycle}
+    cases.append(MRStructure(fi3.cat, kept, {m: fi3.star[m] for m in kept}))
+    seen = set()
+    for s in cases:
+        seen.add(_coend_preconditions(s))
+        assert _outcome(_coend_report_of, s) == _outcome(_reference_coends, s)
+    assert {(True, True, True), (False, True, True), (True, False, True),
+            (True, True, False)} <= seen
+
+
 def test_restricted_structure_has_iso_irreducibles(fi3, delta4, cube2):
     # restricting to embedding-after-retraction composites collapses the
     # irreducible class to the isomorphisms
