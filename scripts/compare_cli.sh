@@ -15,8 +15,10 @@
 # and the malformed files of the exit-3 cases) are written once, by the old
 # checkout, and copied to both sides.
 # Cases whose outcome an assert decided run again under python -O.
-# The benchmark's structures (delta_bt 6, fi_sharp 4, cube 3) are built by
-# each checkout, and one case certifies fi_sharp 4 with five seeds.
+# The benchmark's structures (delta_bt 6, fi_sharp 4, cube 3) are built and
+# checked by each checkout, and one case certifies fi_sharp 4 with five seeds.
+# One check case reads fi_sharp 3 with a single composite redirected, which
+# breaks associativity only, so the full list of violated triples is compared.
 # `example par` on the finset bases builds Gamma_2 and Gamma_3, and one case
 # certifies Gamma_3.  One case runs each checkout's own
 # scripts/roundtrip_demo.py.
@@ -90,6 +92,18 @@ for tag, s, extra in (
     ms = s.cat.isos() | extra
     with open(f"{tag}.json", "w") as fh:
         fh.write(MRStructure(s.cat, ms, {k: s.star[k] for k in ms}).to_json())
+# the first composite of two non-identities of fi_sharp 3 redirected to the
+# next morphism with its endpoints: the identity laws hold, associativity not
+data = build_fi_sharp(3).to_jsonable()
+ids = set(data["identities"])
+ends = [(m["dom"], m["cod"]) for m in data["morphisms"]]
+u, v, w = next((u, v, w) for u, row in enumerate(data["comp"]) if u not in ids
+               for v, w in enumerate(row) if w != -1 and v not in ids
+               and ends.count(ends[w]) > 1)
+data["comp"][u][v] = next(x % len(ends) for x in range(w + 1, w + len(ends))
+                          if ends[x % len(ends)] == ends[w])
+with open("assoc_only.json", "w") as fh:
+    json.dump(data, fh)
 
 
 def write(name, data):
@@ -157,10 +171,10 @@ cases() {
     run ex_delta6 -m dkequiv.cli example delta_bt --size 6 --out ex
     run ex_fi4 -m dkequiv.cli example fi_sharp --size 4 --out ex
     run ex_cube3 -m dkequiv.cli example cube --size 3 --out ex
-    for t in delta_bt_4 fi_sharp_3 cube_2 pt; do
+    for t in delta_bt_4 fi_sharp_3 cube_2 pt delta_bt_6 fi_sharp_4 cube_3; do
         run "check_$t" -m dkequiv.cli check "ex/$t.structure.json" --out "check_$t.json"
     done
-    for t in bad_star cut1 cut78 cut_delta3 cut_cube1; do
+    for t in bad_star cut1 cut78 cut_delta3 cut_cube1 assoc_only; do
         run "check_$t" -m dkequiv.cli check "$t.json" --out "check_$t.json"
     done
     run cert_fi -m dkequiv.cli certify --name fi_sharp --size 3 --seeds 5 --out cert_fi.json

@@ -768,7 +768,7 @@ class CoendReport:
         return {"entries": [e.to_jsonable() for e in self.entries], "ok": self.ok}
 
 
-_ZERO = ("zero",)  # the left comparison's basepoint, valued at zero
+_ZERO = -1  # the left comparison's basepoint; a pair (x, y) is keyed x * n + y
 
 
 def _bijection_report(kind, source, target, classes, comp, targets, basepoint=None):
@@ -781,11 +781,12 @@ def _bijection_report(kind, source, target, classes, comp, targets, basepoint=No
     outside targets is zero, the basepoint class must map to zero and no other
     class may.
     """
+    n = len(comp)
     inside = set(targets)
     hit = set()
     problems = []
     for root, members in classes.items():
-        vals = {None if x == _ZERO else comp[x[0]][x[1]] for x in members}
+        vals = {None if x == _ZERO else comp[x // n][x % n] for x in members}
         if basepoint is not None:
             vals = {v if v in inside else None for v in vals}
         if len(vals) > 1:
@@ -805,7 +806,7 @@ def _bijection_report(kind, source, target, classes, comp, targets, basepoint=No
         elif v is None:
             problems.append(
                 {"problem": "non-basepoint class maps to zero",
-                 "witness": sorted(members)[0]}
+                 "witness": divmod(min(members), n)}
             )
         elif v not in inside:
             problems.append(
@@ -821,6 +822,38 @@ def _bijection_report(kind, source, target, classes, comp, targets, basepoint=No
     return CoendPairReport(kind, source, target, count, len(targets), problems)
 
 
+def _left_generators(s, der):
+    """The members of K along which the left comparison identifies pairs:
+    generating_set(K), when the table is associative, K holds the identities
+    and is closed under composition, and no generator k takes an x in
+    K o M outside M back into M; all of K otherwise.
+
+    Both give the same classes.  The relation along generators is part of
+    the one along K.  Conversely, every k in K is an identity, whose pairs
+    are already equal, or k = k1 o k2 with k1 a generator and k2 in K a
+    shorter composite of generators; by induction (g o k2, m) is identified
+    with (g, k2 o m) or with zero.  If k2 o m is in M, the generator k1
+    identifies (g o k, m) = ((g o k1) o k2, m) ~ (g o k1, k2 o m) with
+    (g, k1 o (k2 o m)) = (g, k o m), or with zero when k o m is not in M.
+    If k2 o m is not in M, then (g o k, m) ~ zero, and k o m = k1 o (k2 o m)
+    is not in M either, since k2 o m is in K o M; so the relation along K
+    also sends the pair to zero.
+    """
+    cat = s.cat
+    k_class = der.k_class
+    if not (cat.check().ok and set(cat.identities) <= k_class
+            and next(_closure_witnesses(s, der), None) is None):
+        return sorted(k_class)
+    gens = cat.generating_set(k_class)
+    k_by_dom = group_by(sorted(k_class), cat.dom)
+    km = {cat.comp[k][m] for m in s.m_class for k in k_by_dom.get(cat.cod[m], ())}
+    km_by_cod = group_by(km - s.m_class, cat.cod)
+    if any(cat.comp[k][x] in s.m_class
+           for k in gens for x in km_by_cod.get(cat.dom[k], ())):
+        return sorted(k_class)
+    return gens
+
+
 def verify_coend_bijections(s: MRStructure) -> CoendReport:
     """Check the two colimit comparison maps that reduce the transport
     problem to the embedding-after-retraction subcategory.
@@ -829,16 +862,20 @@ def verify_coend_bijections(s: MRStructure) -> CoendReport:
     by union-find over their generating relations, and _bijection_report
     checks the induced map onto {u : s_part(u) irreducible}: a bijection on
     the right, a bijection of pointed sets on the left, whose fall-to-zero
-    identifications make a basepoint class.  Problems carry witnesses.
+    identifications make a basepoint class.  The left relation runs along
+    _left_generators, which gives the classes of the relation along all of
+    K.  Problems carry witnesses.
     """
     cat = s.cat
     der = s.derived
+    comp = cat.comp
+    n = cat.n_morphisms
     entries = []
     m_sorted = sorted(s.m_class)
     m_by_cod = group_by(m_sorted, cat.cod)
     m_by_dom = group_by(m_sorted, cat.dom)
     r_by_cod = group_by(sorted(der.r_class), cat.cod)
-    k_by_dom = group_by(sorted(der.k_class), cat.dom)
+    isos_into = {c: cat.isos_into(c) for c in cat.objects()}
 
     def target_set(a, b):
         return [u for u in cat.hom(a, b) if s.s_in_r(u)]
@@ -846,47 +883,42 @@ def verify_coend_bijections(s: MRStructure) -> CoendReport:
     # right comparison: pairs (embedding m, irreducible r) composing to D,
     # identified along the isomorphism action on the middle object
     for a in cat.objects():
+        r_into = {c: [r for r in rs if cat.dom[r] == a] for c, rs in r_by_cod.items()}
         for d in cat.objects():
-            pairs = []
+            pairs, ms = [], []
             for m in m_by_cod.get(d, ()):
-                for r in r_by_cod.get(cat.dom[m], ()):
-                    if cat.dom[r] == a:
-                        pairs.append((m, r))
+                rs = r_into.get(cat.dom[m], ())
+                pairs += [m * n + r for r in rs]
+                if rs:
+                    ms.append(m)
             dsu = _DSU(pairs)
-            for (m, r) in pairs:
-                c = cat.dom[m]
-                for i in cat.isos_into(c):
+            for m in ms:
+                for i in isos_into[cat.dom[m]]:
                     # (m o i, r') ~ (m, i o r') for r' into the source of i
-                    mi = cat.comp[m][i]
-                    for r2 in r_by_cod.get(cat.dom[i], ()):
-                        if cat.dom[r2] == a:
-                            dsu.union((mi, r2), (m, cat.comp[i][r2]))
+                    mi = comp[m][i] * n
+                    for r2 in r_into.get(cat.dom[i], ()):
+                        dsu.union(mi + r2, m * n + comp[i][r2])
             entries.append(_bijection_report(
-                "right", a, d, dsu.classes(), cat.comp, target_set(a, d)
+                "right", a, d, dsu.classes(), comp, target_set(a, d)
             ))
 
     # left comparison: pairs (any g, embedding m) through a middle object,
     # identified along the embedding-after-retraction subcategory including
     # the fall-to-zero identifications
+    k_by_dom = group_by(_left_generators(s, der), cat.dom)
     for c in cat.objects():
         for b in cat.objects():
-            pairs = []
-            for m in m_by_dom.get(c, ()):
-                for g in cat.hom(cat.cod[m], b):
-                    pairs.append((g, m))
+            pairs = [g * n + m for m in m_by_dom.get(c, ())
+                     for g in cat.hom(cat.cod[m], b)]
             dsu = _DSU(pairs + [_ZERO])
             for m in m_by_dom.get(c, ()):
-                d0 = cat.cod[m]
-                for k in k_by_dom.get(d0, ()):
-                    km = cat.comp[k][m]
+                for k in k_by_dom.get(cat.cod[m], ()):
+                    km = comp[k][m] if comp[k][m] in s.m_class else None
                     for g in cat.hom(cat.cod[k], b):
-                        gk = cat.comp[g][k]
-                        if km in s.m_class:
-                            dsu.union((gk, m), (g, km))
-                        else:
-                            dsu.union((gk, m), _ZERO)
+                        dsu.union(comp[g][k] * n + m,
+                                  _ZERO if km is None else g * n + km)
             entries.append(_bijection_report(
-                "left", c, b, dsu.classes(), cat.comp, target_set(c, b),
+                "left", c, b, dsu.classes(), comp, target_set(c, b),
                 basepoint=dsu.find(_ZERO),
             ))
 

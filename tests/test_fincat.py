@@ -200,25 +200,50 @@ def test_json_round_trip_bit_exact(delta3, fi2):
     assert data["comp"] == [[0]]
 
 
+def _closure(cat, gens):
+    """Every morphism the identities and gens reach under composition."""
+    reached = set(cat.identities) | set(gens)
+    while True:
+        new = {cat.comp[g][f] for g in reached for f in reached
+               if cat.composable(g, f)} - reached
+        if not new:
+            return reached
+        reached |= new
+
+
 def test_generating_set_on_zero_completion(km_delta4):
-    # on the zero completion of the ordinal category the non-decomposables
-    # are exactly the collapse maps, one per level, and they generate
+    # on the zero completion of the ordinal category the collapse maps, one
+    # per level, are composites of no two non-identities, so every
+    # generating set holds them; this one reaches every morphism
     d = km_delta4.d
     cat = d.cat
-    gens = set(cat.generating_set())
+    gens = cat.generating_set()
     labels = {cat.mor_labels[g] for g in gens}
-    assert labels == {"0,0", "0,0,1", "0,0,1,2"}
-    reached = set(cat.identities) | gens
-    reached |= {f for f in cat.morphisms() if d.is_zero(f)}
-    changed = True
-    while changed:
-        changed = False
-        for g in sorted(reached):
-            for f in cat._hom_into(cat.dom[g]):
-                if f in reached and cat.comp[g][f] not in reached:
-                    reached.add(cat.comp[g][f])
-                    changed = True
-    assert reached == set(cat.morphisms())
+    assert {"0,0", "0,0,1", "0,0,1,2"} <= labels
+    assert _closure(cat, gens) == set(cat.morphisms())
+
+
+def test_generating_set_reaches_every_morphism(fi4, cube3):
+    """On each stock structure and on Gamma_3 the generators and the
+    identities reach every morphism, and none is an identity; the sizes are
+    pinned for the benchmark's three structures (462, 499 and 191
+    morphisms)."""
+    from dkequiv.builders import (
+        build_delta_bt, build_finset_input, build_par, build_pt,
+    )
+
+    for s, most in ((build_delta_bt(6), 83), (fi4, 58), (cube3, 47),
+                    (build_pt(), None), (build_par(build_finset_input(3)), None)):
+        cat = s.cat
+        gens = cat.generating_set()
+        assert not set(gens) & set(cat.identities)
+        assert _closure(cat, gens) == set(cat.morphisms())
+        if most is not None:
+            assert len(gens) <= most
+        # restricted to a subcategory, it reaches the subcategory
+        k_gens = cat.generating_set(s.derived.k_class)
+        assert set(k_gens) <= s.derived.k_class
+        assert _closure(cat, k_gens) == set(s.derived.k_class)
 
 
 def _walk_tables(cat):

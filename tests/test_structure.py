@@ -493,13 +493,13 @@ def _coend_mutants(s, count, rng):
     return out
 
 
-def test_coend_bijections_match_the_reference():
-    """verify_coend_bijections reports what the relations along every
-    isomorphism and every member of K give, on the stock structures of size
-    at most 3, Gamma_2 and Gamma_3, seeded mutants that pass validate, and
-    structures on which each precondition of the reduced left comparison
-    fails alone: a non-associative table, a K that is not closed, and a
-    K-action that is not pointed-functorial."""
+@pytest.fixture(scope="module")
+def coend_cases():
+    """The stock structures of size at most 3, Gamma_2 and Gamma_3, seeded
+    mutants of them that pass validate, and structures on which each
+    precondition of the reduced left comparison fails alone: a
+    non-associative table, a K that is not closed, a K that misses an
+    identity, and a K-action that is not pointed-functorial."""
     import random
 
     from dkequiv.builders import BUILDERS, build_finset_input, build_par
@@ -523,18 +523,43 @@ def test_coend_bijections_match_the_reference():
                 and "entries" in _outcome(_reference_coends, bad)):
             cases.append(bad)
             break
+    # the retraction of the identity of the middle object of cube 2 replaced
+    # by the idempotent 0,2,2: K is closed but misses that identity
+    labels = cube2.cat.mor_labels
+    cases.append(MRStructure(cube2.cat, cube2.m_class, {
+        **cube2.star, cube2.cat.identity(1): labels.index("0,2,2")}))
     # a 3-cycle dropped from the embeddings: its inverse in K o M leaves M
     # and the 3-cycle in K brings it back
     fi3 = build_fi_sharp(3)
     cycle = fi3.cat.mor_labels.index("3,1,2")
     kept = fi3.m_class - {cycle}
     cases.append(MRStructure(fi3.cat, kept, {m: fi3.star[m] for m in kept}))
-    seen = set()
-    for s in cases:
-        seen.add(_coend_preconditions(s))
-        assert _outcome(_coend_report_of, s) == _outcome(_reference_coends, s)
+    seen = {_coend_preconditions(s) for s in cases}
     assert {(True, True, True), (False, True, True), (True, False, True),
             (True, True, False)} <= seen
+    return cases
+
+
+def test_coend_bijections_match_the_reference(coend_cases):
+    """verify_coend_bijections reports what the relations along every
+    isomorphism and every member of K give, on every case of coend_cases."""
+    for s in coend_cases:
+        assert _outcome(_coend_report_of, s) == _outcome(_reference_coends, s)
+
+
+def test_left_generators_only_when_the_preconditions_hold(coend_cases):
+    """The left comparison runs along generating_set(K) exactly when the
+    table is associative, K holds the identities and is closed, and the
+    K-action is pointed-functorial; along all of K otherwise.  Once the
+    first two hold, pointed functoriality on generators is the same as on K,
+    so the test-side check over all of K decides it."""
+    from dkequiv.structure import _left_generators
+
+    for s in coend_cases:
+        k_class = s.derived.k_class
+        want = (s.cat.generating_set(k_class) if all(_coend_preconditions(s))
+                else sorted(k_class))
+        assert _left_generators(s, s.derived) == want
 
 
 def test_restricted_structure_has_iso_irreducibles(fi3, delta4, cube2):
