@@ -458,9 +458,6 @@ def _outcome(fn, s):
         return ("raises", type(e).__name__)
 
 
-def _coend_report_of(s):
-    return verify_coend_bijections(s).to_jsonable()
-
 
 def _coend_mutants(s, count, rng):
     """count seeded single-entry mutants of s that pass validate: a composite
@@ -544,7 +541,8 @@ def test_coend_bijections_match_the_reference(coend_cases):
     """verify_coend_bijections reports what the relations along every
     isomorphism and every member of K give, on every case of coend_cases."""
     for s in coend_cases:
-        assert _outcome(_coend_report_of, s) == _outcome(_reference_coends, s)
+        got = _outcome(lambda x: verify_coend_bijections(x).to_jsonable(), s)
+        assert got == _outcome(_reference_coends, s)
 
 
 def test_left_generators_only_when_the_preconditions_hold(coend_cases):
