@@ -95,7 +95,7 @@ class FinCat:
             self._hom.setdefault((self.dom[f], self.cod[f]), []).append(f)
             self._into[self.cod[f]].append(f)
             self._outof[self.dom[f]].append(f)
-        self._isos = None
+        self._isos = self._report = self._gens = None
 
     # -- basics ------------------------------------------------------------
 
@@ -146,7 +146,14 @@ class FinCat:
         = ((h o a) o b) o f = (h o (a o b)) o f, so a o b is good; and the
         generators and identities reach every morphism under composition.
         On any failure every triple is walked, so the report is the walk's.
+        The tables are tuples, so one report, computed on the first call,
+        serves every call.
         """
+        if self._report is None:
+            self._report = self._check()
+        return self._report
+
+    def _check(self):
         rep = self.check_tables()
         if rep.structural:
             return rep
@@ -281,9 +288,14 @@ class FinCat:
         every member, since each member is either reached or taken.  The
         reached set stays closed: each morphism, when its turn comes, is
         composed on both sides with every morphism reached by then.
+        The set of all morphisms' generators is computed once per table.
         """
+        if members is None:
+            if self._gens is None:
+                self._gens = self.generating_set(self.morphisms())
+            return list(self._gens)
         comp, into, outof = self.comp, self._into, self._outof
-        order = self.morphisms() if members is None else sorted(members)
+        order = sorted(members)
         reached, gens = set(), []
         for x in [*self.identities, *order]:
             if x in reached:
