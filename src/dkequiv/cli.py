@@ -7,7 +7,8 @@ and seed produce byte-identical files.
 
 Whether an input is malformed is decided by the from_jsonable parsers and
 by the library's checks of argument values; _load reads every input file,
-and main is the one place where an exception becomes an exit code.
+_dump writes every output file, and main is the one place where an
+exception becomes an exit code.
 """
 
 from __future__ import annotations
@@ -48,8 +49,13 @@ class MalformedInput(ValueError):
 
 
 def _dump(path: Path, data) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(data, sort_keys=True, indent=2) + "\n")
+    """Write data as JSON to path, making its directory; a path that cannot
+    be written is malformed input."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps(data, sort_keys=True, indent=2) + "\n")
+    except OSError as e:
+        raise MalformedInput(f"cannot write {path}: {e}") from e
 
 
 def _fail(code, message, witness=None):

@@ -494,6 +494,31 @@ def test_certify_bimodule_law_failure_exits_2_without_asserts(tmp_path):
     assert json.loads(second)["witness"] == [["identity", 0]]
 
 
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_unwritable_out_exits_3(tmp_path, flags):
+    """An --out that cannot be written, a directory where a file goes or a
+    file where a directory goes, is malformed input: one error object,
+    exit 3 and no traceback, also when python -O strips asserts."""
+    spath = tmp_path / "delta_bt_3.json"
+    spath.write_text(build_delta_bt(3).to_json())
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    for argv, target in (
+        (["check", str(spath), "--out", str(tmp_path)], tmp_path),
+        (["certify", "--seeds", "1", "--out", str(tmp_path)], tmp_path),
+        (["example", "fi_sharp", "--size", "2", "--out", str(a_file)],
+         a_file / "fi_sharp_2.structure.json"),
+    ):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "dkequiv.cli", *argv],
+            capture_output=True, text=True, env=_env_with_src(),
+        )
+        assert (proc.returncode, proc.stderr) == (3, ""), argv
+        out = json.loads(proc.stdout)
+        assert out["error"].startswith(f"cannot write {target}: "), argv
+        assert out["witness"] is None
+
 def test_example_par_base_not_a_category_exits_3(tmp_path, capsys):
     inp = build_fi_input(2)
     cat = inp.cat
