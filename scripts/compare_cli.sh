@@ -15,8 +15,9 @@
 # and the malformed files of the exit-3 cases) are written once, by the old
 # checkout, and copied to both sides.
 # Cases whose outcome an assert decided run again under python -O.
-# The benchmark's structures (delta_bt 6, fi_sharp 4, cube 3) are built and
-# checked by each checkout, and one case certifies fi_sharp 4 with five seeds.
+# The benchmark's structures (delta_bt 6, fi_sharp 4, cube 3) are built,
+# checked and certified by each checkout: fi_sharp 4 with five seeds,
+# delta_bt 6 and cube 3 with two.
 # One check case reads fi_sharp 3 with a single composite redirected, which
 # breaks associativity only, so the full list of violated triples is compared.
 # `example par` on the finset bases builds Gamma_2 and Gamma_3, and one case
@@ -179,6 +180,9 @@ cases() {
     done
     run cert_fi -m dkequiv.cli certify --name fi_sharp --size 3 --seeds 5 --out cert_fi.json
     run cert_fi4 -m dkequiv.cli certify --name fi_sharp --size 4 --seeds 5 --out cert_fi4.json
+    run cert_delta6 -m dkequiv.cli certify --name delta_bt --size 6 --seeds 2 \
+        --out cert_delta6.json
+    run cert_cube3 -m dkequiv.cli certify --name cube --size 3 --seeds 2 --out cert_cube3.json
     run cert_bad -m dkequiv.cli certify --category bad_star.json --seeds 1 --out cert_bad.json
     run cert_cut78 -m dkequiv.cli certify --category cut78.json --out cert_cut78.json
     run hat -m dkequiv.cli transport hat --category ex/delta_bt_4.structure.json \
