@@ -6,9 +6,9 @@ failure (an axiom or certificate violation, with a witness in the output),
 and seed produce byte-identical files.
 
 Whether an input is malformed is decided by the from_jsonable parsers and
-by the library's checks of argument values; _load reads every input file,
-_dump writes every output file, and main is the one place where an
-exception becomes an exit code.
+by the library's checks of argument values.  _load reads every input file
+and _dump writes every output file, each raising MalformedInput when it
+cannot; main is the one place where an exception becomes an exit code.
 """
 
 from __future__ import annotations
@@ -49,8 +49,6 @@ class MalformedInput(ValueError):
 
 
 def _dump(path: Path, data) -> None:
-    """Write data as JSON to path, making its directory; a path that cannot
-    be written is malformed input."""
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(json.dumps(data, sort_keys=True, indent=2) + "\n")

@@ -74,9 +74,8 @@ class KernelModule:
         The general law factors through the identity laws, the two
         one-variable composition laws, and the interchange law; together
         these force the two-sided law for arbitrary composites.  Each is
-        walked over every instance, except the covariant law when
-        _right_law_holds vouches for it, in which case that walk would
-        report nothing.
+        walked over every instance, the covariant law only when
+        _right_law_holds cannot vouch for it.
         """
         s = self.structure
         cat = s.cat
@@ -145,21 +144,16 @@ class KernelModule:
         return problems
 
     def _right_law_holds(self, elems):
-        """Whether cat.check() passes and no generator g in generating_set()
-        takes a t in X = (C o E) - E into E, where E is elems, the morphisms
-        u with s_in_r[u].  If so, the covariant law holds at every
-        (f, f1, u).
-
-        With the table associative, (f1 o f) o u = f1 o t for t = f o u, so
-        the law at (f, f1, u) holds when t is in E and otherwise asks that
-        f1 o t not be in E.  As f1 o t is in C o E, the law holds exactly
-        when every f1 maps X into X; call such an f1 good.  Identities are
-        good by the identity laws.  If a and b are good, so is a o b, as
-        (a o b) o t = a o (b o t).  The identities and generators reach
-        every morphism under composition, so every morphism is good once
-        every generator is (Light's good-set argument, as in FinCat.check).
-        When this returns False, validate walks every instance, so its
-        report is the walk's either way.
+        """Whether cat.check() passes and no generator g takes a t in
+        X = (C o E) - E into E, E being elems, the u with s_in_r[u].  Then
+        the covariant law holds at every (f, f1, u), by Light's good-set
+        argument as in FinCat.check.  With the table associative, the law
+        at (f, f1, u) holds when t = f o u is in E, and otherwise asks that
+        f1 o t = (f1 o f) o u, which is in C o E, lie in X.  Call f1 good if
+        it maps X into X.  Identities are good, and a o b is good when a and
+        b are, as (a o b) o t = a o (b o t); the identities and generators
+        reach every morphism under composition.  When this is False,
+        validate walks every instance, so its report is the walk's.
         """
         cat = self.structure.cat
         if not cat.check().ok:

@@ -146,8 +146,7 @@ class FinCat:
         = ((h o a) o b) o f = (h o (a o b)) o f, so a o b is good; and the
         generators and identities reach every morphism under composition.
         On any failure every triple is walked, so the report is the walk's.
-        The tables are tuples, so one report, computed on the first call,
-        serves every call.
+        The tables are tuples, so one report serves every call.
         """
         if self._report is None:
             self._report = self._check()
