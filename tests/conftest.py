@@ -7,6 +7,8 @@ from dkequiv.builders import (
     build_pt,
 )
 from dkequiv.equivalence import build_kernel_module
+from dkequiv.fincat import FinCat
+from dkequiv.structure import MRStructure
 
 
 @pytest.fixture(scope="session")
@@ -82,3 +84,43 @@ def km_cube3(cube3):
 @pytest.fixture(scope="session")
 def km_pt(pt):
     return build_kernel_module(pt)
+
+
+def _single_entry_mutants(s, count, rng, accept):
+    """count seeded single-entry mutants of s that accept passes: a
+    composite redirected to another morphism with the same endpoints, or an
+    embedding's retraction replaced by another retraction of it."""
+    cat = s.cat
+    out = []
+    for _ in range(100 * count):
+        if len(out) == count:
+            break
+        if rng.random() < 0.5:
+            g = rng.randrange(cat.n_morphisms)
+            f = rng.choice(cat._hom_into(cat.dom[g]))
+            h = cat.comp[g][f]
+            alt = [x for x in cat.hom(cat.dom[h], cat.cod[h]) if x != h]
+            if not alt:
+                continue
+            comp = [list(row) for row in cat.comp]
+            comp[g][f] = rng.choice(alt)
+            table = FinCat(cat.n_objects, cat.dom, cat.cod, cat.identities, comp,
+                           cat.obj_labels, cat.mor_labels)
+            mutant = MRStructure(table, s.m_class, s.star)
+        else:
+            m = rng.choice(sorted(s.m_class))
+            alt = [x for x in cat.hom(cat.cod[m], cat.dom[m])
+                   if x != s.star[m] and cat.comp[x][m] == cat.identity(cat.dom[m])]
+            if not alt:
+                continue
+            mutant = MRStructure(cat, s.m_class, {**s.star, m: rng.choice(alt)})
+        if accept(mutant):
+            out.append(mutant)
+    return out
+
+
+@pytest.fixture(scope="session")
+def single_entry_mutants():
+    """The seeded single-entry mutant generator
+    single_entry_mutants(s, count, rng, accept)."""
+    return _single_entry_mutants

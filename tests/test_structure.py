@@ -458,40 +458,8 @@ def _outcome(fn, s):
         return ("raises", type(e).__name__)
 
 
-
-def _coend_mutants(s, count, rng):
-    """count seeded single-entry mutants of s that pass validate: a composite
-    redirected to another morphism with the same endpoints, or an
-    embedding's retraction replaced by another retraction of it."""
-    cat = s.cat
-    out = []
-    for _ in range(100 * count):
-        if len(out) == count:
-            break
-        if rng.random() < 0.5:
-            g = rng.randrange(cat.n_morphisms)
-            f = rng.choice(cat._hom_into(cat.dom[g]))
-            h = cat.comp[g][f]
-            alt = [x for x in cat.hom(cat.dom[h], cat.cod[h]) if x != h]
-            if not alt:
-                continue
-            comp = [list(row) for row in cat.comp]
-            comp[g][f] = rng.choice(alt)
-            mutant = MRStructure(FinCatMutation(cat, comp, s).cat, s.m_class, s.star)
-        else:
-            m = rng.choice(sorted(s.m_class))
-            alt = [x for x in cat.hom(cat.cod[m], cat.dom[m])
-                   if x != s.star[m] and cat.comp[x][m] == cat.identity(cat.dom[m])]
-            if not alt:
-                continue
-            mutant = MRStructure(cat, s.m_class, {**s.star, m: rng.choice(alt)})
-        if mutant.validate().ok:
-            out.append(mutant)
-    return out
-
-
 @pytest.fixture(scope="module")
-def coend_cases():
+def coend_cases(single_entry_mutants):
     """The stock structures of size at most 3, Gamma_2 and Gamma_3, seeded
     mutants of them that pass validate, and structures on which each
     precondition of the reduced left comparison fails alone: a
@@ -508,7 +476,7 @@ def coend_cases():
     cases += [build_par(build_finset_input(n)) for n in (2, 3)]
     for base in cases[:]:
         if base.cat.n_morphisms <= 40:
-            cases += _coend_mutants(base, 12, rng)
+            cases += single_entry_mutants(base, 12, rng, lambda x: x.validate().ok)
     # a retraction replaced by a morphism that is not one: K is not closed
     cube2 = build_cube(2)
     for _ in range(200):
