@@ -1,7 +1,7 @@
 """Exact rational matrices and subspaces.
 
-Everything here is over Q with zero tolerance: a matrix is stored as an
-integer array together with one positive common denominator, kept in a
+Everything here is over Q with zero tolerance: a matrix stores only its
+nonzero entries, as integers over one positive common denominator, in a
 canonical reduced form so that equality of values is equality of the
 representation.  Degenerate shapes (0 x n, n x 0) are legal everywhere.
 """
@@ -9,6 +9,7 @@ representation.  Degenerate shapes (0 x n, n x 0) are legal everywhere.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm
 
 
@@ -42,138 +43,148 @@ def _as_fraction(x) -> Fraction:
 
 
 class QMat:
-    """Immutable exact rational matrix: integer entries over one denominator."""
+    """Immutable exact rational matrix: sparse integer rows over one denominator.
 
-    __slots__ = ("nrows", "ncols", "den", "rows")
+    sparse[i] holds row i's nonzero entries as (column, integer) pairs by
+    ascending column, over den > 0, with gcd(den, entries) = 1: a unique form.
+    """
 
-    def __init__(self, nrows, ncols, rows, den=1):
+    __slots__ = ("nrows", "ncols", "den", "sparse")
+
+    def __init__(self, nrows, ncols, sparse, den=1):
         assert nrows >= 0 and ncols >= 0 and den > 0
-        self.nrows = nrows
-        self.ncols = ncols
-        g = den
-        for row in rows:
+        self.nrows, self.ncols = nrows, ncols
+        sparse, g = tuple(sparse), den
+        for row in sparse:
             if g == 1:
                 break
-            g = gcd(g, *row)
+            g = gcd(g, *[x for _, x in row])
         if g > 1:
-            rows = tuple(tuple(x // g for x in row) for row in rows)
+            sparse = tuple(tuple((j, x // g) for j, x in row) for row in sparse)
             den //= g
-        else:
-            rows = tuple(tuple(row) for row in rows)
-        self.rows = rows
+        self.sparse = sparse
         self.den = den
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def from_rows(cls, rows, ncols=None):
+        """The matrix of dense rows of ints, Fractions or fraction strings."""
         rows = [[_as_fraction(x) for x in row] for row in rows]
-        nrows = len(rows)
         if ncols is None:
             ncols = len(rows[0]) if rows else 0
         if any(len(row) != ncols for row in rows):
             raise ValueError(f"rows of a matrix with {ncols} columns differ in length")
         den = lcm(*(x.denominator for row in rows for x in row))
-        ints = tuple(
-            tuple(x.numerator * (den // x.denominator) for x in row) for row in rows
-        )
-        return cls(nrows, ncols, ints, den)
+        return cls(len(rows), ncols, [
+            tuple((j, x.numerator * (den // x.denominator))
+                  for j, x in enumerate(row) if x) for row in rows
+        ], den)
 
     @classmethod
     def zeros(cls, nrows, ncols):
-        row = (0,) * ncols
-        return cls(nrows, ncols, (row,) * nrows)
+        return cls(nrows, ncols, ((),) * nrows)
 
     @classmethod
     def identity(cls, n):
-        rows = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-        return cls(n, n, rows)
+        return cls(n, n, [((i, 1),) for i in range(n)])
 
     # -- basic access ------------------------------------------------------
 
     def entry(self, i, j) -> Fraction:
-        return Fraction(self.rows[i][j], self.den)
+        return Fraction(dict(self.sparse[i]).get(j, 0), self.den)
+
+    @property
+    def rows(self):
+        """Dense read-only view: rows of ncols integers over den.  It builds
+        every zero; rref, which eliminates on dense rows, is its one reader."""
+        cols, zeros = range(self.ncols), (0,) * self.ncols
+        return tuple(tuple(map(dict(row).get, cols, zeros)) for row in self.sparse)
 
     @property
     def shape(self):
         return (self.nrows, self.ncols)
 
     def is_zero(self):
-        return all(x == 0 for row in self.rows for x in row)
+        return not any(self.sparse)
 
     def is_identity(self):
-        return self.nrows == self.ncols and self == QMat.identity(self.nrows)
+        """The canonical identity has den 1 and row i equal to ((i, 1),)."""
+        return self.nrows == self.ncols and self.den == 1 and all(
+            row == ((i, 1),) for i, row in enumerate(self.sparse))
 
     def __eq__(self, other):
         if not isinstance(other, QMat):
             return NotImplemented
-        return (
-            self.shape == other.shape
-            and self.den == other.den
-            and self.rows == other.rows
-        )
+        return (self.shape, self.den, self.sparse) == (
+            other.shape, other.den, other.sparse)
 
     def __hash__(self):
-        return hash((self.nrows, self.ncols, self.den, self.rows))
+        return hash((self.nrows, self.ncols, self.den, self.sparse))
 
     def __repr__(self):
         if self.nrows * self.ncols == 0:
             return f"QMat({self.nrows}x{self.ncols})"
-        body = "; ".join(
-            " ".join(str(self.entry(i, j)) for j in range(self.ncols))
-            for i in range(self.nrows)
-        )
-        return f"QMat[{body}]"
+        return f"QMat[{'; '.join(' '.join(row) for row in self.to_jsonable())}]"
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
+        """[1 1] times self stacked on other: mul and block sum them."""
         assert self.shape == other.shape, "shape mismatch"
-        da, db = self.den, other.den
-        rows = tuple(
-            tuple(x * db + y * da for x, y in zip(ra, rb))
-            for ra, rb in zip(self.rows, other.rows)
-        )
-        return QMat(self.nrows, self.ncols, rows, da * db)
+        n, one = self.nrows, QMat.identity(self.nrows)
+        ones = block([n], [n, n], {(0, 0): one, (0, 1): one})
+        return ones.mul(block([n, n], [self.ncols], {(0, 0): self, (1, 0): other}))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        rows = tuple(tuple(-x for x in row) for row in self.rows)
+        rows = [tuple((j, -x) for j, x in row) for row in self.sparse]
         return QMat(self.nrows, self.ncols, rows, self.den)
 
     def mul(self, other: "QMat") -> "QMat":
-        """The product, summing only the terms whose two factors are nonzero.
+        """The product, touching only stored entries.
 
-        Entry (i, j) sums a_ik b_kj over the k with a_ik and b_kj nonzero.
-        The dense product sums over every k, and the terms it adds besides
-        have a zero factor, so every integer entry is the same (n x 0 times
-        0 x m is the zero matrix), over the same denominator self.den *
-        other.den, and QMat() reduces both to one canonical form.
+        Row i of the dense product sums a_ik times row k of other over every
+        k, so over the stored (k, a) of row i alone: no entry gives the empty
+        row; one gives row k of other times a != 0, with no zero; more are
+        summed in a dict, dropping the sums that cancel.  All is over
+        self.den * other.den, which QMat() reduces to the canonical form.
         """
         assert self.ncols == other.nrows, (
-            f"cannot compose {self.shape} with {other.shape}"
-        )
-        right = [[(j, y) for j, y in enumerate(row) if y] for row in other.rows]
-        rows = [[0] * other.ncols for _ in self.rows]
-        for out, row in zip(rows, self.rows):
-            for a, nonzero in zip(row, right):
-                if a:
-                    for j, y in nonzero:
-                        out[j] += a * y
+            f"cannot compose {self.shape} with {other.shape}")
+        right = other.sparse
+        rows = []
+        for row in self.sparse:
+            if not row:
+                rows.append(())
+            elif len(row) == 1:
+                k, a = row[0]
+                rows.append(right[k] if a == 1
+                            else tuple((j, a * y) for j, y in right[k]))
+            else:
+                acc = {}
+                for k, a in row:
+                    for j, y in right[k]:
+                        acc[j] = acc.get(j, 0) + a * y
+                rows.append(tuple(sorted(kv for kv in acc.items() if kv[1])))
         return QMat(self.nrows, other.ncols, rows, self.den * other.den)
 
     def transpose(self):
-        rows = tuple(zip(*self.rows)) if self.nrows else ((),) * self.ncols
-        return QMat(self.ncols, self.nrows, rows, self.den)
+        """Rows walked in order fill each column by ascending row; same den."""
+        cols = [[] for _ in range(self.ncols)]
+        for i, row in enumerate(self.sparse):
+            for j, x in row:
+                cols[j].append((i, x))
+        return QMat(self.ncols, self.nrows, map(tuple, cols), self.den)
 
     # -- elimination -------------------------------------------------------
 
     def rref(self):
         """Reduced row echelon form, returned as (QMat, pivot column list).
 
-        Gauss-Jordan on the integer rows: each row is divided by the gcd of
+        Gauss-Jordan on dense integer rows: each row is divided by the gcd of
         its entries; at pivot (r, c) with pivot entry p, every other row R
         with f = R[c] != 0 becomes p R - f P (P the pivot row), divided by
         its gcd; at the end each pivot row is divided by its pivot, over the
@@ -219,7 +230,8 @@ class QMat:
         for i, c in enumerate(pivots):
             scale = den // m[i][c]
             m[i] = [x * scale for x in m[i]]
-        return QMat(nrows, self.ncols, m, den), pivots
+        rows = [tuple((j, x) for j, x in enumerate(row) if x) for row in m]
+        return QMat(nrows, self.ncols, rows, den), pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -233,22 +245,28 @@ class QMat:
                 f"singular {self.nrows}x{self.ncols} matrix") from None
 
     def kernel(self) -> "Subspace":
-        """Subspace {x : m x = 0} of the column-index space."""
+        """Subspace {x : m x = 0} of the column-index space: column k, for
+        the k-th free column fc, is den e_fc minus column fc of the RREF."""
         red, pivots = self.rref()
-        free = [c for c in range(self.ncols) if c not in pivots]
-        pivot_rows = dict(zip(pivots, red.rows))
-        # column fc of the basis is den e_fc - (column fc of the RREF)
-        rows = [
-            [-pivot_rows[i][fc] for fc in free] if i in pivot_rows
-            else [red.den if i == fc else 0 for fc in free]
-            for i in range(self.ncols)
-        ]
+        free = {fc: k for k, fc in enumerate(
+            c for c in range(self.ncols) if c not in pivots)}
+        rows = [((free[i], red.den),) if i in free else () for i in range(self.ncols)]
+        for p, row in zip(pivots, red.sparse):
+            rows[p] = tuple((free[j], -x) for j, x in row if j in free)
         return Subspace(self.ncols, QMat(self.ncols, len(free), rows, red.den))
 
     # -- serialization -----------------------------------------------------
 
     def to_jsonable(self):
-        return [[str(self.entry(i, j)) for j in range(self.ncols)] for i in range(self.nrows)]
+        """Rows of str(Fraction) of every entry: "0" where none is stored,
+        and x / den in lowest terms, with "/den" only when den is not 1."""
+        den = self.den
+        out = [["0"] * self.ncols for _ in self.sparse]
+        for line, row in zip(out, self.sparse):
+            for j, x in row:
+                g = gcd(x, den)
+                line[j] = str(x // g) if g == den else f"{x // g}/{den // g}"
+        return out
 
     @classmethod
     def from_jsonable(cls, data, ncols=None):
@@ -266,25 +284,25 @@ def block(heights, widths, blocks) -> QMat:
     blocks maps (i, j) to the block at block row i and block column j, of
     shape (heights[i], widths[j]).  Absent blocks are zero, and zero-sized
     blocks are legal and contribute nothing.
+
+    Row r of block row i joins, by ascending j, row r of each nonzero block
+    (i, j), its columns shifted by the widths before j and its integers
+    scaled from b.den to den, the lcm of the dens; zero blocks store nothing.
     """
-    starts = [0]
-    for w in widths:
-        starts.append(starts[-1] + w)
-    den = 1
-    for (i, j), b in blocks.items():
+    row0, col0 = [0, *accumulate(heights)], [0, *accumulate(widths)]
+    den = lcm(*{b.den for b in blocks.values()})
+    parts = {}
+    for (i, j), b in sorted(blocks.items()):
         assert b.shape == (heights[i], widths[j]), (
-            f"block ({i},{j}) has shape {b.shape}, "
-            f"expected {(heights[i], widths[j])}"
-        )
-        den = den * b.den // gcd(den, b.den)
-    lines = [[[0] * starts[-1] for _ in range(h)] for h in heights]
-    for (i, j), b in blocks.items():
-        f = den // b.den
-        c0, c1 = starts[j], starts[j + 1]
-        for line, row in zip(lines[i], b.rows):
-            line[c0:c1] = row if f == 1 else [x * f for x in row]
-    rows = [line for group in lines for line in group]
-    return QMat(sum(heights), starts[-1], rows, den)
+            f"block ({i},{j}) has shape {b.shape}, expected {(heights[i], widths[j])}")
+        if any(b.sparse):
+            c0, f = col0[j], den // b.den
+            parts.setdefault(i, []).append(b.sparse if c0 == 0 and f == 1 else [
+                tuple([(c0 + k, x * f) for k, x in row]) for row in b.sparse])
+    rows = [()] * row0[-1]
+    for i, part in parts.items():
+        rows[row0[i]:row0[i + 1]] = [sum(r, ()) for r in zip(*part)]
+    return QMat(row0[-1], col0[-1], rows, den)
 
 
 def direct_sum(*mats: QMat) -> QMat:
@@ -329,13 +347,6 @@ class Subspace:
     def __repr__(self):
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
 
-    def contains_columns(self, cols: QMat) -> bool:
-        try:
-            solve_exact(self.basis, cols)
-        except RestrictionError:
-            return False
-        return True
-
     def intersect(self, other: "Subspace") -> "Subspace":
         assert self.ambient_dim == other.ambient_dim, "ambient dimension mismatch"
         a, b = self.basis, other.basis
@@ -344,21 +355,8 @@ class Subspace:
         stacked = block([self.ambient_dim], [a.ncols, b.ncols],
                         {(0, 0): a, (0, 1): -b})
         ker = stacked.kernel().basis
-        coeffs_a = QMat(a.ncols, ker.ncols, ker.rows[:a.ncols], ker.den)
+        coeffs_a = QMat(a.ncols, ker.ncols, ker.sparse[:a.ncols], ker.den)
         return Subspace(self.ambient_dim, a.mul(coeffs_a))
-
-    def sum(self, other: "Subspace") -> "Subspace":
-        assert self.ambient_dim == other.ambient_dim
-        joint = block([self.ambient_dim], [self.dim, other.dim],
-                      {(0, 0): self.basis, (0, 1): other.basis})
-        return Subspace(self.ambient_dim, joint)
-
-
-def intersect_all(ambient_dim, subspaces) -> Subspace:
-    out = Subspace.full(ambient_dim)
-    for s in subspaces:
-        out = out.intersect(s)
-    return out
 
 
 def _column_echelon(m: QMat) -> QMat:
@@ -372,7 +370,7 @@ def _column_echelon(m: QMat) -> QMat:
     p_i, which is 0.
     """
     red, pivots = m.transpose().rref()
-    return QMat(len(pivots), m.nrows, red.rows[:len(pivots)], red.den).transpose()
+    return QMat(len(pivots), m.nrows, red.sparse[:len(pivots)], red.den).transpose()
 
 
 def solve_exact(a: QMat, rhs: QMat) -> QMat:
@@ -382,9 +380,9 @@ def solve_exact(a: QMat, rhs: QMat) -> QMat:
     red, pivots = aug.rref()
     if any(p >= a.ncols for p in pivots):
         raise RestrictionError("right-hand side not in the column space")
-    sol = [(0,) * rhs.ncols] * a.ncols
-    for row, p in zip(red.rows, pivots):
-        sol[p] = row[a.ncols:]
+    sol = [()] * a.ncols
+    for row, p in zip(red.sparse, pivots):
+        sol[p] = tuple((j - a.ncols, x) for j, x in row if j >= a.ncols)
     return QMat(a.ncols, rhs.ncols, sol, red.den)
 
 

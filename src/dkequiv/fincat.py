@@ -267,19 +267,6 @@ class FinCat:
     def isos_into(self, a):
         return sorted(i for i in self.isos() if self.cod[i] == a)
 
-    def opposite(self) -> "FinCat":
-        n = self.n_morphisms
-        comp_op = tuple(tuple(self.comp[f][g] for f in range(n)) for g in range(n))
-        return FinCat(
-            self.n_objects,
-            self.cod,
-            self.dom,
-            self.identities,
-            comp_op,
-            self.obj_labels,
-            self.mor_labels,
-        )
-
     def generating_set(self, members=None):
         """The members (all morphisms by default) that, walked in id order
         after the identities, the identities and the earlier ones do not

@@ -23,10 +23,18 @@ from dkequiv.equivalence import (
     tilde,
     unit,
 )
-from dkequiv.exactlin import QMat, intersect_all
+from dkequiv.exactlin import QMat, Subspace
 from dkequiv.fincat import FinCat, group_by
 from dkequiv.functors import AdditiveFunctor, PointedFunctor, random_pointed_functor
 from dkequiv.structure import MRStructure, check_assumptions
+
+
+def intersect_all(ambient_dim, subspaces):
+    """The intersection of subspaces of Q^ambient_dim, one at a time."""
+    out = Subspace.full(ambient_dim)
+    for s in subspaces:
+        out = out.intersect(s)
+    return out
 
 
 def act(km, d_r, f, u):

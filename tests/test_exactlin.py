@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,6 @@ from dkequiv.exactlin import (
     below,
     block,
     direct_sum,
-    intersect_all,
     is_idempotent,
     meet_of_idempotents,
     orthogonal_idempotents,
@@ -53,9 +53,11 @@ def test_intersect_dimension_formula(a, b):
     sa = Subspace(5, a)
     sb = Subspace(5, b)
     inter = sa.intersect(sb)
-    assert inter.dim == sa.dim + sb.dim - sa.sum(sb).dim
-    assert sa.contains_columns(inter.basis)
-    assert sb.contains_columns(inter.basis)
+    joint = block([5], [sa.dim, sb.dim], {(0, 0): sa.basis, (0, 1): sb.basis})
+    assert inter.dim == sa.dim + sb.dim - Subspace(5, joint).dim
+    # the basis of the intersection solves into both bases
+    solve_exact(sa.basis, inter.basis)
+    solve_exact(sb.basis, inter.basis)
 
 
 def test_block_and_direct_sum():
@@ -311,7 +313,7 @@ def test_zero_dimensional_shapes():
     assert z.kernel().dim == 3
     assert z.transpose().shape == (3, 0)
     assert QMat.zeros(3, 0).mul(z).shape == (3, 3)
-    assert intersect_all(0, []).dim == 0
+    assert Subspace.full(0).intersect(Subspace.full(0)).dim == 0
     assert Subspace.full(0).basis.shape == (0, 0)
 
 
@@ -368,8 +370,28 @@ def _ref_column_echelon(rows, nrows, ncols):
     return red[:len(pivots)]
 
 
+def _ref_kernel(rows, ncols):
+    """The columns of a basis of {x : a x = 0} in reduced column echelon
+    form: for each free column fc, e_fc minus column fc of the RREF."""
+    ref, pivots = _ref_rref(rows, ncols)
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for fc in free:
+        col = [Fraction(0)] * ncols
+        col[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            col[pc] = -ref[r][fc]
+        basis.append(col)
+    return _ref_column_echelon([[col[i] for col in basis] for i in range(ncols)],
+                               ncols, len(free))
+
+
 def _fracs(m: QMat):
     return [[m.entry(i, j) for j in range(m.ncols)] for i in range(m.nrows)]
+
+
+def _columns(m: QMat):
+    return [list(c) for c in zip(*_fracs(m))]
 
 
 def _random_rational_rows(rng, nrows, ncols):
@@ -409,18 +431,8 @@ def test_rref_rank_kernel_match_fraction_reference():
         assert _fracs(red) == ref, rows
         assert a.rank() == len(ref_pivots)
         k = a.kernel()
-        free = [c for c in range(m) if c not in ref_pivots]
-        ref_basis = []
-        for fc in free:
-            col = [Fraction(0)] * m
-            col[fc] = Fraction(1)
-            for r, pc in enumerate(ref_pivots):
-                col[pc] = -ref[r][fc]
-            ref_basis.append(col)
-        ref_rows = [[col[i] for col in ref_basis] for i in range(m)]
-        assert k.dim == len(free)
-        assert [list(c) for c in zip(*_fracs(k.basis))] == \
-            _ref_column_echelon(ref_rows, m, len(free)), rows
+        assert k.dim == m - len(ref_pivots)
+        assert _columns(k.basis) == _ref_kernel(rows, m), rows
 
 
 def test_solve_exact_matches_fraction_reference():
@@ -552,7 +564,7 @@ def _product_cases(count=720):
 
 
 def _rep(x: QMat):
-    return x.shape, x.den, x.rows
+    return x.shape, x.den, x.sparse
 
 
 def test_mul_matches_fraction_reference():
@@ -575,3 +587,156 @@ def test_mul_matches_fraction_reference():
             seen["below"] += under
     assert seen["inner0"] >= 100 and seen["idem"] >= 100 and seen["below"] >= 100
     assert len(seen["dens"]) > 10
+
+
+# -- Fraction reference for the sparse storage ---------------------------------
+
+
+def _assert_canonical(x: QMat):
+    """The one stored form: per row, (column, nonzero int) pairs by strictly
+    ascending column, over a positive den with no common factor."""
+    assert x.den > 0 and len(x.sparse) == x.nrows
+    values = []
+    for row in x.sparse:
+        assert type(row) is tuple
+        cols = [j for j, _ in row]
+        assert cols == sorted(set(cols)) and all(0 <= j < x.ncols for j in cols)
+        assert all(type(v) is int and v != 0 for _, v in row)
+        values += [v for _, v in row]
+    assert gcd(x.den, *values) == 1
+
+
+def _assert_is(x: QMat, ref, ncols):
+    """x holds the Fraction rows ref, in canonical form, also as read through
+    entry, the dense view and to_jsonable."""
+    _assert_canonical(x)
+    assert x.shape == (len(ref), ncols)
+    assert _fracs(x) == ref
+    assert all(type(v) is int for row in x.rows for v in row)
+    assert [[Fraction(v, x.den) for v in row] for row in x.rows] == ref
+    assert x.to_jsonable() == [[str(v) for v in row] for row in ref]
+    want = QMat.from_rows(ref, ncols)
+    assert x == want and hash(x) == hash(want) and _rep(x) == _rep(want)
+
+
+def _transposed(rows, ncols):
+    """The ncols rows of the transpose of Fraction rows with ncols columns."""
+    return [[row[j] for row in rows] for j in range(ncols)]
+
+
+def test_unary_operations_match_fraction_reference():
+    """transpose, -, +, is_zero, is_identity, rref, kernel and inverse on the
+    seeded product operands, and on identities with one entry changed."""
+    import random
+
+    rng = random.Random(20143)
+    cases = [(a, k) for _, k, _, a, _ in _product_cases(240)]
+    for n in range(5):
+        ident = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+        cases.append((ident, n))
+        for _ in range(3):
+            near = [list(row) for row in ident]
+            if n:
+                near[rng.randrange(n)][rng.randrange(n)] = rng.choice(
+                    (Fraction(0), Fraction(1, 2), Fraction(-1), Fraction(2, 2)))
+            cases.append((near, n))
+    seen = {"zero": 0, "identity": 0, "singular": 0, "invertible": 0}
+    for a, k in cases:
+        n = len(a)
+        qa = QMat.from_rows(a, k)
+        _assert_is(qa, a, k)
+        _assert_is(qa.transpose(), _transposed(a, k), n)
+        _assert_is(-qa, [[-x for x in row] for row in a], k)
+        other = _sparse_rows(rng, n, k, rng.random())
+        total = [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, other)]
+        _assert_is(qa + QMat.from_rows(other, k), total, k)
+        _assert_is(qa - qa, [[Fraction(0)] * k for _ in range(n)], k)
+        zero = all(x == 0 for row in a for x in row)
+        assert qa.is_zero() == zero
+        seen["zero"] += zero
+        ident = n == k and all(a[i][j] == (i == j) for i in range(n) for j in range(n))
+        assert qa.is_identity() == ident, a
+        seen["identity"] += ident
+        red, pivots = qa.rref()
+        ref, ref_pivots = _ref_rref(a, k)
+        assert pivots == ref_pivots
+        _assert_is(red, ref, k)
+        _assert_is(qa.kernel().basis, _transposed(_ref_kernel(a, k), k),
+                   k - len(ref_pivots))
+        if n == k:
+            ident_rows = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+            want = _ref_solve(a, ident_rows, n) if n else []
+            if want is None:
+                seen["singular"] += 1
+                with pytest.raises(SingularMatrixError):
+                    qa.inverse()
+            else:
+                seen["invertible"] += 1
+                _assert_is(qa.inverse(), want, n)
+    assert all(count >= 10 for count in seen.values()), seen
+
+
+def _ref_block(heights, widths, blocks):
+    """The dense Fraction matrix of the blocks, zero where a block is absent."""
+    rows = []
+    for i, h in enumerate(heights):
+        for r in range(h):
+            rows.append([x for j, w in enumerate(widths)
+                         for x in (blocks[(i, j)][r] if (i, j) in blocks
+                                   else [Fraction(0)] * w)])
+    return rows
+
+
+def test_block_and_direct_sum_match_fraction_reference():
+    """Seeded layouts of up to 4 x 4 blocks of sizes 0..3, each absent, a
+    stored zero block, or sparse with denominators 1..4."""
+    import random
+
+    rng = random.Random(20144)
+    seen = {"absent": 0, "zero": 0, "zero_sized": 0, "mixed_dens": 0}
+    for _ in range(400):
+        heights = [rng.randint(0, 3) for _ in range(rng.randint(0, 4))]
+        widths = [rng.randint(0, 3) for _ in range(rng.randint(0, 4))]
+        blocks, ref_blocks = {}, {}
+        for i, h in enumerate(heights):
+            for j, w in enumerate(widths):
+                kind = rng.randrange(3)
+                seen["zero_sized"] += h * w == 0
+                if kind == 0:
+                    seen["absent"] += 1
+                    continue
+                rows = (_sparse_rows(rng, h, w, rng.random()) if kind == 2
+                        else [[Fraction(0)] * w for _ in range(h)])
+                seen["zero"] += kind == 1
+                blocks[(i, j)] = QMat.from_rows(rows, w)
+                ref_blocks[(i, j)] = rows
+        seen["mixed_dens"] += len({b.den for b in blocks.values()}) > 1
+        _assert_is(block(heights, widths, blocks),
+                   _ref_block(heights, widths, ref_blocks), sum(widths))
+        diag = [ref_blocks.get((i, i), [[Fraction(0)] * widths[i]] * heights[i])
+                for i in range(min(len(heights), len(widths)))]
+        mats = [QMat.from_rows(rows, widths[i]) for i, rows in enumerate(diag)]
+        _assert_is(direct_sum(*mats), _ref_block(
+            [m.nrows for m in mats], [m.ncols for m in mats],
+            {(i, i): rows for i, rows in enumerate(diag)}), sum(m.ncols for m in mats))
+    assert all(count >= 50 for count in seen.values()), seen
+
+
+def test_one_value_one_form_whichever_operation_builds_it():
+    """A product built by from_rows, by mul and by block from its four
+    quarters is one stored form: ==, one hash, no stored zero."""
+    import random
+
+    rng = random.Random(20145)
+    for n, k, m, a, b in _product_cases(240):
+        ref = _ref_mul(a, b, n, m)
+        r, c = rng.randint(0, n), rng.randint(0, m)
+        quarters = {(i, j): QMat.from_rows([row[c0:c1] for row in ref[r0:r1]], c1 - c0)
+                    for i, (r0, r1) in enumerate(((0, r), (r, n)))
+                    for j, (c0, c1) in enumerate(((0, c), (c, m)))}
+        built = [QMat.from_rows(ref, m), QMat.from_rows(a, k).mul(QMat.from_rows(b, m)),
+                 block([r, n - r], [c, m - c], quarters)]
+        for x in built:
+            _assert_canonical(x)
+            assert x == built[0] and hash(x) == hash(built[0])
+            assert _rep(x) == _rep(built[0])
