@@ -7,11 +7,12 @@
 #
 # The exit status is diff's: 0 when both checkouts behave byte-identically.
 # Inputs that are not produced by a CLI command (pointed functors on
-# delta_bt 4, fi_sharp 3 and cube 2, one of them also with rational entries,
-# structures that fail the axioms (fi_sharp 2, delta_bt 4 and cube 2 with
-# their embeddings cut), the par base categories (injections of sets up to
-# 2, all maps of sets up to 2 and 3, and injective linear maps over F_2 up to
-# dimension 2), idempotent lists,
+# delta_bt 4, fi_sharp 3, cube 2 and delta_bt 6, one of them also with
+# rational entries, structures that fail the axioms (fi_sharp 2, delta_bt 4
+# and cube 2 with their embeddings cut), fi_sharp 2 with one composite
+# redirected so that only associativity fails, the par base categories
+# (injections of sets up to 2, all maps of sets up to 2 and 3, and injective
+# linear maps over F_2 up to dimension 2), idempotent lists,
 # and the malformed files of the exit-3 cases) are written once, by the old
 # checkout, and copied to both sides.
 # Cases whose outcome an assert decided run again under python -O.
@@ -20,6 +21,12 @@
 # delta_bt 6 and cube 3 with two.
 # One check case reads fi_sharp 3 with a single composite redirected, which
 # breaks associativity only, so the full list of violated triples is compared.
+# check, certify, transport and theta read the non-associative fi_sharp 2,
+# each reporting the category's laws.
+# transport hat and theta on delta_bt 6 take a functor with the dims of the
+# benchmark's theta workload (3, 3, 2, 3, 4, 3), so the largest matrices the
+# CLI writes (theta and its inverse up to 260 x 260) are compared byte for
+# byte.
 # `example par` on the finset bases builds Gamma_2 and Gamma_3, and one case
 # certifies Gamma_3.  One case runs each checkout's own
 # scripts/roundtrip_demo.py.
@@ -64,9 +71,11 @@ for key, rows in q["mats"].items():
                        for j, x in enumerate(row)] for i, row in enumerate(rows)]
 with open("F_rational.json", "w") as fh:
     json.dump(q, fh, sort_keys=True, indent=2)
-# pointed functors on grids with isomorphisms and with zero-height block rows
+# pointed functors on grids with isomorphisms and with zero-height block
+# rows, and on delta_bt 6 with hat dims up to 51
 for tag, built, dims in (("fi_sharp_3", build_fi_sharp(3), (1, 0, 2, 1)),
-                         ("cube_2", build_cube(2), (1, 0, 2))):
+                         ("cube_2", build_cube(2), (1, 0, 2)),
+                         ("delta_bt_6", build_delta_bt(6), (3, 3, 2, 3, 4, 3))):
     kmx = build_kernel_module(built, validate=False)
     fx = random_pointed_functor(kmx.d, dims, seed=5)
     with open(f"F_{tag}.json", "w") as fh:
@@ -104,6 +113,13 @@ u, v, w = next((u, v, w) for u, row in enumerate(data["comp"]) if u not in ids
 data["comp"][u][v] = next(x % len(ends) for x in range(w + 1, w + len(ends))
                           if ends[x % len(ends)] == ends[w])
 with open("assoc_only.json", "w") as fh:
+    json.dump(data, fh)
+# fi_sharp 2 with comp[6][12] redirected from 13 to 19: only associativity
+# fails, and the factorizations the assumption checks make do not exist
+data = build_fi_sharp(2).to_jsonable()
+assert data["comp"][6][12] == 13
+data["comp"][6][12] = 19
+with open("nonassoc.json", "w") as fh:
     json.dump(data, fh)
 
 
@@ -175,7 +191,7 @@ cases() {
     for t in delta_bt_4 fi_sharp_3 cube_2 pt delta_bt_6 fi_sharp_4 cube_3; do
         run "check_$t" -m dkequiv.cli check "ex/$t.structure.json" --out "check_$t.json"
     done
-    for t in bad_star cut1 cut78 cut_delta3 cut_cube1 assoc_only; do
+    for t in bad_star cut1 cut78 cut_delta3 cut_cube1 assoc_only nonassoc; do
         run "check_$t" -m dkequiv.cli check "$t.json" --out "check_$t.json"
     done
     run cert_fi -m dkequiv.cli certify --name fi_sharp --size 3 --seeds 5 --out cert_fi.json
@@ -199,6 +215,11 @@ cases() {
         run "theta_$t" -m dkequiv.cli theta --category "ex/$t.structure.json" \
             --functor "T_$t.json" --out "theta_$t.json"
     done
+    run hat_delta_bt_6 -m dkequiv.cli transport hat \
+        --category ex/delta_bt_6.structure.json --functor F_delta_bt_6.json \
+        --out T_delta_bt_6.json
+    run theta_delta_bt_6 -m dkequiv.cli theta --category ex/delta_bt_6.structure.json \
+        --functor T_delta_bt_6.json --out theta_delta_bt_6.json
     run hat_rational -m dkequiv.cli transport hat \
         --category ex/delta_bt_4.structure.json --functor F_rational.json \
         --out T_rational.json
@@ -242,6 +263,12 @@ cases() {
         --out hat_cut78.out.json
     run theta_cut78 -m dkequiv.cli theta --category cut78.json --functor T.json \
         --out theta_cut78.out.json
+    run cert_nonassoc -m dkequiv.cli certify --category nonassoc.json --seeds 1 \
+        --out cert_nonassoc.json
+    run hat_nonassoc -m dkequiv.cli transport hat --category nonassoc.json \
+        --functor F.json --out hat_nonassoc.out.json
+    run theta_nonassoc -m dkequiv.cli theta --category nonassoc.json --functor T.json \
+        --out theta_nonassoc.out.json
     run theta_obj7 -m dkequiv.cli theta --category ex/delta_bt_4.structure.json \
         --functor T.json --object 7 --out theta_obj7.json
     run theta_obj1 -m dkequiv.cli theta --category ex/delta_bt_4.structure.json \

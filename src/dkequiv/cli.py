@@ -86,6 +86,15 @@ def _report_payload(structure, report):
     return payload
 
 
+def _category_laws(structure) -> None:
+    """Raise TransportError with FinCat.check's report when the structure's
+    table breaks the category laws, which every later check presumes.  The
+    report is computed once per table, so later checks reuse it."""
+    report = structure.cat.check()
+    if not report.ok:
+        raise TransportError("category laws violated", report.to_jsonable())
+
+
 def cmd_example(args) -> int:
     name, out = args.name, Path(args.out)
     if name == "par":
@@ -117,9 +126,7 @@ def cmd_example(args) -> int:
 
 def cmd_check(args) -> int:
     structure = _load(args.path, MRStructure.from_jsonable)
-    cat_report = structure.cat.check()
-    if not cat_report.ok:
-        return _fail(MATH_FAILURE, "category laws violated", cat_report.to_jsonable())
+    _category_laws(structure)
     report = check_assumptions(structure)
     payload = _report_payload(structure, report)
     if args.out:
@@ -134,9 +141,10 @@ def cmd_check(args) -> int:
 def _transport_inputs(args, kind):
     """The kernel module of the --category structure and the --functor of
     the given kind (PointedFunctor or AdditiveFunctor) on it; raises
-    TransportError with the failing report when the structure fails its
-    assumptions or the functor its laws."""
+    TransportError with the failing report when the structure fails the
+    category laws or its assumptions, or the functor its laws."""
     structure = _load(args.category, MRStructure.from_jsonable)
+    _category_laws(structure)
     report = check_assumptions(structure)
     if not report.passed:
         raise TransportError("assumption checks failed", report.to_jsonable())
@@ -174,6 +182,7 @@ def cmd_certify(args) -> int:
     else:
         structure = build_stock(args.name, args.size)
         tag = f"{args.name}_{args.size}"
+    _category_laws(structure)
     report = check_assumptions(structure)
     if not report.passed:
         payload = report.to_jsonable()

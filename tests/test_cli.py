@@ -546,16 +546,56 @@ def test_structure_with_broken_tables_exits_2_everywhere(tmp_path, capsys):
     bad.write_text(json.dumps(data))
     out = str(tmp_path / "out.json")
     capsys.readouterr()
-    # check reports the category's laws, certify the structural report and
-    # transport the whole assumption report
-    for argv, structural in (
-        (["check", str(bad)], lambda w: w["structural"]),
-        (["certify", "--category", str(bad), "--out", out],
-         lambda w: w["structural"]),
-        (["transport", "hat", "--category", str(bad), "--functor", str(fpath),
-          "--out", out], lambda w: w["structural"]["structural"]),
+    # each command checks the category's laws first, so all report them
+    outputs = []
+    for argv in (
+        ["check", str(bad)],
+        ["certify", "--category", str(bad), "--out", out],
+        ["transport", "hat", "--category", str(bad), "--functor", str(fpath),
+         "--out", out],
     ):
         assert main(argv) == 2, argv
-        witness = json.loads(capsys.readouterr().out)["witness"]
-        assert {"message": "comp defined iff endpoints match violated",
-                "g": 0, "f": 0} in structural(witness), argv
+        outputs.append(json.loads(capsys.readouterr().out))
+    assert outputs[1:] == outputs[:1] * 2
+    assert outputs[0]["error"] == "category laws violated"
+    assert {"message": "comp defined iff endpoints match violated",
+            "g": 0, "f": 0} in outputs[0]["witness"]["structural"]
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_non_associative_table_exits_2_everywhere(tmp_path, flags):
+    """certify, transport and theta check the category laws first, as check
+    does.  So a table that breaks only associativity gives every command
+    check's category-law witness and exit 2, where a later stage that
+    presumes the laws raised an error, also under python -O."""
+    data = build_fi_sharp(2).to_jsonable()
+    assert data["comp"][6][12] == 13
+    data["comp"][6][12] = 19
+    bad = tmp_path / "nonassoc.json"
+    bad.write_text(json.dumps(data))
+    # the functor file is never read: the structure fails first
+    never = str(tmp_path / "absent.json")
+    out = tmp_path / "out.json"
+    outputs = []
+    for argv in (
+        ["check", str(bad)],
+        ["certify", "--category", str(bad), "--seeds", "1", "--out", str(out)],
+        ["transport", "hat", "--category", str(bad), "--functor", never,
+         "--out", str(out)],
+        ["transport", "tilde", "--category", str(bad), "--functor", never,
+         "--out", str(out)],
+        ["theta", "--category", str(bad), "--functor", never, "--out", str(out)],
+    ):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "dkequiv.cli", *argv],
+            capture_output=True, text=True, env=_env_with_src(),
+        )
+        assert (proc.returncode, proc.stderr) == (2, ""), argv
+        outputs.append(proc.stdout)
+    assert len(set(outputs)) == 1
+    report = json.loads(outputs[0])
+    assert report["error"] == "category laws violated"
+    assert report["witness"]["structural"] == []
+    assert {"f": 12, "g": 6, "h": 12, "message": "associativity violated"} in (
+        report["witness"]["law"])
+    assert not out.exists()
