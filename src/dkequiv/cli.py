@@ -86,7 +86,7 @@ def _report_payload(structure, report):
     return payload
 
 
-def _category_laws(structure) -> None:
+def _require_category_laws(structure) -> None:
     """Raise TransportError with FinCat.check's report when the structure's
     table breaks the category laws, which every later check presumes.  The
     report is computed once per table, so later checks reuse it."""
@@ -126,7 +126,7 @@ def cmd_example(args) -> int:
 
 def cmd_check(args) -> int:
     structure = _load(args.path, MRStructure.from_jsonable)
-    _category_laws(structure)
+    _require_category_laws(structure)
     report = check_assumptions(structure)
     payload = _report_payload(structure, report)
     if args.out:
@@ -144,7 +144,7 @@ def _transport_inputs(args, kind):
     TransportError with the failing report when the structure fails the
     category laws or its assumptions, or the functor its laws."""
     structure = _load(args.category, MRStructure.from_jsonable)
-    _category_laws(structure)
+    _require_category_laws(structure)
     report = check_assumptions(structure)
     if not report.passed:
         raise TransportError("assumption checks failed", report.to_jsonable())
@@ -182,7 +182,7 @@ def cmd_certify(args) -> int:
     else:
         structure = build_stock(args.name, args.size)
         tag = f"{args.name}_{args.size}"
-    _category_laws(structure)
+    _require_category_laws(structure)
     report = check_assumptions(structure)
     if not report.passed:
         payload = report.to_jsonable()

@@ -97,7 +97,8 @@ class QMat:
     @property
     def rows(self):
         """Dense read-only view: rows of ncols integers over den.  It builds
-        every zero; rref, which eliminates on dense rows, is its one reader."""
+        every zero; in this package only rref, which eliminates on dense
+        rows, reads it."""
         cols, zeros = range(self.ncols), (0,) * self.ncols
         return tuple(tuple(map(dict(row).get, cols, zeros)) for row in self.sparse)
 
