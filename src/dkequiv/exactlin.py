@@ -97,8 +97,7 @@ class QMat:
     @property
     def rows(self):
         """Dense read-only view: rows of ncols integers over den.  It builds
-        every zero; in this package only rref, which eliminates on dense
-        rows, reads it."""
+        every zero, so no operation here reads it."""
         cols, zeros = range(self.ncols), (0,) * self.ncols
         return tuple(tuple(map(dict(row).get, cols, zeros)) for row in self.sparse)
 
@@ -203,10 +202,11 @@ class QMat:
         primitive multiple of (n_j / d_j)_j has |entry j| <= |n_j| times the
         other d_k, so no integer outgrows the Fraction row it stands for.
         """
-        m = []
-        for row in self.rows:
-            g = gcd(*row)
-            m.append([x // g for x in row] if g > 1 else list(row))
+        m = [[0] * self.ncols for _ in self.sparse]
+        for line, row in zip(m, self.sparse):
+            g = gcd(*[x for _, x in row])
+            for j, x in row:
+                line[j] = x // g
         nrows = self.nrows
         pivots = []
         r = 0

@@ -711,7 +711,10 @@ def test_block_and_direct_sum_match_fraction_reference():
                 blocks[(i, j)] = QMat.from_rows(rows, w)
                 ref_blocks[(i, j)] = rows
         seen["mixed_dens"] += len({b.den for b in blocks.values()}) > 1
-        _assert_is(block(heights, widths, blocks),
+        # the blocks in a shuffled insertion order
+        items = list(blocks.items())
+        rng.shuffle(items)
+        _assert_is(block(heights, widths, dict(items)),
                    _ref_block(heights, widths, ref_blocks), sum(widths))
         diag = [ref_blocks.get((i, i), [[Fraction(0)] * widths[i]] * heights[i])
                 for i in range(min(len(heights), len(widths)))]
