@@ -11,8 +11,8 @@
 # rational entries, structures that fail the axioms (fi_sharp 2, delta_bt 4
 # and cube 2 with their embeddings cut), fi_sharp 2 with one composite
 # redirected so that only associativity fails, the par base categories
-# (injections of sets up to 2, all maps of sets up to 2 and 3, and injective
-# linear maps over F_2 up to dimension 2), idempotent lists,
+# (injections of sets up to 2, all maps of sets up to 2, 3 and 4, and
+# injective linear maps over F_2 up to dimension 2), idempotent lists,
 # and the malformed files of the exit-3 cases) are written once, by the old
 # checkout, and copied to both sides.
 # Cases whose outcome an assert decided run again under python -O.
@@ -27,7 +27,9 @@
 # benchmark's theta workload (3, 3, 2, 3, 4, 3), so the largest matrices the
 # CLI writes (theta and its inverse up to 260 x 260) are compared byte for
 # byte.
-# `example par` on the finset bases builds Gamma_2 and Gamma_3, and one case
+# `example par` on the finset bases builds Gamma_2, Gamma_3 and Gamma_4 (1,279
+# morphisms, the largest par table; a checkout that finds pullbacks by
+# searching every pair of cones takes about 80 s on it), and one case
 # certifies Gamma_3.  One case runs each checkout's own
 # scripts/roundtrip_demo.py.
 set -e
@@ -83,6 +85,7 @@ for tag, built, dims in (("fi_sharp_3", build_fi_sharp(3), (1, 0, 2, 1)),
                   sort_keys=True, indent=2)
 for tag, base in (("fi2", build_fi_input(2)), ("finset2", build_finset_input(2)),
                   ("finset3", build_finset_input(3)),
+                  ("finset4", build_finset_input(4)),
                   ("flinj2", build_flinj_input(2))):
     with open(f"{tag}.base.json", "w") as fh:
         json.dump(base.to_jsonable(), fh)
@@ -182,7 +185,7 @@ cases() {
     run ex_cube -m dkequiv.cli example cube --size 2 --out ex
     run ex_pt -m dkequiv.cli example pt --out ex
     run ex_par -m dkequiv.cli example par --base fi2.base.json --out ex
-    for t in finset2 finset3 flinj2; do
+    for t in finset2 finset3 finset4 flinj2; do
         run "ex_par_$t" -m dkequiv.cli example par --base "$t.base.json" --out ex
     done
     run ex_delta6 -m dkequiv.cli example delta_bt --size 6 --out ex

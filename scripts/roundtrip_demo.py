@@ -18,18 +18,24 @@ from dkequiv.equivalence import build_kernel_module, hat, unit
 from dkequiv.functors import random_pointed_functor
 
 
+def dim_list(text):
+    return tuple(int(x) for x in text.split(","))
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--size", type=int, default=5)
     ap.add_argument("--seed", type=int, default=7)
-    ap.add_argument("--dims", default="2,3,2,1,1",
+    ap.add_argument("--dims", type=dim_list, default="2,3,2,1,1",
                     help="comma-separated dimensions, one per ordinal")
     args = ap.parse_args()
-    dims = tuple(int(x) for x in args.dims.split(","))
+    if args.size < 1:
+        ap.error("--size: need at least 1")
+    if len(args.dims) != args.size:
+        ap.error(f"--dims: need one dimension per ordinal, {args.size} in all")
     s = build_delta_bt(args.size)
-    assert len(dims) == s.cat.n_objects, "need one dimension per ordinal"
     km = build_kernel_module(s)
-    f = random_pointed_functor(km.d, dims, seed=args.seed)
+    f = random_pointed_functor(km.d, args.dims, seed=args.seed)
     print("chain complex dims:     ", list(f.dims))
     ranks = []
     for dr in km.d.nonzero_morphisms():

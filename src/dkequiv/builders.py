@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .fincat import FinCat, int_list, table_category
+from .fincat import FinCat, group_by, int_list, table_category
 from .structure import MRStructure
 
 
@@ -217,28 +217,31 @@ class ParInput:
 
 
 def pullback(cat: FinCat, f, g):
-    """A pullback of the cospan (f, g), as (apex, leg to dom f, leg to dom g),
-    or None when no universal cone exists."""
+    """A pullback of the cospan (f, g), as (apex, leg to dom f, leg to dom g):
+    the first universal cone (w, p, q), f o p = g o q, by w, then p, then q;
+    None when there is none.
+
+    The table is a category, which validate_par_input checks first, so
+    h -> (p o h, q o h) sends hom(v, w) into the cones at v, as
+    f o p o h = g o q o h.  The cone is universal when every cone at every v
+    has exactly one preimage, that is, when each of these maps is a
+    bijection: injective, with |hom(v, w)| the number of cones at v.
+    """
     assert cat.cod[f] == cat.cod[g]
+    objects = cat.objects()
     cones = []
-    for w in cat.objects():
-        for p in cat.hom(w, cat.dom[f]):
-            for q in cat.hom(w, cat.dom[g]):
-                if cat.comp[f][p] == cat.comp[g][q]:
-                    cones.append((w, p, q))
-    for (w, p, q) in cones:
-        universal = True
-        for (w2, a, b) in cones:
-            mediating = [
-                h
-                for h in cat.hom(w2, w)
-                if cat.comp[p][h] == a and cat.comp[q][h] == b
-            ]
-            if len(mediating) != 1:
-                universal = False
-                break
-        if universal:
-            return (w, p, q)
+    for v in objects:
+        over = group_by(cat.hom(v, cat.dom[g]), cat.comp[g])
+        cones.append([(p, q) for p in cat.hom(v, cat.dom[f])
+                      for q in over.get(cat.comp[f][p], ())])
+    for w in objects:
+        homs = [cat.hom(v, w) for v in objects]
+        if any(len(hs) != len(cs) for hs, cs in zip(homs, cones)):
+            continue
+        for p, q in cones[w]:
+            if all(len({(cat.comp[p][h], cat.comp[q][h]) for h in hs}) == len(hs)
+                   for hs in homs):
+                return (w, p, q)
     return None
 
 
@@ -274,15 +277,13 @@ def validate_par_input(inp: ParInput):
                          "pair": [g, f]}
                     )
     # unique (e, m) factorization of every morphism
+    e_by_cod = group_by(sorted(inp.e_class), cat.cod)
+    factorizations = {}  # m o e -> its pairs (m, e), by m and then e
+    for m in sorted(inp.m_class):
+        for e in e_by_cod.get(cat.dom[m], ()):
+            factorizations.setdefault(cat.comp[m][e], []).append((m, e))
     for f in cat.morphisms():
-        pairs = []
-        for m in sorted(inp.m_class):
-            if cat.cod[m] != cat.cod[f]:
-                continue
-            for e in sorted(inp.e_class):
-                if cat.dom[e] == cat.dom[f] and cat.cod[e] == cat.dom[m]:
-                    if cat.comp[m][e] == f:
-                        pairs.append((m, e))
+        pairs = factorizations.get(f)
         if not pairs:
             problems.append({"problem": "no (e, m) factorization", "morphism": f})
             continue
@@ -301,14 +302,12 @@ def validate_par_input(inp: ParInput):
                 break
     # m_class morphisms are monomorphisms
     for m in sorted(inp.m_class):
-        a = cat.dom[m]
         row = cat.comp[m]
         for w in cat.objects():
-            hom_wa = cat.hom(w, a)
             seen = {}
-            for x in hom_wa:
+            for x in cat.hom(w, cat.dom[m]):
                 v = row[x]
-                if v in seen and seen[v] != x:
+                if v in seen:
                     problems.append(
                         {"problem": "m_class morphism not monic",
                          "m": m, "pair": [seen[v], x]}

@@ -348,17 +348,6 @@ class Subspace:
     def __repr__(self):
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
 
-    def intersect(self, other: "Subspace") -> "Subspace":
-        assert self.ambient_dim == other.ambient_dim, "ambient dimension mismatch"
-        a, b = self.basis, other.basis
-        if a.ncols == 0 or b.ncols == 0:
-            return Subspace.zero(self.ambient_dim)
-        stacked = block([self.ambient_dim], [a.ncols, b.ncols],
-                        {(0, 0): a, (0, 1): -b})
-        ker = stacked.kernel().basis
-        coeffs_a = QMat(a.ncols, ker.ncols, ker.sparse[:a.ncols], ker.den)
-        return Subspace(self.ambient_dim, a.mul(coeffs_a))
-
 
 def _column_echelon(m: QMat) -> QMat:
     """A basis of the column space of m in reduced column echelon form.

@@ -23,8 +23,8 @@ def int_list(value, field):
 
 
 def group_by(members, ends):
-    """members, in their given order, grouped by ends[x]: ends is a dom or
-    a cod table, so the groups are keyed by an endpoint object."""
+    """members, in their given order, grouped by ends[x]: ends is a table
+    indexed by morphism id, such as dom, cod or a row of comp."""
     out = {}
     for x in members:
         out.setdefault(ends[x], []).append(x)
@@ -242,22 +242,20 @@ class FinCat:
     # -- derived data --------------------------------------------------------
 
     def isos(self):
-        """Morphisms with a two-sided inverse."""
+        """Morphisms with a two-sided inverse.  One pass in id order records
+        each one's first inverse in its reverse hom set and lists the
+        isomorphisms into each object in id order."""
         if self._isos is None:
-            invertible = set()
-            self._iso_inverse = {}
-            for (a, b), fs in self._hom.items():
-                back = self._hom.get((b, a), [])
-                for f in fs:
-                    for g in back:
-                        if (
-                            self.comp[g][f] == self.identities[a]
-                            and self.comp[f][g] == self.identities[b]
-                        ):
-                            invertible.add(f)
-                            self._iso_inverse[f] = g
-                            break
-            self._isos = frozenset(invertible)
+            comp, ids, inverse = self.comp, self.identities, {}
+            for f in self.morphisms():
+                a, b = self.dom[f], self.cod[f]
+                for g in self._hom.get((b, a), ()):
+                    if comp[g][f] == ids[a] and comp[f][g] == ids[b]:
+                        inverse[f] = g
+                        break
+            self._iso_inverse = inverse
+            self._isos_into = group_by(inverse, self.cod)
+            self._isos = frozenset(inverse)
         return self._isos
 
     def iso_inverse(self, f):
@@ -265,7 +263,10 @@ class FinCat:
         return self._iso_inverse[f]
 
     def isos_into(self, a):
-        return sorted(i for i in self.isos() if self.cod[i] == a)
+        """The isomorphisms into a, in id order; the list is shared, so
+        callers do not change it."""
+        self.isos()
+        return self._isos_into.get(a, [])
 
     def generating_set(self, members=None):
         """The members (all morphisms by default) that, walked in id order

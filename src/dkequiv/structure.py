@@ -34,9 +34,11 @@ class StructureError(Exception):
 
 
 class NoFactorizationError(StructureError):
-    def __init__(self, f, message=None):
-        super().__init__(message or f"morphism {f} admits no factorization")
+    def __init__(self, f, reason="none"):
+        super().__init__(f"morphism {f} admits no factorization"
+                         if reason == "none" else f"morphism {f}: {reason}")
         self.morphism = f
+        self.reason = reason
 
 
 class AmbiguousFactorizationError(StructureError):
@@ -315,9 +317,11 @@ class MRStructure:
         representatives as its embedding parts and the least middle among
         those.
 
-        Once validate() has passed, the orbit lies inside the triples: isos
-        are in m_class, which is closed; star(i) = inv(i) for an iso i; and
-        r_class is stable under inv(a) o r o b.
+        Once validate() has passed on an associative table, the orbit lies
+        inside the triples: isos are in m_class, which is closed;
+        star(i) = inv(i) for an iso i; and r_class is stable under
+        inv(a) o r o b.  Otherwise no triple may have canonical embeddings,
+        and NoFactorizationError says so.
         """
         out = self._facts.get(f)
         if out is not None:
@@ -334,6 +338,8 @@ class MRStructure:
             for t in cands
             if self.canonical_emb(t.n) == t.n and self.canonical_emb(t.m) == t.m
         ]
+        if not canon:
+            raise NoFactorizationError(f, "no triple with canonical embeddings")
         out = min(canon, key=lambda t: t.r)
         self._facts[f] = out
         return out
@@ -551,8 +557,8 @@ def _factorization_witnesses(s, der):
     for f in cat.morphisms():
         try:
             s.factorize(f)
-        except NoFactorizationError:
-            yield {"morphism": f, "label": cat.mor_labels[f], "reason": "none"}
+        except NoFactorizationError as e:
+            yield {"morphism": f, "label": cat.mor_labels[f], "reason": e.reason}
         except AmbiguousFactorizationError as e:
             yield {
                 "morphism": f,

@@ -7,6 +7,7 @@ from dkequiv.builders import (
     build_pt,
 )
 from dkequiv.equivalence import build_kernel_module
+from dkequiv.exactlin import QMat, Subspace, block
 from dkequiv.fincat import FinCat
 from dkequiv.structure import MRStructure
 
@@ -124,3 +125,23 @@ def single_entry_mutants():
     """The seeded single-entry mutant generator
     single_entry_mutants(s, count, rng, accept)."""
     return _single_entry_mutants
+
+
+def _intersect(u, v):
+    """The intersection of two subspaces of one Q^n: the combinations of
+    u's basis whose coefficients, with those of some combination of v's,
+    lie in the kernel of [u.basis, -v.basis]."""
+    assert u.ambient_dim == v.ambient_dim, "ambient dimension mismatch"
+    a, b = u.basis, v.basis
+    if a.ncols == 0 or b.ncols == 0:
+        return Subspace.zero(u.ambient_dim)
+    stacked = block([u.ambient_dim], [a.ncols, b.ncols], {(0, 0): a, (0, 1): -b})
+    ker = stacked.kernel().basis
+    coeffs_a = QMat(a.ncols, ker.ncols, ker.sparse[:a.ncols], ker.den)
+    return Subspace(u.ambient_dim, a.mul(coeffs_a))
+
+
+@pytest.fixture(scope="session")
+def intersect():
+    """The intersection intersect(u, v) of two subspaces of one Q^n."""
+    return _intersect

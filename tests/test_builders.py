@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 from math import comb
 
@@ -17,6 +18,7 @@ from dkequiv.builders import (
     build_pt,
     cube_maps,
     pullback,
+    validate_par_input,
 )
 from dkequiv.fincat import FinCat
 from dkequiv.structure import check_assumptions
@@ -236,6 +238,145 @@ def test_pullback_in_finset():
     (w, p, q) = pb
     assert cat.comp[f][p] == cat.comp[m][q]
     assert p in inp.m_class
+
+
+# -- counting pullbacks against the search they replace --------------------------
+
+
+def _pullback_by_search(cat, f, g):
+    """The first cone (w, p, q) of the cospan (f, g), by w, then p, then q,
+    for which every cone has exactly one mediating map; None when there is
+    none."""
+    cones = [(w, p, q) for w in cat.objects()
+             for p in cat.hom(w, cat.dom[f]) for q in cat.hom(w, cat.dom[g])
+             if cat.comp[f][p] == cat.comp[g][q]]
+    for (w, p, q) in cones:
+        if all(len([h for h in cat.hom(w2, w)
+                    if cat.comp[p][h] == a and cat.comp[q][h] == b]) == 1
+               for (w2, a, b) in cones):
+            return (w, p, q)
+    return None
+
+
+def _validate_by_search(inp):
+    """validate_par_input's (problems, pullbacks) on a base that is a
+    category with its class ids in range, found by scanning every pair
+    (m, e) for each morphism, every pair of maps for monicity, and every
+    cone for each pullback."""
+    cat, es, ms = inp.cat, sorted(inp.e_class), sorted(inp.m_class)
+    problems = [{"problem": "isomorphism missing from a class", "id": i}
+                for i in sorted(cat.isos())
+                if i not in inp.e_class or i not in inp.m_class]
+    for name, cls_ in (("e_class", es), ("m_class", ms)):
+        problems += [{"problem": f"{name} not closed under composition",
+                      "pair": [g, f]}
+                     for g in cls_ for f in cls_
+                     if cat.composable(g, f) and cat.comp[g][f] not in cls_]
+    for f in cat.morphisms():
+        pairs = [(m, e) for m in ms for e in es
+                 if cat.composable(m, e) and cat.comp[m][e] == f]
+        if not pairs:
+            problems.append({"problem": "no (e, m) factorization", "morphism": f})
+            continue
+        (m0, e0) = pairs[0]
+        other = next(((m1, e1) for (m1, e1) in pairs[1:] if not any(
+            cat.comp[m1][i] == m0 and cat.comp[i][e0] == e1
+            for i in cat.isos() if cat.cod[i] == cat.dom[m1]
+            and cat.dom[i] == cat.dom[m0])), None)
+        if other is not None:
+            problems.append({"problem": "non-isomorphic (e, m) factorizations",
+                             "morphism": f, "pairs": [[m0, e0], list(other)]})
+    for m in ms:
+        for w in cat.objects():
+            hom = cat.hom(w, cat.dom[m])
+            pair = next(([x, y] for y in hom for x in hom
+                         if x < y and cat.comp[m][x] == cat.comp[m][y]), None)
+            if pair is not None:
+                problems.append({"problem": "m_class morphism not monic",
+                                 "m": m, "pair": pair})
+    pullbacks = {}
+    for m in ms:
+        for f in cat.morphisms():
+            if cat.cod[f] != cat.cod[m]:
+                continue
+            pb = _pullback_by_search(cat, f, m)
+            if pb is None:
+                problems.append({"problem": "missing pullback of an m_class morphism",
+                                 "m": m, "along": f})
+                continue
+            if pb[1] not in inp.m_class:
+                problems.append({"problem": "pullback projection not in m_class",
+                                 "m": m, "along": f, "projection": pb[1]})
+            pullbacks[(f, m)] = pb
+    return problems, pullbacks
+
+
+def _full_subcategories(inp):
+    """The full subcategory of inp's base on each nonempty set of objects,
+    with both classes restricted to it."""
+    cat = inp.cat
+    for size in range(1, cat.n_objects + 1):
+        for objs in itertools.combinations(cat.objects(), size):
+            kept = [f for f in cat.morphisms()
+                    if cat.dom[f] in objs and cat.cod[f] in objs]
+            new = {f: i for i, f in enumerate(kept)}
+            obj = {a: i for i, a in enumerate(objs)}
+            sub = FinCat(
+                len(objs), [obj[cat.dom[f]] for f in kept],
+                [obj[cat.cod[f]] for f in kept],
+                [new[cat.identity(a)] for a in objs],
+                [[new[cat.comp[g][f]] if cat.composable(g, f) else None
+                  for f in kept] for g in kept],
+                [cat.obj_labels[a] for a in objs], [cat.mor_labels[f] for f in kept],
+            )
+            yield ParInput(sub, frozenset(new[f] for f in inp.e_class if f in new),
+                           frozenset(new[f] for f in inp.m_class if f in new))
+
+
+def _finset_2_reclassed(one_injection):
+    """Maps of sets up to 2, every map in e_class.  m_class holds every map
+    (maps that are not monic, factorizations that are not unique), or the
+    isomorphisms and one injection (a pullback leaving m_class)."""
+    inp = build_finset_input(2)
+    cat = inp.cat
+    everything = frozenset(cat.morphisms())
+    return ParInput(cat, everything, cat.isos() | {min(inp.m_class - cat.isos())}
+                    if one_injection else everything)
+
+
+PAR_BASES = {
+    "finset_3": lambda: build_finset_input(3),
+    "fi_3": lambda: build_fi_input(3),
+    "flinj_2": lambda: build_flinj_input(2),
+    "finset_2_all_maps": lambda: _finset_2_reclassed(False),
+    "finset_2_one_injection": lambda: _finset_2_reclassed(True),
+}
+
+
+@pytest.mark.parametrize("name", list(PAR_BASES))
+def test_counted_pullbacks_match_the_search(name):
+    # every cospan of every full subcategory, many of them without a pullback
+    missing = found = 0
+    for inp in _full_subcategories(PAR_BASES[name]()):
+        cat = inp.cat
+        for f in cat.morphisms():
+            for g in cat.morphisms():
+                if cat.cod[f] == cat.cod[g]:
+                    pb = pullback(cat, f, g)
+                    assert pb == _pullback_by_search(cat, f, g), (f, g)
+                    missing += pb is None
+                    found += pb is not None
+    assert missing > 0 and found > 0
+
+
+@pytest.mark.parametrize("name", list(PAR_BASES))
+def test_validate_par_input_matches_the_search(name):
+    kinds = set()
+    for inp in _full_subcategories(PAR_BASES[name]()):
+        got = validate_par_input(inp)
+        assert got == _validate_by_search(inp)
+        kinds |= {p["problem"] for p in got[0]}
+    assert kinds
 
 
 def test_pt_matches_expected_structure(pt):

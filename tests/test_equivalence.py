@@ -29,14 +29,6 @@ from dkequiv.functors import AdditiveFunctor, PointedFunctor, random_pointed_fun
 from dkequiv.structure import MRStructure, check_assumptions
 
 
-def intersect_all(ambient_dim, subspaces):
-    """The intersection of subspaces of Q^ambient_dim, one at a time."""
-    out = Subspace.full(ambient_dim)
-    for s in subspaces:
-        out = out.intersect(s)
-    return out
-
-
 def act(km, d_r, f, u):
     """The kernel module's two-sided action f o u o r; None is the basepoint."""
     r = km.d.d_to_r[d_r]
@@ -317,7 +309,7 @@ def test_tilde_no_proper_subobjects_gives_restriction():
     assert f.mats[km.d.r_to_d[s.cat.identity(0)]].is_identity()
 
 
-def test_moore_complex_oracle(km_delta5):
+def test_moore_complex_oracle(km_delta5, intersect):
     # the right transport at each ordinal is the intersection of the kernels
     # of the retractions of the face maps, computed here independently from
     # the labels; its collapse-map action squares to zero
@@ -339,7 +331,9 @@ def test_moore_complex_oracle(km_delta5):
                 and len(set(tgt)) == len(tgt)
             ):
                 kernels.append(t.mats[s.star[m]].kernel())
-        expected = intersect_all(t.dims[a], kernels)
+        expected = Subspace.full(t.dims[a])
+        for k in kernels:
+            expected = intersect(expected, k)
         assert expected.dim == ft.dims[a]
     # boundary squared is zero (it is a zero composite in the completion)
     for dr in km.d.nonzero_morphisms():

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -186,6 +187,48 @@ def test_isos_closed_under_composition_and_inverse(fi3):
         for g in isos:
             if cat.composable(g, f):
                 assert cat.comp[g][f] in isos
+
+
+def _with_inverse(cat, f, g, two_sided):
+    """cat with g o f set to the identity, and f o g too when two_sided."""
+    comp = [list(row) for row in cat.comp]
+    comp[g][f] = cat.identity(cat.dom[f])
+    if two_sided:
+        comp[f][g] = cat.identity(cat.cod[f])
+    return FinCat(cat.n_objects, cat.dom, cat.cod, cat.identities, comp,
+                  cat.obj_labels, cat.mor_labels)
+
+
+def test_isos_match_an_inverse_search(delta4, fi3, cube2, pt, single_entry_mutants):
+    # the stock tables, seeded single-entry comp mutants, mutants with a new
+    # one- or two-sided inverse, and isomorphisms given a second inverse
+    rng = random.Random(1511)
+    cats = []  # (stock table, table)
+    for s in (delta4, fi3, cube2, pt):
+        cat = s.cat
+        cats.append((cat, cat))
+        cats += [(cat, m.cat) for m in single_entry_mutants(
+            s, 8, rng, lambda m, cat=cat: m.cat is not cat)]
+        pairs = [(f, g) for f in cat.morphisms() for g in cat.hom(cat.cod[f], cat.dom[f])
+                 if not cat.is_identity(f) and not cat.is_identity(g)]
+        cats += [(cat, _with_inverse(cat, *rng.choice(pairs), k % 2)) for k in range(6)]
+        seconds = [(f, g) for f, g in pairs if f in cat.isos() and g != cat.iso_inverse(f)]
+        cats += [(cat, _with_inverse(cat, f, g, True))
+                 for f, g in rng.sample(seconds, min(3, len(seconds)))]
+    changed = 0
+    for stock, cat in cats:
+        ids = cat.identities
+        inverses = {f: [g for g in cat.morphisms()
+                        if cat.comp[g][f] == ids[cat.dom[f]]
+                        and cat.comp[f][g] == ids[cat.cod[f]]]
+                    for f in cat.morphisms()}
+        isos = {f for f, gs in inverses.items() if gs}
+        assert cat.isos() == isos
+        assert all(cat.iso_inverse(f) == inverses[f][0] for f in isos)
+        for a in cat.objects():
+            assert list(cat.isos_into(a)) == sorted(f for f in isos if cat.cod[f] == a)
+        changed += isos != stock.isos()
+    assert changed >= 10
 
 
 def test_opposite_of_delta_passes_check(delta4):

@@ -4,6 +4,8 @@ from math import comb
 import pytest
 
 from dkequiv.builders import build_cube, build_delta_bt, build_fi_sharp, build_pt
+from dkequiv.equivalence import KernelModule
+from dkequiv.fincat import FinCat
 from dkequiv.structure import (
     MRStructure,
     StructureError,
@@ -613,8 +615,6 @@ def seeded_mutations(s, n, seed):
 
 class FinCatMutation:
     def __init__(self, cat, comp, s):
-        from dkequiv.fincat import FinCat
-
         self.cat = FinCat(
             cat.n_objects, cat.dom, cat.cod, cat.identities, comp,
             cat.obj_labels, cat.mor_labels,
@@ -734,3 +734,27 @@ def test_axiom_witnesses_factorization_closure(fi2):
 def test_restricted_to_k_names_the_closure_witness(fi2):
     with pytest.raises(StructureError, match=r"not closed; witness \(11, 7\)$"):
         restricted_to_k(_cut_fi2(fi2, {7, 8}))
+
+
+def test_non_associative_table_fails_factorization_with_a_witness(fi2):
+    # comp[6][12] redirected from 13 to 19: the identity laws and validate()
+    # hold, associativity does not, and morphism 19's one conjugacy orbit of
+    # triples holds none with canonical embeddings
+    cat = fi2.cat
+    comp = [list(row) for row in cat.comp]
+    assert comp[6][12] == 13
+    comp[6][12] = 19
+    table = FinCat(cat.n_objects, cat.dom, cat.cod, cat.identities, comp,
+                   cat.obj_labels, cat.mor_labels)
+    s = MRStructure(table, fi2.m_class, fi2.star)
+    assert s.validate().ok and not table.check().ok
+    checks = {c.key: c for c in check_assumptions(s).checks}
+    assert not checks["factorization"].passed
+    assert checks["factorization"].witness == {
+        "morphism": 19, "label": "2,1",
+        "reason": "no triple with canonical embeddings",
+    }
+    for stage in (verify_coend_bijections, KernelModule):
+        with pytest.raises(StructureError,
+                           match="^morphism 19: no triple with canonical embeddings$"):
+            stage(s)
