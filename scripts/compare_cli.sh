@@ -30,8 +30,9 @@
 # `example par` on the finset bases builds Gamma_2, Gamma_3 and Gamma_4 (1,279
 # morphisms, the largest par table; a checkout that finds pullbacks by
 # searching every pair of cones takes about 80 s on it), and one case
-# certifies Gamma_3.  One case runs each checkout's own
-# scripts/roundtrip_demo.py.
+# certifies Gamma_3.  `example par` on flinj2 builds VI#_2, in which F_2^2
+# has the automorphism group GL_2(F_2); it is also checked and certified.
+# One case runs each checkout's own scripts/roundtrip_demo.py.
 set -e
 OLD=$(cd "$1" && pwd)
 NEW=$(cd "$2" && pwd)
@@ -239,6 +240,10 @@ cases() {
         --seeds 3 --seed 7 --out cert_fi_file.json
     run cert_gamma3 -m dkequiv.cli certify --category ex/par_finset3.base.structure.json \
         --seeds 3 --out cert_gamma3.json
+    run check_vi2 -m dkequiv.cli check ex/par_flinj2.base.structure.json \
+        --out check_vi2.json
+    run cert_vi2 -m dkequiv.cli certify --category ex/par_flinj2.base.structure.json \
+        --out cert_vi2.json
     run roundtrip_demo "$1/scripts/roundtrip_demo.py"
     # malformed input
     run ex_bogus -m dkequiv.cli example bogus --out ex

@@ -22,6 +22,8 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
+from math import lcm
 
 from .exactlin import (
     QMat,
@@ -164,6 +166,31 @@ class KernelModule:
         return not any(s_in_r[comp[g][t]] for g in cat.generating_set()
                        for t in x_by_cod.get(cat.dom[g], ()))
 
+    @cached_property
+    def placement(self):
+        """hat's block layout, which no functor changes: the subobject
+        linearization of each object, and for each morphism g: a -> b the
+        blocks of hat(f)(g) that may be nonzero, as (block row, [(block
+        column, D-morphism), ...]) by ascending row and column.  Block
+        column j is the j-th class m of a; when g o m has an irreducible
+        non-embedding part it holds f of that part, at the block row of its
+        embedding part.  Built on hat's first call."""
+        s = self.structure
+        cat = s.cat
+        r_to_d = self.d.r_to_d
+        lins = [s.sub_poset(a).linearization for a in cat.objects()]
+        index = [{rep: k for k, rep in enumerate(lin)} for lin in lins]
+        cells = []
+        for g in cat.morphisms():
+            rows = {}
+            for j, m in enumerate(lins[cat.dom[g]]):
+                u = cat.comp[g][m]
+                if s.s_in_r(u):
+                    rows.setdefault(index[cat.cod[g]][s.m_part(u)], []).append(
+                        (j, r_to_d[s.s_part(u)]))
+            cells.append(sorted(rows.items()))
+        return lins, cells
+
 
 def build_kernel_module(s: MRStructure, validate=True) -> KernelModule:
     return KernelModule(s, validate=validate)
@@ -174,26 +201,50 @@ def build_kernel_module(s: MRStructure, validate=True) -> KernelModule:
 
 def hat(km: KernelModule, f: PointedFunctor) -> AdditiveFunctor:
     """Left transport: direct sums over subobject classes, block action from
-    the three-part factorization of (morphism o subobject)."""
+    the three-part factorization of (morphism o subobject).
+
+    The matrix of g is assembled from km.placement as block() would
+    assemble it, and equals block()'s.  Every matrix of f is scaled once to
+    den, the lcm of f's denominators, and each (D-morphism, column offset)
+    is shifted once.  Row r of block row i joins row r of the shifted
+    blocks of that row by ascending block column, over den; a zero block
+    adds nothing to it, and the rows of block rows with no block are empty.
+    These are the entries block() stores, by ascending column, over den
+    rather than the lcm of the dens of the blocks used, which divides it.
+    QMat() divides both by their gcd with the entries, which leaves the one
+    canonical form of the matrix, so the two are equal.
+    """
     s = km.structure
     cat = s.cat
     d = km.d
     assert f.d is km.d or f.d.cat.n_objects == cat.n_objects
 
-    lins = [s.sub_poset(a).linearization for a in cat.objects()]
-    index = [{rep: k for k, rep in enumerate(lin)} for lin in lins]
-    widths = [[f.dims[cat.dom[rep]] for rep in lin] for lin in lins]
+    lins, cells = km.placement
+    offsets = [[0, *itertools.accumulate(f.dims[cat.dom[rep]] for rep in lin)]
+               for lin in lins]
+    den = lcm(*(m.den for m in f.mats.values()))
+    shifted = {}
+
+    def rows_of(dm, c0):
+        out = shifted.get((dm, c0))
+        if out is None:
+            m = f.mats[dm]
+            assert m.shape == (f.dims[d.cat.cod[dm]], f.dims[d.cat.dom[dm]])
+            k = den // m.den
+            out = shifted[(dm, c0)] = m.sparse if c0 == 0 and k == 1 else [
+                tuple([(c0 + c, x * k) for c, x in row]) for row in m.sparse]
+        return out
 
     mats = {}
     for g in cat.morphisms():
-        a, b = cat.dom[g], cat.cod[g]
-        grid = {}
-        for j, m in enumerate(lins[a]):
-            u = cat.comp[g][m]
-            if s.s_in_r(u):
-                grid[(index[b][s.m_part(u)], j)] = f.mats[d.r_to_d[s.s_part(u)]]
-        mats[g] = block(widths[b], widths[a], grid)
-    return AdditiveFunctor(cat, [sum(w) for w in widths], mats)
+        rows0, cols0 = offsets[cat.cod[g]], offsets[cat.dom[g]]
+        rows = [()] * rows0[-1]
+        for i, row_cells in cells[g]:
+            parts = [rows_of(dm, cols0[j]) for j, dm in row_cells]
+            rows[rows0[i]:rows0[i + 1]] = (
+                parts[0] if len(parts) == 1 else [sum(r, ()) for r in zip(*parts)])
+        mats[g] = QMat(rows0[-1], cols0[-1], rows, den)
+    return AdditiveFunctor(cat, [o[-1] for o in offsets], mats)
 
 
 def tilde_subspaces(km: KernelModule, t: AdditiveFunctor):

@@ -48,6 +48,13 @@ class ValidationReport:
     def ok(self):
         return not self.structural and not self.law
 
+    def copy(self):
+        """A report with the same violations, which can be added to without
+        changing this one."""
+        out = ValidationReport()
+        out.structural, out.law = list(self.structural), list(self.law)
+        return out
+
     def to_jsonable(self):
         return {"structural": self.structural, "law": self.law, "ok": self.ok}
 
@@ -95,7 +102,7 @@ class FinCat:
             self._hom.setdefault((self.dom[f], self.cod[f]), []).append(f)
             self._into[self.cod[f]].append(f)
             self._outof[self.dom[f]].append(f)
-        self._isos = self._report = self._gens = None
+        self._isos = self._report = self._tables = self._gens = None
 
     # -- basics ------------------------------------------------------------
 
@@ -184,7 +191,9 @@ class FinCat:
         """The structural part of check(), which every other computation on
         the tables presumes: identities and composites are morphism ids
         with the right endpoints, and comp is defined exactly on the
-        composable pairs.  Reports every violated instance.
+        composable pairs.  Reports every violated instance.  It is computed
+        once per table, and each call returns its own copy, since _check and
+        MRStructure.validate add to the report they get.
 
         A row g passes when it holds len(into) defined entries and, at each
         f in into = the morphisms into dom(g), a morphism id with endpoints
@@ -192,6 +201,11 @@ class FinCat:
         and all of them are right.  Only a row that fails is walked entry by
         entry, so the report is that of the walk.
         """
+        if self._tables is None:
+            self._tables = self._check_tables()
+        return self._tables.copy()
+
+    def _check_tables(self):
         rep = ValidationReport()
         n = self.n_morphisms
         dom, cod = self.dom, self.cod

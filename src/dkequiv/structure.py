@@ -152,13 +152,22 @@ class MRStructure:
         self.star = dict(star)
         self._canonical_emb = {}
         self._facts = {}
+        self._validation = None
+        self._cand_tables = {}
         self._sub_posets = {}
 
     # -- structural validation ---------------------------------------------
 
     def validate(self) -> ValidationReport:
         """Structural checks of the embeddings and their retractions, after
-        those of the category's tables, which everything else presumes."""
+        those of the category's tables, which everything else presumes.
+        They are computed once per structure, and each call returns its own
+        copy of the report."""
+        if self._validation is None:
+            self._validation = self._validate()
+        return self._validation.copy()
+
+    def _validate(self):
         cat = self.cat
         rep = cat.check_tables()
         if rep.structural:
@@ -268,29 +277,35 @@ class MRStructure:
 
     # -- factorization --------------------------------------------------------
 
-    @cached_property
-    def _decomps(self):
-        """All composites n o r with n in m_class, r in r_class, keyed by value."""
-        cat = self.cat
-        table = {}
-        for nn in sorted(self.m_class):
-            for r in sorted(self.r_class):
-                if cat.cod[r] == cat.dom[nn]:
-                    table.setdefault(cat.comp[nn][r], []).append((nn, r))
-        return table
+    def _candidate_tables(self, canonical):
+        """The embeddings grouped by codomain, and every composite n o r of
+        an embedding n after an r in r_class keyed by its value, as (n, r)
+        pairs; all in id order, and over all of m_class or, when canonical,
+        over its canonical representatives only."""
+        tables = self._cand_tables.get(canonical)
+        if tables is None:
+            cat = self.cat
+            ms = [m for m in sorted(self.m_class)
+                  if not canonical or self.canonical_emb(m) == m]
+            r_by_cod = group_by(sorted(self.r_class), cat.cod)
+            decomps = {}
+            for nn in ms:
+                for r in r_by_cod.get(cat.dom[nn], ()):
+                    decomps.setdefault(cat.comp[nn][r], []).append((nn, r))
+            tables = self._cand_tables[canonical] = (group_by(ms, cat.cod), decomps)
+        return tables
 
-    def factor_candidates(self, f):
-        """Every valid triple (n, r, m) with f = n o r o star(m)."""
+    def factor_candidates(self, f, canonical=False):
+        """Every valid triple (n, r, m) with f = n o r o star(m), that is
+        with f o m = n o r and (f o m) o star(m) = f, by ascending m, n and
+        r; when canonical, only those whose n and m are canonical."""
         cat = self.cat
-        decomps = self._decomps
+        ms_into, decomps = self._candidate_tables(canonical)
         cands = []
-        for m in sorted(self.m_class):
-            if cat.cod[m] != cat.dom[f]:
-                continue
+        for m in ms_into.get(cat.dom[f], ()):
             g = cat.comp[f][m]
-            for (nn, r) in decomps.get(g, ()):
-                if cat.comp[g][self.star[m]] == f:
-                    cands.append(Factorization(nn, r, m))
+            if cat.comp[g][self.star[m]] == f:
+                cands += [Factorization(nn, r, m) for nn, r in decomps.get(g, ())]
         return cands
 
     def conjugacy_orbit(self, fact: Factorization):
@@ -307,6 +322,15 @@ class MRStructure:
                 )
         return orbit
 
+    @cached_property
+    def _by_representatives(self):
+        """Whether factorize may search the canonical triples first: some
+        isomorphism is not an identity (else every embedding is canonical
+        and both searches are one), and validate() and cat.check() pass."""
+        cat = self.cat
+        return (any(not cat.is_identity(i) for i in cat.isos())
+                and self.validate().ok and cat.check().ok)
+
     def factorize(self, f) -> Factorization:
         """The canonical triple (n, r, m) with f = n o r o star(m).
 
@@ -322,10 +346,27 @@ class MRStructure:
         star(i) = inv(i) for an iso i; and r_class is stable under
         inv(a) o r o b.  Otherwise no triple may have canonical embeddings,
         and NoFactorizationError says so.
+
+        Then each orbit also holds exactly one triple whose n and m are
+        canonical.  The class of n o a is that of n, so some a makes n o a
+        its least member, canonical_emb(n), and likewise some b for m.  If
+        n o a = n o a', then a = star(n) o n o a = a', since star(n) o n is
+        an identity; likewise b = b', and r' = inv(a) o r o b follows.  The
+        triples of f are a union of orbits, so they form one orbit exactly
+        when exactly one of them has canonical n and m, and that one is the
+        triple returned.  So when _by_representatives holds, factorize
+        searches the canonical embeddings only and returns a lone triple
+        found there; on any other count, and otherwise, it searches every
+        triple, so its errors and witnesses are that search's.
         """
         out = self._facts.get(f)
         if out is not None:
             return out
+        if self._by_representatives:
+            cands = self.factor_candidates(f, canonical=True)
+            if len(cands) == 1:
+                out = self._facts[f] = cands[0]
+                return out
         cands = self.factor_candidates(f)
         if not cands:
             raise NoFactorizationError(f)

@@ -7,8 +7,11 @@ import pytest
 
 from dkequiv.builders import (
     BUILDERS,
+    build_cube,
     build_delta_bt,
+    build_fi_sharp,
     build_finset_input,
+    build_flinj_input,
     build_par,
     build_pt,
 )
@@ -23,7 +26,7 @@ from dkequiv.equivalence import (
     tilde,
     unit,
 )
-from dkequiv.exactlin import QMat, Subspace
+from dkequiv.exactlin import QMat, Subspace, block
 from dkequiv.fincat import FinCat, group_by
 from dkequiv.functors import AdditiveFunctor, PointedFunctor, random_pointed_functor
 from dkequiv.structure import MRStructure, check_assumptions
@@ -282,6 +285,80 @@ def test_hat_delta_dims_from_poset_sizes(km_delta4):
     for a in s.cat.objects():
         assert t.dims[a] == len(s.sub_poset(a))
     assert t.validate().ok
+
+
+def _hat_by_blocks(km, f):
+    """hat as it was first written: every matrix assembled by block() from a
+    grid of the functor's matrices, the placement rebuilt on each call."""
+    s = km.structure
+    cat = s.cat
+    lins = [s.sub_poset(a).linearization for a in cat.objects()]
+    index = [{rep: k for k, rep in enumerate(lin)} for lin in lins]
+    widths = [[f.dims[cat.dom[rep]] for rep in lin] for lin in lins]
+    mats = {}
+    for g in cat.morphisms():
+        a, b = cat.dom[g], cat.cod[g]
+        grid = {}
+        for j, m in enumerate(lins[a]):
+            u = cat.comp[g][m]
+            if s.s_in_r(u):
+                grid[(index[b][s.m_part(u)], j)] = f.mats[km.d.r_to_d[s.s_part(u)]]
+        mats[g] = block(widths[b], widths[a], grid)
+    return AdditiveFunctor(cat, [sum(w) for w in widths], mats)
+
+
+def _rescaled(f):
+    """f conjugated at each object a by the upper-triangular matrix with
+    entries (i + a + 2) / (j + 2) at i <= j: a functor isomorphic to f whose
+    matrices hold non-integer rationals with different denominators."""
+    cat = f.d.cat
+    change = [QMat.from_rows([[Fraction(i + a + 2, j + 2) if i <= j else 0
+                               for j in range(n)] for i in range(n)], n)
+              for a, n in enumerate(f.dims)]
+    back = [p.inverse() for p in change]
+    return PointedFunctor(f.d, f.dims, {
+        dm: change[cat.cod[dm]].mul(m).mul(back[cat.dom[dm]])
+        for dm, m in f.mats.items()})
+
+
+# per structure: its builder, then dims with a zero entry, then dims whose
+# functor at seed 3 is not a direct sum of trivial atoms, so that _rescaled
+# gives it non-integer entries
+HAT_CASES = {
+    "fi_sharp_3": (lambda: build_fi_sharp(3), (2, 1, 1, 0), (1, 0, 2, 1)),
+    "fi_sharp_4": (lambda: build_fi_sharp(4), (3, 3, 0, 2, 3), (2, 1, 3, 3, 2)),
+    "delta_bt_5": (lambda: build_delta_bt(5), (1, 0, 1, 2, 1), (2, 3, 2, 1, 1)),
+    "delta_bt_6": (lambda: build_delta_bt(6), (1, 0, 1, 0, 1, 2),
+                   (3, 3, 2, 3, 4, 3)),
+    "cube_3": (lambda: build_cube(3), (1, 0, 2, 1), (2, 1, 1, 1)),
+    "gamma_3": (lambda: build_par(build_finset_input(3)), (1, 0, 2, 1),
+                (1, 2, 3, 2)),
+    "vi_sharp_2": (lambda: build_par(build_flinj_input(2)), (1, 0, 2), (0, 1, 6)),
+}
+
+
+@pytest.mark.parametrize("tag", sorted(HAT_CASES))
+def test_hat_matches_the_block_assembly(tag):
+    """hat(f) and hat(tilde(hat f)) hold, matrix by matrix, the denominator
+    and sparse rows that block() gives, for seeded functors with a zero
+    dimension and for rescaled ones with non-integer entries."""
+    build, zero_dims, dims = HAT_CASES[tag]
+    km = build_kernel_module(build(), validate=False)
+    fs = [random_pointed_functor(km.d, zero_dims, seed=0),
+          random_pointed_functor(km.d, dims, seed=3)]
+    fs += [_rescaled(f) for f in fs]
+    dens = set()
+    for f in fs:
+        t = hat(km, f)
+        for source in (f, tilde(km, t)):
+            got, want = hat(km, source), _hat_by_blocks(km, source)
+            assert got.dims == want.dims
+            assert got.mats.keys() == want.mats.keys()
+            for g, m in want.mats.items():
+                assert (got.mats[g].shape, got.mats[g].den, got.mats[g].sparse) == (
+                    m.shape, m.den, m.sparse), g
+            dens |= {m.den for m in source.mats.values()}
+    assert len(dens) > 1
 
 
 def constant_functor(cat):

@@ -1,3 +1,4 @@
+import json
 import random
 from math import comb
 
@@ -629,8 +630,6 @@ def test_structure_json_round_trip(delta4, fi2):
         assert again.to_json() == text
         assert again.m_class == s.m_class and again.star == s.star
         assert again.r_class == s.r_class
-    import json
-
     data = json.loads(delta4.to_json())
     assert all(
         isinstance(k, str) and isinstance(v, str)
@@ -758,3 +757,159 @@ def test_non_associative_table_fails_factorization_with_a_witness(fi2):
         with pytest.raises(StructureError,
                            match="^morphism 19: no triple with canonical embeddings$"):
             stage(s)
+
+
+# -- factorization over canonical representatives ------------------------------
+
+
+def _factorize_exhaustively(s, f):
+    """MRStructure.factorize as it was first written: every triple, then the
+    conjugacy orbit of the first, then the canonical triple with the least
+    middle."""
+    from dkequiv.structure import (
+        AmbiguousFactorizationError,
+        Factorization,
+        NoFactorizationError,
+    )
+
+    cat = s.cat
+    decomps = {}
+    for nn in sorted(s.m_class):
+        for r in sorted(s.r_class):
+            if cat.cod[r] == cat.dom[nn]:
+                decomps.setdefault(cat.comp[nn][r], []).append((nn, r))
+    cands = []
+    for m in sorted(s.m_class):
+        if cat.cod[m] != cat.dom[f]:
+            continue
+        g = cat.comp[f][m]
+        for (nn, r) in decomps.get(g, ()):
+            if cat.comp[g][s.star[m]] == f:
+                cands.append(Factorization(nn, r, m))
+    if not cands:
+        raise NoFactorizationError(f)
+    first = cands[0]
+    orbit = {Factorization(cat.comp[first.n][a],
+                           cat.comp[cat.comp[cat.iso_inverse(a)][first.r]][b],
+                           cat.comp[first.m][b])
+             for a in cat.isos_into(cat.dom[first.n])
+             for b in cat.isos_into(cat.dom[first.m])}
+    extra = set(cands) - orbit
+    if extra:
+        other = min(extra, key=lambda t: (t.n, t.r, t.m))
+        raise AmbiguousFactorizationError(f, first, other)
+
+    def canonical(m):
+        return m == min(cat.comp[m][i] for i in cat.isos_into(cat.dom[m]))
+
+    canon = [t for t in cands if canonical(t.n) and canonical(t.m)]
+    if not canon:
+        raise NoFactorizationError(f, "no triple with canonical embeddings")
+    return min(canon, key=lambda t: t.r)
+
+
+def _factorization_outcome(factorize, f):
+    """The triple, or the exception's type, message and triples."""
+    try:
+        return factorize(f)
+    except Exception as e:  # both sides must fail alike
+        return (type(e).__name__, str(e), getattr(e, "triples", None))
+
+
+def test_factorize_matches_the_exhaustive_search(fi2, single_entry_mutants):
+    """factorize gives the exhaustive search's triple or error on every
+    morphism of the stock structures, Gamma_2, Gamma_3, VI#_2, their seeded
+    comp and retraction mutants that pass validate, fi_sharp 2 with
+    associativity broken and fi_sharp 2 with its embeddings cut.  On
+    iso-rich structures that pass validate and check it runs the exhaustive
+    search only when some morphism fails to factor."""
+    from dkequiv.builders import (
+        BUILDERS,
+        build_finset_input,
+        build_flinj_input,
+        build_par,
+    )
+
+    rng = random.Random(14)
+    bases = [build_pt()]
+    bases += [BUILDERS[name][0](n) for name in ("delta_bt", "fi_sharp", "cube")
+              for n in range(BUILDERS[name][1], 5)]
+    bases += [build_par(build_finset_input(n)) for n in (2, 3)]
+    bases.append(build_par(build_flinj_input(2)))
+    cases = list(bases)
+    for base in bases:
+        if base.cat.n_morphisms <= 150:
+            cases += single_entry_mutants(base, 8, rng, lambda x: x.validate().ok)
+    comp = [list(row) for row in fi2.cat.comp]
+    comp[6][12] = 19
+    table = FinCat(fi2.cat.n_objects, fi2.cat.dom, fi2.cat.cod,
+                   fi2.cat.identities, comp, fi2.cat.obj_labels, fi2.cat.mor_labels)
+    cases.append(MRStructure(table, fi2.m_class, fi2.star))
+    # embeddings cut to the isomorphisms plus some injections: the laws hold
+    # and some morphisms have no triple or non-conjugate ones
+    cases += [_cut_fi2(fi2, extra) for extra in ({1}, {7, 8})]
+    paths, errors = set(), set()
+    for s in cases:
+        exhaustive = []
+        search = s.factor_candidates
+
+        def counted(f, canonical=False, search=search, exhaustive=exhaustive):
+            if not canonical:
+                exhaustive.append(f)
+            return search(f, canonical)
+
+        s.factor_candidates = counted
+        for f in s.cat.morphisms():
+            got = _factorization_outcome(s.factorize, f)
+            assert got == _factorization_outcome(
+                lambda x: _factorize_exhaustively(s, x), f), f
+            if type(got) is tuple:
+                errors.add(got[0])
+        paths.add((s._by_representatives, bool(exhaustive)))
+        if s._by_representatives and all(
+                type(_factorization_outcome(s.factorize, f)) is not tuple
+                for f in s.cat.morphisms()):
+            assert not exhaustive
+    assert {(True, False), (True, True), (False, True)} <= paths
+    assert errors == {"NoFactorizationError", "AmbiguousFactorizationError"}
+
+
+def test_factorize_on_an_iso_free_table_does_not_check_the_laws():
+    s = build_delta_bt(6)
+    for f in s.cat.morphisms():
+        s.factorize(f)
+    assert not s._by_representatives
+    assert s.cat._report is None
+
+
+def test_memoized_reports_are_not_shared(fi2):
+    """validate(), check() and check_tables() are computed once per table or
+    structure, and validate and check add to the report check_tables gives
+    them: after each has run, each still reports what it reports on a fresh
+    copy of the table, on a table that is associative and on one that is
+    not, with a retraction that does not split its embedding."""
+    base = fi2.cat
+    m = next(x for x in sorted(fi2.m_class) if not base.is_identity(x))
+    star = {**fi2.star, m: base.identity(base.cod[m])}
+
+    def table(comp):
+        return FinCat(base.n_objects, base.dom, base.cod, base.identities, comp,
+                      base.obj_labels, base.mor_labels)
+
+    broken = [list(row) for row in base.comp]
+    broken[6][12] = 19
+    for comp in (base.comp, broken):
+        s = MRStructure(table(comp), fi2.m_class, star)
+        calls = (lambda: s.validate(), lambda: s.cat.check(),
+                 lambda: s.cat.check_tables())
+        got = []
+        for call in calls + calls:
+            rep = call()
+            got.append(json.loads(json.dumps(rep.to_jsonable())))
+            if call is not calls[1]:  # check() gives every caller one report
+                rep.add_structural("added by the caller")
+        want = [MRStructure(table(comp), fi2.m_class, star).validate(),
+                table(comp).check(), table(comp).check_tables()]
+        assert got == [w.to_jsonable() for w in want + want]
+        assert got[0]["structural"] and got[0]["structural"] != got[2]["structural"]
+    assert got[1]["law"]
