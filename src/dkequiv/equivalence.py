@@ -50,9 +50,10 @@ class TriangularityError(TransportError):
 
 
 class KernelModule:
-    """Pointed-set bimodule of morphisms with irreducible non-embedding part."""
+    """Pointed-set bimodule of morphisms with irreducible non-embedding part;
+    its laws are checked by validate(), not on construction."""
 
-    def __init__(self, structure: MRStructure, validate=True):
+    def __init__(self, structure: MRStructure):
         self.structure = structure
         self.d = build_d_cat(structure)
         cat = structure.cat
@@ -63,12 +64,6 @@ class KernelModule:
                 self.elements[(a, b)] = [
                     u for u in cat.hom(a, b) if structure.s_in_r(u)
                 ]
-        if validate:
-            problems = self.validate()
-            if problems:
-                # explicit, so that python -O keeps the check; AssertionError
-                # is the type callers (perfbench's axioms workload) catch
-                raise AssertionError(f"bimodule law failures: {problems[:3]}")
 
     def validate(self):
         """Bimodule-law check; reports every violated instance.
@@ -193,7 +188,16 @@ class KernelModule:
 
 
 def build_kernel_module(s: MRStructure, validate=True) -> KernelModule:
-    return KernelModule(s, validate=validate)
+    """The kernel module of s; with validate, an AssertionError names the
+    first bimodule-law failures."""
+    km = KernelModule(s)
+    if validate:
+        problems = km.validate()
+        if problems:
+            # explicit, so that python -O keeps the check; AssertionError
+            # is the type callers (perfbench's axioms workload) catch
+            raise AssertionError(f"bimodule law failures: {problems[:3]}")
+    return km
 
 
 # -- the two transports ------------------------------------------------------

@@ -10,10 +10,6 @@ from __future__ import annotations
 import json
 
 
-class FinCatError(Exception):
-    pass
-
-
 def int_list(value, field):
     """value, if it is a JSON list of integers; a ValueError naming field
     otherwise."""
@@ -126,16 +122,6 @@ class FinCat:
 
     def is_identity(self, f):
         return self.identities[self.dom[f]] == f
-
-    def compose(self, g, f):
-        """g after f; endpoints must match."""
-        h = self.comp[g][f]
-        if h is None:
-            raise FinCatError(
-                f"morphisms not composable: cod({f})={self.cod[f]} "
-                f"!= dom({g})={self.dom[g]}"
-            )
-        return h
 
     def composable(self, g, f):
         return self.cod[f] == self.dom[g]

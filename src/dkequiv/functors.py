@@ -299,11 +299,11 @@ def random_pointed_functor(d: DCat, dims, seed) -> PointedFunctor:
     at every object; the atoms satisfy every relation of the category by
     construction, so the output always validates.  Raises
     InfeasibleRelations when the dimension vector cannot be assembled from
-    the available atoms.
+    the available atoms, and a ValueError naming dims unless it holds one
+    non-negative integer per object.
     """
     cat = d.cat
-    dims = tuple(dims)
-    assert len(dims) == cat.n_objects
+    dims = _dims(dims, cat)
     rng = random.Random(seed)
 
     proj = {c: _projective_atom(d, c) for c in cat.objects()}

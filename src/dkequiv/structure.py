@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from .fincat import FinCat, ValidationReport, group_by, int_list
+from .fincat import FinCat, ValidationReport, group_by, int_list, table_category
 
 
 class StructureError(Exception):
@@ -186,7 +186,7 @@ class MRStructure:
         ms = sorted(self.m_class)
         for m in ms:
             for f in ms:
-                if cat.composable(m, f) and cat.compose(m, f) not in self.m_class:
+                if cat.composable(m, f) and cat.comp[m][f] not in self.m_class:
                     rep.add_structural(
                         "m_class not closed under composition", g=m, f=f
                     )
@@ -205,7 +205,7 @@ class MRStructure:
             if cat.dom[sm] != cat.cod[m] or cat.cod[sm] != cat.dom[m]:
                 rep.add_structural("star does not swap endpoints", m=m, star=sm)
                 continue
-            if cat.compose(sm, m) != cat.identity(cat.dom[m]):
+            if cat.comp[sm][m] != cat.identity(cat.dom[m]):
                 rep.add_structural("star(m) o m != id", m=m, star=sm)
         if rep.structural:
             return rep
@@ -216,8 +216,8 @@ class MRStructure:
         for m in ms:
             for f in ms:
                 if cat.composable(m, f):
-                    lhs = self.star[cat.compose(m, f)]
-                    rhs = cat.compose(self.star[f], self.star[m])
+                    lhs = self.star[cat.comp[m][f]]
+                    rhs = cat.comp[self.star[f]][self.star[m]]
                     if lhs != rhs:
                         rep.add_structural(
                             "star not contravariantly functorial", g=m, f=f
@@ -501,46 +501,28 @@ class DCat:
 
     Composition of irreducible morphisms is as in the base category when the
     result is again irreducible, and falls to the zero morphism otherwise;
-    zeros are absorbing.
+    zeros are absorbing.  Built by table_category, which keys a nonzero
+    morphism by its base id and a zero by None.
     """
 
     def __init__(self, structure: MRStructure):
-        self.structure = structure
         base = structure.cat
-        r = sorted(structure.r_class)
-        self.r_to_d = {}
-        dom, cod, labels = [], [], []
-        for p in r:
-            self.r_to_d[p] = len(dom)
-            dom.append(base.dom[p])
-            cod.append(base.cod[p])
-            labels.append(base.mor_labels[p])
-        self.d_to_r = list(r)
-        self.zero = {}
-        for a in range(base.n_objects):
-            for b in range(base.n_objects):
-                self.zero[(a, b)] = len(dom)
-                self.d_to_r.append(None)
-                dom.append(a)
-                cod.append(b)
-                labels.append(f"0:{a}->{b}")
-        n = len(dom)
-        nz = len(r)
-        comp = [[None] * n for _ in range(n)]
         rset = structure.r_class
-        for g in range(n):
-            for f in range(n):
-                if cod[f] != dom[g]:
-                    continue
-                p = base.comp[r[g]][r[f]] if g < nz and f < nz else None
-                # an irreducible composite, else the zero of the hom-pair
-                comp[g][f] = (self.r_to_d[p] if p in rset
-                              else self.zero[(dom[f], cod[g])])
-        identities = [self.r_to_d[base.identity(a)] for a in base.objects()]
-        self.cat = FinCat(
-            base.n_objects, dom, cod, identities, comp, base.obj_labels, labels
-        )
-        self.n_nonzero = nz
+        r = sorted(rset)
+        objs = base.objects()
+        morphisms = [(base.dom[p], base.cod[p], p, base.mor_labels[p]) for p in r]
+        morphisms += [(a, b, None, f"0:{a}->{b}") for a in objs for b in objs]
+
+        def compose_keys(g, f):
+            # an irreducible composite, else the zero of the hom-pair
+            p = None if g is None or f is None else base.comp[g][f]
+            return p if p in rset else None
+
+        self.cat, index = table_category(
+            base.obj_labels, morphisms, compose_keys, base.identity)
+        self.d_to_r = [p for _, _, p in index]
+        self.r_to_d = {p: i for i, p in enumerate(r)}
+        self.n_nonzero = len(r)
 
     def is_zero(self, d_mor):
         return self.d_to_r[d_mor] is None
@@ -990,23 +972,13 @@ def restricted_to_k(s: MRStructure):
             f"witness ({witness['k2']}, {witness['k']})"
         )
     kept = sorted(der.k_class)
-    old_to_new = {p: i for i, p in enumerate(kept)}
-    comp = [
-        [
-            old_to_new[cat.comp[g][f]] if cat.composable(g, f) else None
-            for f in kept
-        ]
-        for g in kept
-    ]
-    sub = FinCat(
-        cat.n_objects,
-        [cat.dom[p] for p in kept],
-        [cat.cod[p] for p in kept],
-        [old_to_new[cat.identity(a)] for a in cat.objects()],
-        comp,
+    sub, _ = table_category(
         cat.obj_labels,
-        [cat.mor_labels[p] for p in kept],
+        [(cat.dom[p], cat.cod[p], p, cat.mor_labels[p]) for p in kept],
+        lambda g, f: cat.comp[g][f],
+        cat.identity,
     )
+    old_to_new = {p: i for i, p in enumerate(kept)}
     m_new = [old_to_new[m] for m in sorted(s.m_class)]
     star_new = {old_to_new[m]: old_to_new[s.star[m]] for m in sorted(s.m_class)}
     return MRStructure(sub, m_new, star_new), old_to_new

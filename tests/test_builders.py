@@ -21,7 +21,7 @@ from dkequiv.builders import (
     validate_par_input,
 )
 from dkequiv.fincat import FinCat
-from dkequiv.structure import check_assumptions
+from dkequiv.structure import check_assumptions, restricted_to_k
 
 
 def test_delta_smallest():
@@ -542,6 +542,111 @@ BUILT_DIGESTS = {
         "24a8438704b3803a19e0617d1f6bab7b643bc1686bef9c588fad3a1b833ff46a",
     ),
 }
+
+# the zero-completed category and the K-restriction of each structure
+# above: name -> (digest of s.d_cat.cat, digest of restricted_to_k(s)[0])
+DERIVED_DIGESTS = {
+    "delta_bt_1": (
+        "26149c3bad06770d056b3a8f7709ecaa3ec487d83a1ae4f733505db3ab568b08",
+        "44010dd3e82e178a43ac19b5dc9d53d420e30379982f86046c1572c7ce80a645",
+    ),
+    "delta_bt_2": (
+        "dd7c2ade01780c6f533c8a9670573eeace2c75a2e74eefd32743b2ff8eb324ff",
+        "25a4d497df57561e375393d00d9fc5b466c92d76db86213ca55d2869645e0113",
+    ),
+    "delta_bt_3": (
+        "d26c03b4b8c61a869779397c891b209d9bed2b8e3a97f6c10ae00222cffb0154",
+        "6f82befb63d5c8d68a668ab43b2dfe0796c4d1087f309396dd9defb04346bfcd",
+    ),
+    "delta_bt_4": (
+        "5879e76976598b607c3e0bfa1d7b888c46c5d9715a6f6c000ce4627356a93726",
+        "4288537a5f8c6c997c37520f7b6aa9f4f0fd500a2ba661d9d17fce58c7560201",
+    ),
+    "delta_bt_5": (
+        "31006ef4af12e3ed7820806eedeaeae64bb7e6092a56841d2e1e02abfd1be53d",
+        "16ed2e6f83781c5fe8600baa9f32977bc0ac4606e772bc901de028d33e0534d8",
+    ),
+    "delta_bt_6": (
+        "a163a7b0e3e0fc86bba23e5de60abe9c34f91fdc76671cd053edac114649e212",
+        "2f44f9d0464ea9046bf44c7e864d15b029f7a354870a73d3fd5e332644c01865",
+    ),
+    "fi_sharp_0": (
+        "5b00d3253046992a05a720f513e18ca7dbaae701fbaf1d995745f403dcd1c85b",
+        "d8fd3d94c639abb6bc791d0d4ed48d58eee934677af36740c1cdbe4937668291",
+    ),
+    "fi_sharp_1": (
+        "bea9ef7b80bc3792e4885de2d98d4ab4d35744ff98d41faf46b5dad5f1452c06",
+        "486b8d5f66397b1c8ef29ab9e38f07ff63e2869859e1015dcc562f9f54de7ee4",
+    ),
+    "fi_sharp_2": (
+        "297d190a9745e2b8a855020ee39d598c66263a0c8d52988f5166e81e25cc5f16",
+        "4d485148bfa85618ecc35fce4fee37867ef2e72b5a4fd1bf30d8c44f61eb81b3",
+    ),
+    "fi_sharp_3": (
+        "1136510becf27070532f690532768f94ac26c1da81be8f535c01cab3188b151b",
+        "353f2162d5b0c04d5dcf8a61c940104b489f0b0717fe5cfc1210f6f053cca153",
+    ),
+    "fi_sharp_4": (
+        "68562286e4b9f14a51f4f0eb4a75e4c8f67a312308e31ad9dc0b9dbadee726e6",
+        "5a0fb82a76e4d19ad9c4f1df185739371baea2530cc33840508b20728bf107e5",
+    ),
+    "cube_0": (
+        "c9583fd32e210db1ddac56ad8671fafd50c4003cb3fd78fb53fc280ef80eeeb8",
+        "24bf16f50817b59d9abfc387953686b34e2601545b902af9ea34ae9766f20762",
+    ),
+    "cube_1": (
+        "95251156578d8d14ec18ed1224019eff4673c0b4b3005e047f9e2efab959c167",
+        "3f68a517cfa6ecaf24a76df0add4def68566f65eb581256a5fd598600780fbd4",
+    ),
+    "cube_2": (
+        "51e71203fc7fb060e9d2911062cfdb04add377fc28c410a946f5d5679d6a3237",
+        "7ca1c71511e56b899f50c7c4d048723d7ac1c13074fdd5b61c0a4f95a370959f",
+    ),
+    "cube_3": (
+        "9506e76798482bdb185e318690c993218819d160ebf113612da51240ee30af37",
+        "e296502b482e0ec42ac68bcd36d4dac37252e7d19c27649013c9fc8fa56e087d",
+    ),
+    "pt": (
+        "e0d3c2d81acb8cffd3c265fcfef2fc7068d73d3e166be16720a058b2106d74e8",
+        "8a5cadbc08148e9c54a10de86e20be4f8b632b18543427cac82504e9a2c80752",
+    ),
+    "par_finset_0": (
+        "e2b8b1b126cc1bc472bd6e9c75225f3ea31baaeef0a4a44dabd82bae1ea53f00",
+        "a186201969a281379f684574e4a47abbc78750a2489062a6216bb2f55c2ae353",
+    ),
+    "par_finset_1": (
+        "4deed398d15cf7fe7622841401dd05de3ee93f688c72c0b648695fe152afaa7d",
+        "2c1b4143de70f096f82cd52a9732fd38d881e16905fcad7a64dcccb3a1b725d0",
+    ),
+    "par_finset_2": (
+        "0a22b6105833e1b1fb491672dc794cbf0446f695923e008aebdb8f5356e3cab2",
+        "22c99062592168c081b501552f46282811b22fce891b840f5e31b2b3a1207985",
+    ),
+    "par_fi_0": (
+        "e2b8b1b126cc1bc472bd6e9c75225f3ea31baaeef0a4a44dabd82bae1ea53f00",
+        "a186201969a281379f684574e4a47abbc78750a2489062a6216bb2f55c2ae353",
+    ),
+    "par_fi_1": (
+        "4deed398d15cf7fe7622841401dd05de3ee93f688c72c0b648695fe152afaa7d",
+        "2c1b4143de70f096f82cd52a9732fd38d881e16905fcad7a64dcccb3a1b725d0",
+    ),
+    "par_fi_2": (
+        "65cbc45a3cd32347ba259ff5acfade7add23e6ffd944be5b432179ad60a9f67b",
+        "22c99062592168c081b501552f46282811b22fce891b840f5e31b2b3a1207985",
+    ),
+    "par_fi_3": (
+        "0f942d78d97e59e04fe463c26a8dc89098d73e2cb89a39d3ab86a02a13093ac8",
+        "833d08729a03a7b69120d5a50f6878ce997fcf4e5fccac3b7240d757eefde348",
+    ),
+    "par_flinj_2": (
+        "918c01fdd6744cd3f9ae8b7beb56491b7d96d6a1d2f661997a8de9b88e501ca2",
+        "24a8438704b3803a19e0617d1f6bab7b643bc1686bef9c588fad3a1b833ff46a",
+    ),
+}
+for _name, (_d, _k) in DERIVED_DIGESTS.items():
+    _build = BUILT_DIGESTS[_name][0]
+    BUILT_DIGESTS[f"{_name}_d"] = (lambda b=_build: b().d_cat.cat, _d)
+    BUILT_DIGESTS[f"{_name}_k"] = (lambda b=_build: restricted_to_k(b())[0], _k)
 
 
 @pytest.mark.parametrize("name", list(BUILT_DIGESTS))

@@ -133,7 +133,7 @@ CUT1_BIMODULE_PROBLEMS = (
 def test_bimodule_law_failures_are_pinned(fi2):
     m_class = fi2.cat.isos() | {1}
     cut = MRStructure(fi2.cat, m_class, {m: fi2.star[m] for m in m_class})
-    problems = KernelModule(cut, validate=False).validate()
+    problems = KernelModule(cut).validate()
     assert len(problems) == 78
     assert problems == CUT1_BIMODULE_PROBLEMS
 
@@ -233,7 +233,7 @@ def test_bimodule_validate_matches_the_exhaustive_walk(bimodule_cases):
     associative tables where that walk finds nothing."""
     seen = set()
     for s in bimodule_cases:
-        km = KernelModule(s, validate=False)
+        km = KernelModule(s)
         want = _exhaustive_bimodule_problems(km)
         assert km.validate() == want
         key = (s.cat.check().ok, any(p[0] == "right" for p in want))

@@ -1,3 +1,7 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from dkequiv.exactlin import QMat
@@ -10,6 +14,8 @@ from dkequiv.functors import (
     random_pointed_functor,
 )
 from dkequiv.structure import MRStructure, build_d_cat
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def constant_functor(cat):
@@ -77,6 +83,29 @@ def test_random_pointed_functor_zero_dims(km_delta4):
     f = random_pointed_functor(km_delta4.d, (0, 0, 0, 0), seed=0)
     assert f.validate().ok
     assert all(m.shape == (0, 0) for m in f.mats.values())
+
+
+@pytest.mark.parametrize("optimize", [[], ["-O"]])
+@pytest.mark.parametrize("dims", [(1, 1), (1, 1, 1, 1), (1, -1, 1)])
+def test_random_pointed_functor_rejects_bad_dims(optimize, dims):
+    # too short, too long or negative: a ValueError naming dims, with or
+    # without asserts
+    script = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from dkequiv.builders import build_delta_bt\n"
+        "from dkequiv.functors import random_pointed_functor\n"
+        "try:\n"
+        f"    random_pointed_functor(build_delta_bt(3).d_cat, {dims!r}, 0)\n"
+        "except ValueError as e:\n"
+        "    print(e)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, *optimize, "-c", script, str(SRC)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0 and done.stderr == ""
+    assert done.stdout == "dims: need 3 non-negative integers, one per object\n"
 
 
 def iso_pair_structure():
