@@ -105,7 +105,8 @@ for tag, s, extra in (
 ):
     ms = s.cat.isos() | extra
     with open(f"{tag}.json", "w") as fh:
-        fh.write(MRStructure(s.cat, ms, {k: s.star[k] for k in ms}).to_json())
+        json.dump(MRStructure(s.cat, ms, {k: s.star[k] for k in ms}).to_jsonable(),
+                  fh, sort_keys=True, indent=2)
 # the first composite of two non-identities of fi_sharp 3 redirected to the
 # next morphism with its endpoints: the identity laws hold, associativity not
 data = build_fi_sharp(3).to_jsonable()

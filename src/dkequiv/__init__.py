@@ -8,7 +8,6 @@ from .exactlin import (
     Subspace,
     block,
     direct_sum,
-    meet_of_idempotents,
     orthogonal_idempotents,
     restrict,
 )
@@ -20,8 +19,6 @@ from .structure import (
     MRStructure,
     build_d_cat,
     check_assumptions,
-    idempotent_ordering,
-    restricted_to_k,
     verify_coend_bijections,
 )
 from .functors import (
@@ -38,7 +35,6 @@ from .equivalence import (
     TriangularityError,
     build_kernel_module,
     certify_equivalence,
-    counit,
     hat,
     theta_matrix,
     tilde,

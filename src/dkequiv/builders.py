@@ -66,7 +66,8 @@ def interval_star(d, c, t):
 def build_delta_bt(n_max) -> MRStructure:
     """Ordinals 1..n_max with endpoint-and-order-preserving maps; embeddings
     are the injections, each retracted by its left adjoint."""
-    assert n_max >= 1
+    if n_max < 1:
+        raise ValueError(f"n_max: need an integer >= 1, got {n_max}")
     return split_embeddings(*tuple_category(
         [str(k + 1) for k in range(n_max)],
         lambda d, c: interval_maps(d + 1, c + 1),
@@ -105,7 +106,8 @@ def partial_inverse(d, c, t):
 def build_fi_sharp(n_max) -> MRStructure:
     """Sets {1..k} for k <= n_max with injective partial functions; embeddings
     are the total injections, each retracted by its partial inverse."""
-    assert n_max >= 0
+    if n_max < 0:
+        raise ValueError(f"n_max: need an integer >= 0, got {n_max}")
     return split_embeddings(*tuple_category(
         [str(k) for k in range(n_max + 1)],
         partial_injections,
@@ -142,7 +144,8 @@ def cube_star(k, h, t):
 def build_cube(k_max) -> MRStructure:
     """The cube-shape category on <0>..<k_max>; embeddings are the injective
     maps, retracted by sending everything off the image to the top."""
-    assert k_max >= 0
+    if k_max < 0:
+        raise ValueError(f"k_max: need an integer >= 0, got {k_max}")
     return split_embeddings(*tuple_category(
         [f"<{k}>" for k in range(k_max + 1)],
         cube_maps,

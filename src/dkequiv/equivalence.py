@@ -20,7 +20,6 @@ builds the triangular coproduct-to-product comparison used to prove it.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from math import lcm
@@ -325,13 +324,6 @@ def unit_with(km: KernelModule, f: PointedFunctor, subspaces):
     return comps
 
 
-def counit(km: KernelModule, t: AdditiveFunctor) -> NatTransform:
-    """hat(tilde(t)) => t, not yet validated."""
-    subspaces = tilde_subspaces(km, t)
-    return NatTransform(hat(km, tilde(km, t, subspaces)), t,
-                        counit_with(km, t, subspaces))
-
-
 def counit_with(km: KernelModule, t: AdditiveFunctor, subspaces):
     """The counit's components: on the summand of a subobject class, the
     subobject after the inclusion of subspaces, the kernel intersections of t."""
@@ -432,9 +424,6 @@ class EquivalenceCertificate:
     def to_jsonable(self):
         return {"entries": [e.to_jsonable() for e in self.entries], "ok": self.ok}
 
-    def to_json(self):
-        return json.dumps(self.to_jsonable(), sort_keys=True, indent=2)
-
 
 def certify_functor(km: KernelModule, f: PointedFunctor, name) -> CertificateEntry:
     """Both roundtrips and both triangle identities for one pointed functor
@@ -509,11 +498,10 @@ def certify_functor(km: KernelModule, f: PointedFunctor, name) -> CertificateEnt
 
 
 def certify_equivalence(km: KernelModule, pointed_functors,
-                        names=None) -> EquivalenceCertificate:
-    """Certificate over a family of test functors; an empty family yields a
-    vacuous (passing) certificate."""
+                        names) -> EquivalenceCertificate:
+    """Certificate over a family of test functors, the entry for the i-th
+    named names[i]; an empty family yields a vacuous (passing) certificate."""
     cert = EquivalenceCertificate()
     for i, f in enumerate(pointed_functors):
-        name = names[i] if names else f"functor_{i}"
-        cert.entries.append(certify_functor(km, f, name))
+        cert.entries.append(certify_functor(km, f, names[i]))
     return cert

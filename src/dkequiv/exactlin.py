@@ -91,9 +91,6 @@ class QMat:
 
     # -- basic access ------------------------------------------------------
 
-    def entry(self, i, j) -> Fraction:
-        return Fraction(dict(self.sparse[i]).get(j, 0), self.den)
-
     @property
     def rows(self):
         """Dense read-only view: rows of ncols integers over den.  It builds
@@ -329,10 +326,6 @@ class Subspace:
     def full(cls, n):
         return cls(n, QMat.identity(n))
 
-    @classmethod
-    def zero(cls, n):
-        return cls(n, QMat.zeros(n, 0))
-
     @property
     def dim(self):
         return self.basis.ncols
@@ -404,11 +397,15 @@ def below(x: QMat, y: QMat) -> bool:
     return y.mul(x) == x
 
 
-def check_idempotent_chain(idems) -> tuple[list[QMat], int]:
-    """idems as a list, and their size n, once checked to be a chain: a
-    ValueError, never an assert, when the list is empty or its matrices are
-    not all n x n; PreconditionViolated when some a_i is not idempotent or
-    some a_i a_j is not below a_j for i <= j."""
+def orthogonal_idempotents(idems) -> list[QMat]:
+    """Complete orthogonal list refining a chain-compatible idempotent list.
+
+    Input: idempotents a_1..a_n with a_i a_j below a_j for i <= j (checked).
+    Output: e_0 = a_1...a_n, e_i = (1 - a_i) a_{i+1}...a_n, e_n = 1 - a_n,
+    with the completeness and orthogonality of the output asserted.  An
+    empty list or matrices not all square of one size raise ValueError, never
+    an assert; a failed chain condition raises PreconditionViolated.
+    """
     idems = list(idems)
     if not idems:
         raise ValueError("need at least one idempotent")
@@ -420,21 +417,8 @@ def check_idempotent_chain(idems) -> tuple[list[QMat], int]:
             raise PreconditionViolated(i, i, f"matrix {i} is not idempotent")
     for i in range(len(idems)):
         for j in range(i, len(idems)):
-            prod = idems[i].mul(idems[j])
-            if not below(prod, idems[j]):
+            if not below(idems[i].mul(idems[j]), idems[j]):
                 raise PreconditionViolated(i, j, f"a[{i}] a[{j}] is not below a[{j}]")
-    return idems, n
-
-
-def orthogonal_idempotents(idems) -> list[QMat]:
-    """Complete orthogonal list refining a chain-compatible idempotent list.
-
-    Input: idempotents a_1..a_n with a_i a_j below a_j for i <= j (checked).
-    Output: e_0 = a_1...a_n, e_i = (1 - a_i) a_{i+1}...a_n, e_n = 1 - a_n,
-    with the completeness and orthogonality of the output asserted.  An
-    empty list or matrices not all square of one size raise ValueError.
-    """
-    idems, n = check_idempotent_chain(idems)
     one = QMat.identity(n)
     suffix = [one] * (len(idems) + 1)
     for k in range(len(idems) - 1, -1, -1):
@@ -449,16 +433,3 @@ def orthogonal_idempotents(idems) -> list[QMat]:
             if i != j:
                 assert out[i].mul(out[j]).is_zero(), f"e_{i} e_{j} != 0"
     return out
-
-
-def meet_of_idempotents(idems) -> QMat:
-    """Meet of a list check_idempotent_chain accepts: their ordered product."""
-    idems, _ = check_idempotent_chain(idems)
-    prod = idems[0]
-    for a in idems[1:]:
-        prod = prod.mul(a)
-    assert is_idempotent(prod), "product of the list is not idempotent"
-    for i, a in enumerate(idems):
-        if not below(prod, a):
-            raise PreconditionViolated(i, i, f"meet is not below input {i}")
-    return prod

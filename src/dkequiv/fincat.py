@@ -7,8 +7,6 @@ endpoints do not match.  Values are immutable after construction.
 
 from __future__ import annotations
 
-import json
-
 
 def int_list(value, field):
     """value, if it is a JSON list of integers; a ValueError naming field
@@ -269,12 +267,16 @@ class FinCat:
         return self._isos_into.get(a, [])
 
     def generating_set(self, members=None):
-        """The members (all morphisms by default) that, walked in id order
-        after the identities, the identities and the earlier ones do not
-        reach under the table's composition.  With the identities they reach
-        every member, since each member is either reached or taken.  The
-        reached set stays closed: each morphism, when its turn comes, is
-        composed on both sides with every morphism reached by then.
+        """The members (all morphisms by default) that, walked after the
+        identities, the identities and the earlier ones do not reach under
+        the table's composition.  With the identities they reach every
+        member, since each member is either reached or taken; this holds
+        for any walking order.  The reached set stays closed: each
+        morphism, when its turn comes, is composed on both sides with every
+        morphism reached by then.  The walk takes the member isomorphisms
+        first, then the other members, each in id order, so that a taken
+        non-isomorphism reaches its composites with those isomorphisms at
+        once, and they are not taken as well.
         The set of all morphisms' generators is computed once per table.
         """
         if members is None:
@@ -282,7 +284,8 @@ class FinCat:
                 self._gens = self.generating_set(self.morphisms())
             return list(self._gens)
         comp, into, outof = self.comp, self._into, self._outof
-        order = sorted(members)
+        isos = self.isos()
+        order = sorted(members, key=lambda x: (x not in isos, x))
         reached, gens = set(), []
         for x in [*self.identities, *order]:
             if x in reached:
@@ -339,15 +342,6 @@ class FinCat:
             objs,
             [m.get("label", f"m{i}") for i, m in enumerate(mors)],
         )
-
-    def to_json(self, **kwargs) -> str:
-        kwargs.setdefault("sort_keys", True)
-        kwargs.setdefault("indent", 2)
-        return json.dumps(self.to_jsonable(), **kwargs)
-
-    @classmethod
-    def from_json(cls, text) -> "FinCat":
-        return cls.from_jsonable(json.loads(text))
 
     def __repr__(self):
         return f"FinCat({self.n_objects} objects, {self.n_morphisms} morphisms)"

@@ -206,17 +206,6 @@ class NatTransform:
                 return False
         return True
 
-    def then(self, other: "NatTransform") -> "NatTransform":
-        """other after self (source of other must be target of self)."""
-        assert other.source is self.target or (
-            other.source.dims == self.target.dims
-        )
-        comps = [
-            other.components[a].mul(self.components[a])
-            for a in range(len(self.components))
-        ]
-        return NatTransform(self.source, other.target, comps)
-
     def __repr__(self):
         return f"NatTransform({len(self.components)} components)"
 

@@ -20,8 +20,6 @@ and machine checks of all the structural axioms the transport theory needs.
 from __future__ import annotations
 
 import heapq
-import itertools
-import json
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -104,18 +102,6 @@ class SubPoset:
 
     def proper(self):
         return [m for m in self.elements if m != self.top()]
-
-    def maximal_proper(self):
-        top = self.top()
-        out = []
-        for m in self.elements:
-            if m == top:
-                continue
-            if all(
-                n == m or n == top or not self.leq(m, n) for n in self.elements
-            ):
-                out.append(m)
-        return out
 
     def check(self):
         """Partial-order axioms plus unique-maximum; returns list of problems."""
@@ -478,15 +464,6 @@ class MRStructure:
         star = {int(k): int(v) for k, v in star.items()}
         return cls(cat, int_list(data["m_class"], "m_class"), star)
 
-    def to_json(self, **kwargs) -> str:
-        kwargs.setdefault("sort_keys", True)
-        kwargs.setdefault("indent", 2)
-        return json.dumps(self.to_jsonable(), **kwargs)
-
-    @classmethod
-    def from_json(cls, text) -> "MRStructure":
-        return cls.from_jsonable(json.loads(text))
-
     def __repr__(self):
         return (
             f"MRStructure({self.cat!r}, {len(self.m_class)} embeddings)"
@@ -710,32 +687,6 @@ def check_assumptions(s: MRStructure) -> AssumptionReport:
     return AssumptionReport(structural, checks, sizes)
 
 
-# -- ordered idempotents (maximal proper subobjects) ------------------------------
-
-
-def idempotent_ordering(s: MRStructure, a, cap=8):
-    """Search for an ordering m_1..m_k of the maximal proper subobjects of a
-    such that the idempotents c_i = m_i o star(m_i) satisfy
-    c_j c_i c_j = c_j c_i whenever i < j.  Returns the ordering (list of
-    representative embeddings) or None; factorial search, capped.
-    """
-    cat = s.cat
-    poset = s.sub_poset(a)
-    maxima = poset.maximal_proper()
-    if len(maxima) > cap:
-        raise ValueError(
-            f"{len(maxima)} maximal proper subobjects exceeds the search cap {cap}"
-        )
-    cs = {m: cat.comp[m][s.star[m]] for m in maxima}
-    for perm in itertools.permutations(maxima):
-        if all(
-            cat.comp[cs[mj]][cat.comp[cs[mi]][cs[mj]]] == cat.comp[cs[mj]][cs[mi]]
-            for mi, mj in itertools.combinations(perm, 2)
-        ):
-            return list(perm)
-    return None
-
-
 # -- coend bijections --------------------------------------------------------------
 
 
@@ -786,12 +737,6 @@ class CoendReport:
     @property
     def ok(self):
         return all(e.ok for e in self.entries)
-
-    def lookup(self, kind, source, target):
-        for e in self.entries:
-            if (e.kind, e.source, e.target) == (kind, source, target):
-                return e
-        raise KeyError((kind, source, target))
 
     def to_jsonable(self):
         return {"entries": [e.to_jsonable() for e in self.entries], "ok": self.ok}
@@ -952,33 +897,3 @@ def verify_coend_bijections(s: MRStructure) -> CoendReport:
             ))
 
     return CoendReport(entries)
-
-
-# -- restriction to the embedding-after-retraction subcategory ---------------------
-
-
-def restricted_to_k(s: MRStructure):
-    """The induced structure on the subcategory of embedding-after-retraction
-    composites, with the same embeddings; returns (structure, morphism map).
-    Raises StructureError with the first witness of the closure axiom when
-    those composites are not closed.
-    """
-    cat = s.cat
-    der = s.derived
-    witness = next(_closure_witnesses(s, der), None)
-    if witness is not None:
-        raise StructureError(
-            "embedding-after-retraction composites are not closed; "
-            f"witness ({witness['k2']}, {witness['k']})"
-        )
-    kept = sorted(der.k_class)
-    sub, _ = table_category(
-        cat.obj_labels,
-        [(cat.dom[p], cat.cod[p], p, cat.mor_labels[p]) for p in kept],
-        lambda g, f: cat.comp[g][f],
-        cat.identity,
-    )
-    old_to_new = {p: i for i, p in enumerate(kept)}
-    m_new = [old_to_new[m] for m in sorted(s.m_class)]
-    star_new = {old_to_new[m]: old_to_new[s.star[m]] for m in sorted(s.m_class)}
-    return MRStructure(sub, m_new, star_new), old_to_new

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from dkequiv.builders import (
@@ -8,8 +10,8 @@ from dkequiv.builders import (
 )
 from dkequiv.equivalence import build_kernel_module
 from dkequiv.exactlin import QMat, Subspace, block
-from dkequiv.fincat import FinCat
-from dkequiv.structure import MRStructure
+from dkequiv.fincat import FinCat, table_category
+from dkequiv.structure import MRStructure, StructureError, _closure_witnesses
 
 
 @pytest.fixture(scope="session")
@@ -134,7 +136,7 @@ def _intersect(u, v):
     assert u.ambient_dim == v.ambient_dim, "ambient dimension mismatch"
     a, b = u.basis, v.basis
     if a.ncols == 0 or b.ncols == 0:
-        return Subspace.zero(u.ambient_dim)
+        return Subspace(u.ambient_dim, QMat.zeros(u.ambient_dim, 0))
     stacked = block([u.ambient_dim], [a.ncols, b.ncols], {(0, 0): a, (0, 1): -b})
     ker = stacked.kernel().basis
     coeffs_a = QMat(a.ncols, ker.ncols, ker.sparse[:a.ncols], ker.den)
@@ -145,3 +147,71 @@ def _intersect(u, v):
 def intersect():
     """The intersection intersect(u, v) of two subspaces of one Q^n."""
     return _intersect
+
+
+# The paper's propositions on the ordered idempotents of the maximal proper
+# subobjects and on K's structure, computed for the tests.  Plain functions,
+# not fixtures: test_builders needs restricted_to_k when it is imported.
+
+
+def maximal_proper(poset):
+    top = poset.top()
+    out = []
+    for m in poset.elements:
+        if m == top:
+            continue
+        if all(
+            n == m or n == top or not poset.leq(m, n) for n in poset.elements
+        ):
+            out.append(m)
+    return out
+
+
+def idempotent_ordering(s: MRStructure, a, cap=8):
+    """Search for an ordering m_1..m_k of the maximal proper subobjects of a
+    such that the idempotents c_i = m_i o star(m_i) satisfy
+    c_j c_i c_j = c_j c_i whenever i < j.  Returns the ordering (list of
+    representative embeddings) or None; factorial search, capped.
+    """
+    cat = s.cat
+    poset = s.sub_poset(a)
+    maxima = maximal_proper(poset)
+    if len(maxima) > cap:
+        raise ValueError(
+            f"{len(maxima)} maximal proper subobjects exceeds the search cap {cap}"
+        )
+    cs = {m: cat.comp[m][s.star[m]] for m in maxima}
+    for perm in itertools.permutations(maxima):
+        if all(
+            cat.comp[cs[mj]][cat.comp[cs[mi]][cs[mj]]] == cat.comp[cs[mj]][cs[mi]]
+            for mi, mj in itertools.combinations(perm, 2)
+        ):
+            return list(perm)
+    return None
+
+
+def restricted_to_k(s: MRStructure):
+    """The induced structure on the subcategory of embedding-after-retraction
+    composites, with the same embeddings; returns (structure, morphism map).
+    Raises StructureError with the first witness of the closure axiom when
+    those composites are not closed.
+    """
+    cat = s.cat
+    der = s.derived
+    witness = next(_closure_witnesses(s, der), None)
+    if witness is not None:
+        raise StructureError(
+            "embedding-after-retraction composites are not closed; "
+            f"witness ({witness['k2']}, {witness['k']})"
+        )
+    kept = sorted(der.k_class)
+    sub, _ = table_category(
+        cat.obj_labels,
+        [(cat.dom[p], cat.cod[p], p, cat.mor_labels[p]) for p in kept],
+        lambda g, f: cat.comp[g][f],
+        cat.identity,
+    )
+    old_to_new = {p: i for i, p in enumerate(kept)}
+    m_new = [old_to_new[m] for m in sorted(s.m_class)]
+    star_new = {old_to_new[m]: old_to_new[s.star[m]] for m in sorted(s.m_class)}
+    return MRStructure(sub, m_new, star_new), old_to_new

@@ -1,7 +1,10 @@
 import hashlib
 import itertools
 import json
+import subprocess
+import sys
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -21,7 +24,9 @@ from dkequiv.builders import (
     validate_par_input,
 )
 from dkequiv.fincat import FinCat
-from dkequiv.structure import check_assumptions, restricted_to_k
+from dkequiv.structure import check_assumptions
+
+from conftest import restricted_to_k
 
 
 def test_delta_smallest():
@@ -38,6 +43,32 @@ def test_cube_smallest():
     s = build_cube(0)
     # <0> = {bottom, top}: the only endpoint-preserving endomap is the identity
     assert s.cat.n_objects == 1 and s.cat.n_morphisms == 1
+
+
+@pytest.mark.parametrize("optimize", [[], ["-O"]])
+@pytest.mark.parametrize("call, message", [
+    ("build_delta_bt(0)", "n_max: need an integer >= 1, got 0"),
+    ("build_fi_sharp(-1)", "n_max: need an integer >= 0, got -1"),
+    ("build_cube(-2)", "k_max: need an integer >= 0, got -2"),
+], ids=["delta_bt", "fi_sharp", "cube"])
+def test_builders_reject_sizes_below_the_least(optimize, call, message):
+    # a ValueError naming the size argument, with or without asserts
+    script = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from dkequiv.builders import build_cube, build_delta_bt, build_fi_sharp\n"
+        "try:\n"
+        f"    print({call})\n"
+        "except ValueError as e:\n"
+        "    print(e)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, *optimize, "-c", script, str(src)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0 and done.stderr == ""
+    assert done.stdout == message + "\n"
 
 
 def test_fi_hom_counts(fi4):

@@ -442,7 +442,10 @@ def test_theta_reports_failed_assumptions_like_transport(tmp_path, capsys):
     s = build_fi_sharp(2)
     ms = s.cat.isos() | {7, 8}
     cut = tmp_path / "cut78.json"
-    cut.write_text(MRStructure(s.cat, ms, {k: s.star[k] for k in ms}).to_json())
+    cut.write_text(json.dumps(
+        MRStructure(s.cat, ms, {k: s.star[k] for k in ms}).to_jsonable(),
+        sort_keys=True, indent=2,
+    ))
     # the functor file is never read: the structure fails first
     never = str(tmp_path / "absent.json")
     out = str(tmp_path / "out.json")
@@ -455,7 +458,7 @@ def test_theta_reports_failed_assumptions_like_transport(tmp_path, capsys):
     assert theta == transported
     assert theta["witness"]["passed"] is False
     assert theta["witness"] == check_assumptions(
-        MRStructure.from_json(cut.read_text())).to_jsonable()
+        MRStructure.from_jsonable(json.loads(cut.read_text()))).to_jsonable()
 
 
 def test_certify_bimodule_law_failure_exits_2(tmp_path, capsys, monkeypatch):
@@ -501,7 +504,7 @@ def test_unwritable_out_exits_3(tmp_path, flags):
     file where a directory goes, is malformed input: one error object,
     exit 3 and no traceback, also when python -O strips asserts."""
     spath = tmp_path / "delta_bt_3.json"
-    spath.write_text(build_delta_bt(3).to_json())
+    spath.write_text(json.dumps(build_delta_bt(3).to_jsonable(), sort_keys=True, indent=2))
     a_file = tmp_path / "a_file"
     a_file.write_text("")
     for argv, target in (

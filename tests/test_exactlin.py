@@ -15,7 +15,6 @@ from dkequiv.exactlin import (
     block,
     direct_sum,
     is_idempotent,
-    meet_of_idempotents,
     orthogonal_idempotents,
     restrict,
     solve_exact,
@@ -120,7 +119,7 @@ def test_unitriangular_integer_inverse():
     assert u.mul(ui).is_identity()
     assert ui.den == 1  # integer inverse
     for i in range(3):
-        assert ui.entry(i, i) == 1
+        assert Fraction(ui.rows[i][i], ui.den) == 1
 
 
 @settings(max_examples=30)
@@ -154,7 +153,7 @@ def test_matmul_rational_exact():
     b = a.inverse()
     assert a.mul(b).is_identity()
     tr = a.transpose()
-    assert tr.entry(1, 0) == Fraction(1, 3)
+    assert Fraction(tr.rows[1][0], tr.den) == Fraction(1, 3)
 
 
 def test_orthogonal_idempotents_single():
@@ -204,12 +203,13 @@ def test_precondition_violation_reported():
 
 
 def test_meet_of_idempotents():
+    # e_0 of the refinement is the meet a_1...a_n
     a1 = QMat.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 0]])
     a2 = QMat.from_rows([[1, 0, 0], [0, 0, 0], [0, 0, 0]])
-    assert meet_of_idempotents([a1]) == a1
-    assert meet_of_idempotents([a1, a2]) == a2
+    assert orthogonal_idempotents([a1])[0] == a1
+    assert orthogonal_idempotents([a1, a2])[0] == a2
     i3 = QMat.identity(3)
-    assert meet_of_idempotents([i3, i3]) == i3
+    assert orthogonal_idempotents([i3, i3])[0] == i3
 
 
 _BAD_IDEMPOTENT_LISTS = {
@@ -233,14 +233,13 @@ def test_idempotent_lists_of_wrong_shapes_raise_value_error():
 
     script = (
         "import json, sys\n"
-        "from dkequiv.exactlin import QMat, meet_of_idempotents, orthogonal_idempotents\n"
-        "for fn in (orthogonal_idempotents, meet_of_idempotents):\n"
-        "    for rows, _ in json.loads(sys.argv[1]).values():\n"
-        "        try:\n"
-        "            fn([QMat.from_rows(r) for r in rows])\n"
-        "            print('no error')\n"
-        "        except Exception as e:\n"
-        "            print(type(e).__name__, e)\n"
+        "from dkequiv.exactlin import QMat, orthogonal_idempotents\n"
+        "for rows, _ in json.loads(sys.argv[1]).values():\n"
+        "    try:\n"
+        "        orthogonal_idempotents([QMat.from_rows(r) for r in rows])\n"
+        "        print('no error')\n"
+        "    except Exception as e:\n"
+        "        print(type(e).__name__, e)\n"
     )
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -252,13 +251,12 @@ def test_idempotent_lists_of_wrong_shapes_raise_value_error():
     assert proc.stderr == ""
     assert proc.stdout.splitlines() == [
         f"ValueError {message}" for message in
-        [m for _, m in _BAD_IDEMPOTENT_LISTS.values()] * 2
+        [m for _, m in _BAD_IDEMPOTENT_LISTS.values()]
     ]
-    for fn in (orthogonal_idempotents, meet_of_idempotents):
-        for rows, message in _BAD_IDEMPOTENT_LISTS.values():
-            with pytest.raises(ValueError) as exc:
-                fn([QMat.from_rows(r) for r in rows])
-            assert str(exc.value) == message
+    for rows, message in _BAD_IDEMPOTENT_LISTS.values():
+        with pytest.raises(ValueError) as exc:
+            orthogonal_idempotents([QMat.from_rows(r) for r in rows])
+        assert str(exc.value) == message
 
 
 @settings(max_examples=25)
@@ -387,7 +385,7 @@ def _ref_kernel(rows, ncols):
 
 
 def _fracs(m: QMat):
-    return [[m.entry(i, j) for j in range(m.ncols)] for i in range(m.nrows)]
+    return [[Fraction(x, m.den) for x in row] for row in m.rows]
 
 
 def _columns(m: QMat):
@@ -497,7 +495,7 @@ def test_unit_with_zero_subspaces_raises_with_object_witness(delta3):
     km = build_kernel_module(delta3, validate=False)
     f = random_pointed_functor(km.d, (0, 2, 1), seed=5)
     t = hat(km, f)
-    zeros = [Subspace.zero(n) for n in t.dims]
+    zeros = [Subspace(n, QMat.zeros(n, 0)) for n in t.dims]
     with pytest.raises(TransportError) as exc:
         unit_with(km, f, zeros)
     assert exc.value.witness == {"object": 1}

@@ -232,16 +232,18 @@ def test_opposite_of_delta_passes_check(delta4):
 
 
 def test_json_round_trip_bit_exact(delta3, fi2):
+    def text(cat):
+        return json.dumps(cat.to_jsonable(), sort_keys=True, indent=2)
+
     for s in (delta3, fi2):
-        text = s.cat.to_json()
-        again = FinCat.from_json(text)
-        assert again.to_json() == text
+        again = FinCat.from_jsonable(json.loads(text(s.cat)))
+        assert text(again) == text(s.cat)
         assert again.comp == s.cat.comp
         assert again.mor_labels == s.cat.mor_labels
     t = terminal_cat()
-    assert FinCat.from_json(t.to_json()).to_json() == t.to_json()
+    assert text(FinCat.from_jsonable(json.loads(text(t)))) == text(t)
     # -1 encodes undefined entries
-    data = json.loads(t.to_json())
+    data = json.loads(text(t))
     assert data["comp"] == [[0]]
 
 
@@ -277,7 +279,7 @@ def test_generating_set_reaches_every_morphism(fi4, cube3):
         build_delta_bt, build_finset_input, build_par, build_pt,
     )
 
-    for s, most in ((build_delta_bt(6), 83), (fi4, 58), (cube3, 47),
+    for s, most in ((build_delta_bt(6), 83), (fi4, 26), (cube3, 47),
                     (build_pt(), None), (build_par(build_finset_input(3)), None)):
         cat = s.cat
         gens = cat.generating_set()
@@ -289,6 +291,24 @@ def test_generating_set_reaches_every_morphism(fi4, cube3):
         k_gens = cat.generating_set(s.derived.k_class)
         assert set(k_gens) <= s.derived.k_class
         assert _closure(cat, k_gens) == set(s.derived.k_class)
+
+
+def test_generating_set_reaches_every_member_of_mutants(delta4, fi3, cube2,
+                                                        single_entry_mutants):
+    """The walk's argument uses neither associativity nor the axioms, so on
+    seeded single-entry comp mutants too the generators and the identities
+    reach every member under the mutant's composition: all morphisms, and
+    the stock structure's K."""
+    rng = random.Random(1613)
+    for s in (delta4, fi3, cube2):
+        k_class = s.derived.k_class
+        for m in single_entry_mutants(s, 6, rng, lambda m, c=s.cat: m.cat is not c):
+            cat = m.cat
+            gens = cat.generating_set()
+            assert not set(gens) & set(cat.identities)
+            assert _closure(cat, gens) == set(cat.morphisms())
+            k_gens = cat.generating_set(k_class)
+            assert set(k_gens) <= k_class <= _closure(cat, k_gens)
 
 
 def _walk_tables(cat):

@@ -148,15 +148,6 @@ def test_nat_transform_iso_detection(km_delta4):
     assert not singular.is_iso()
 
 
-def test_nat_transform_compose(km_delta4):
-    f = random_pointed_functor(km_delta4.d, (1, 1, 1, 1), seed=1)
-    two = NatTransform(f, f, [QMat.from_rows([[2]])] * 4)
-    four = two.then(two)
-    assert four.components[0] == QMat.from_rows([[4]])
-    assert four.validate().ok
-    assert four.is_iso()
-
-
 def test_functor_json_round_trip(km_delta4, delta4):
     f = random_pointed_functor(km_delta4.d, (1, 2, 1, 1), seed=3)
     data = f.to_jsonable(category="cat.json")
