@@ -23,10 +23,12 @@
 # breaks associativity only, so the full list of violated triples is compared.
 # check, certify, transport and theta read the non-associative fi_sharp 2,
 # each reporting the category's laws.
-# transport hat and theta on delta_bt 6 take a functor with the dims of the
-# benchmark's theta workload (3, 3, 2, 3, 4, 3), so the largest matrices the
-# CLI writes (theta and its inverse up to 260 x 260) are compared byte for
-# byte.
+# transport hat, tilde and theta on delta_bt 6 take a functor with the dims of
+# the benchmark's theta workload (3, 3, 2, 3, 4, 3), so the largest matrices
+# the CLI writes (theta and its inverse up to 260 x 260), and the kernels and
+# restrictions on hat dims up to 51, are compared byte for byte.
+# One idem case holds the entry "1e3", which is malformed input: an exponent
+# is rejected before Fraction could build an integer of that many digits.
 # `example par` on the finset bases builds Gamma_2, Gamma_3 and Gamma_4 (1,279
 # morphisms, the largest par table; a checkout that finds pullbacks by
 # searching every pair of cones takes about 80 s on it), and one case
@@ -143,6 +145,7 @@ for tag, mats in (
     ("div0", [[["1/0"]]]),
     ("rational", [[["1/2", "1/2"], ["1/2", "1/2"]], [["1", "0"], ["0", "1"]]]),
     ("bool", [[[True, False], [False, False]]]),
+    ("exp", [[["1e3"]]]),
 ):
     write(f"idem_{tag}.json", {"matrices": mats})
 write("idem_nokey.json", {})
@@ -223,6 +226,9 @@ cases() {
     run hat_delta_bt_6 -m dkequiv.cli transport hat \
         --category ex/delta_bt_6.structure.json --functor F_delta_bt_6.json \
         --out T_delta_bt_6.json
+    run tilde_delta_bt_6 -m dkequiv.cli transport tilde \
+        --category ex/delta_bt_6.structure.json --functor T_delta_bt_6.json \
+        --out FT_delta_bt_6.json
     run theta_delta_bt_6 -m dkequiv.cli theta --category ex/delta_bt_6.structure.json \
         --functor T_delta_bt_6.json --out theta_delta_bt_6.json
     run hat_rational -m dkequiv.cli transport hat \
@@ -257,7 +263,7 @@ cases() {
     run cert_delta0_O -O -m dkequiv.cli certify --name delta_bt --size 0 \
         --out cert_delta0_O.json
     # idempotent decompositions
-    for t in ok pair empty nokey nonsquare ragged div0 rational bool; do
+    for t in ok pair empty nokey nonsquare ragged div0 rational bool exp; do
         run "idem_$t" -m dkequiv.cli idem --input "idem_$t.json" --out "idem_$t.out.json"
     done
     # malformed and invalid functors, structures and argument values

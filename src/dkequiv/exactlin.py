@@ -3,7 +3,8 @@
 Everything here is over Q with zero tolerance: a matrix stores only its
 nonzero entries, as integers over one positive common denominator, in a
 canonical reduced form so that equality of values is equality of the
-representation.  Degenerate shapes (0 x n, n x 0) are legal everywhere.
+representation.  Every operation, elimination included, reads and writes
+only stored entries.  Degenerate shapes (0 x n, n x 0) are legal everywhere.
 """
 
 from __future__ import annotations
@@ -36,7 +37,14 @@ class PreconditionViolated(ExactLinError):
 
 
 def _as_fraction(x) -> Fraction:
-    """x as a Fraction; bools, floats and other types raise TypeError."""
+    """x as a Fraction; bools, floats and other types raise TypeError.
+
+    A string is "n", "n/d" or a decimal.  One with an exponent raises
+    ValueError before Fraction sees it: Fraction("1e2000000") builds a
+    6.6M-bit integer, and a few more digits of exponent exhaust the memory.
+    """
+    if isinstance(x, str) and ("e" in x or "E" in x):
+        raise ValueError(f"matrix entry {x!r}: exponents are not accepted")
     if isinstance(x, (Fraction, str)) or type(x) is int:
         return Fraction(x)
     raise TypeError(f"not an exact rational: {x!r}")
@@ -181,55 +189,92 @@ class QMat:
     def rref(self):
         """Reduced row echelon form, returned as (QMat, pivot column list).
 
-        Gauss-Jordan on dense integer rows: each row is divided by the gcd of
-        its entries; at pivot (r, c) with pivot entry p, every other row R
-        with f = R[c] != 0 becomes p R - f P (P the pivot row), divided by
-        its gcd; at the end each pivot row is divided by its pivot, over the
-        lcm of the pivots as the one denominator.
+        Gauss-Jordan on sparse integer rows, one {column: int} dict for
+        each nonzero row of the matrix: each row is divided by the gcd of
+        its entries; at pivot (r, c), with P the first row at or below r
+        with an entry in column c swapped into place r and p = P[c], every
+        other row R with f = R[c] != 0 becomes p R - f P, divided by its
+        gcd; at the end each pivot row is divided by its pivot, over the
+        lcm of the pivots as the one denominator.  Only stored entries are
+        read or written: p R - f P is R scaled by p with f P subtracted
+        entry by entry, and an entry that cancels leaves the dict.  holders
+        maps each column to the places of the rows with an entry there, so
+        neither the pivot search nor the clearing scans the other rows.
 
-        This is the Fraction algorithm (divide the pivot row by its pivot,
-        subtract F_i[c] times it from every other row F_i), step for step.
-        Invariant: each integer row R_i = l_i F_i with l_i != 0, and R_i is
-        primitive or zero.  A swap keeps it, and for a cleared row, with
-        p = l_r F_r[c] and f = l_i F_i[c],
+        This is the Fraction algorithm on the same rows (divide the pivot
+        row by its pivot, subtract F_i[c] times it from every other row
+        F_i), step for step.  Invariant: each integer row R_i = l_i F_i with
+        l_i != 0, and R_i is primitive or zero.  A swap keeps it, and for a
+        cleared row, with p = l_r F_r[c] and f = l_i F_i[c],
             p R_i - f P = l_i l_r F_r[c] (F_i - F_i[c] F_r / F_r[c]),
         a nonzero multiple of the new Fraction row, made primitive by the
         gcd division.  So the zero entries agree at every step, the pivots
         are the same, and R_r / R_r[c_r] = F_r at the end.  Size: the
         primitive multiple of (n_j / d_j)_j has |entry j| <= |n_j| times the
         other d_k, so no integer outgrows the Fraction row it stands for.
+
+        The rows that are zero at the start are set aside, and empty rows
+        pad the result back to nrows.  That is the RREF of the whole matrix:
+        row operations keep the row space, the nonzero rows of an RREF are
+        the one reduced echelon basis of its row space and its other rows
+        are zero, and the nonzero rows alone span the same row space.  (Kept
+        in place, a zero row would never be a pivot and never change, its
+        f being 0.)  No row after the last pivot keeps an entry: one in
+        column c would have given a pivot when c was reached, and every
+        row subtracted from it later is zero in column c.
         """
-        m = [[0] * self.ncols for _ in self.sparse]
-        for line, row in zip(m, self.sparse):
-            g = gcd(*[x for _, x in row])
-            for j, x in row:
-                line[j] = x // g
-        nrows = self.nrows
+        rows = []
+        for row in self.sparse:
+            if row:
+                g = gcd(*[x for _, x in row])
+                rows.append({j: x // g for j, x in row})
+        n = len(rows)
+        holders = {}  # column -> positions of the rows with an entry there
+        for i, row in enumerate(rows):
+            for j in row:
+                holders.setdefault(j, set()).add(i)
         pivots = []
         r = 0
         for c in range(self.ncols):
-            if r == nrows:
+            if r == n:
                 break
-            pr = next((i for i in range(r, nrows) if m[i][c]), None)
+            at_c = holders.get(c, ())
+            pr = min((i for i in at_c if i >= r), default=None)
             if pr is None:
                 continue
-            m[r], m[pr] = m[pr], m[r]
-            prow = m[r]
+            if pr != r:
+                for i in (r, pr):
+                    for j in rows[i]:
+                        holders[j].remove(i)
+                rows[r], rows[pr] = rows[pr], rows[r]
+                for i in (r, pr):
+                    for j in rows[i]:
+                        holders[j].add(i)
+            prow = rows[r]
             p = prow[c]
-            for i in range(nrows):
-                f = m[i][c]
-                if f and i != r:
-                    row = [p * x - f * y for x, y in zip(m[i], prow)]
-                    g = gcd(*row)
-                    m[i] = [x // g for x in row] if g > 1 else row
+            for i in [i for i in at_c if i != r]:
+                row = rows[i]
+                f = row[c]
+                new = {j: p * x for j, x in row.items()} if p != 1 else row
+                for j, y in prow.items():
+                    x = new.get(j, 0) - f * y
+                    if x:
+                        if j not in new:
+                            holders[j].add(i)
+                        new[j] = x
+                    else:
+                        del new[j]
+                        holders[j].remove(i)
+                g = gcd(*new.values())
+                rows[i] = {j: x // g for j, x in new.items()} if g > 1 else new
             pivots.append(c)
             r += 1
-        den = lcm(*(m[i][c] for i, c in enumerate(pivots)))
+        den = lcm(*(rows[i][c] for i, c in enumerate(pivots)))
+        out = [()] * self.nrows
         for i, c in enumerate(pivots):
-            scale = den // m[i][c]
-            m[i] = [x * scale for x in m[i]]
-        rows = [tuple((j, x) for j, x in enumerate(row) if x) for row in m]
-        return QMat(nrows, self.ncols, rows, den), pivots
+            scale = den // rows[i][c]
+            out[i] = tuple(sorted((j, x * scale) for j, x in rows[i].items()))
+        return QMat(self.nrows, self.ncols, out, den), pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])

@@ -499,6 +499,47 @@ def test_certify_bimodule_law_failure_exits_2_without_asserts(tmp_path):
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_exponent_entries_exit_3(tmp_path, flags):
+    """Fraction("1e2000000") builds a 6.6M-bit integer, and a longer
+    exponent runs for minutes or exhausts the memory, before any check.
+    So an entry with an exponent is malformed input, rejected before it is
+    parsed and named in the error, by idem, transport and theta alike,
+    also when python -O strips asserts."""
+    spath, fpath = _write_structure_and_functor(tmp_path)
+    tpath = tmp_path / "T.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        main(["transport", "hat", "--category", str(spath),
+              "--functor", str(fpath), "--out", str(tpath)])
+    entry = "1e2000000"
+    files = {"idem": {"matrices": [[[entry, "0"], ["0", "1"]]]}}
+    for name, path in (("F", fpath), ("T", tpath)):
+        data = read(path)
+        key = next(k for k in sorted(data["mats"]) if data["mats"][k]
+                   and data["mats"][k][0])
+        files[name] = _edited(data, lambda d: d["mats"][key][0].__setitem__(0, entry))
+    for name, data in files.items():
+        (tmp_path / f"{name}_exp.json").write_text(json.dumps(data))
+    out = str(tmp_path / "out.json")
+    for argv in (
+        ["idem", "--input", str(tmp_path / "idem_exp.json")],
+        ["transport", "hat", "--category", str(spath), "--functor",
+         str(tmp_path / "F_exp.json"), "--out", out],
+        ["transport", "tilde", "--category", str(spath), "--functor",
+         str(tmp_path / "T_exp.json"), "--out", out],
+        ["theta", "--category", str(spath), "--functor",
+         str(tmp_path / "T_exp.json"), "--out", out],
+    ):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "dkequiv.cli", *argv],
+            capture_output=True, text=True, env=_env_with_src(), timeout=60,
+        )
+        assert (proc.returncode, proc.stderr) == (3, ""), argv
+        assert f"matrix entry '{entry}': exponents are not accepted" in (
+            json.loads(proc.stdout)["error"]), argv
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
 def test_unwritable_out_exits_3(tmp_path, flags):
     """An --out that cannot be written, a directory where a file goes or a
     file where a directory goes, is malformed input: one error object,

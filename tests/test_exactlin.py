@@ -322,6 +322,19 @@ def test_serialization_round_trip():
     assert m.to_jsonable() == [["1/2", "-3"], ["0", "5/7"]]
 
 
+
+def test_entries_with_an_exponent_raise_value_error():
+    """Fraction would accept them, and "1e2000000" would be a 6.6M-bit
+    integer; the other string forms parse as Fraction parses them."""
+    for entry in ("1e3", "1E3", "-2e-1", "1e2000000", "0.5e1"):
+        with pytest.raises(ValueError) as exc:
+            QMat.from_rows([["0", entry]])
+        assert str(exc.value) == f"matrix entry {entry!r}: exponents are not accepted"
+        with pytest.raises(ValueError):
+            QMat.from_jsonable([[entry]])
+    assert QMat.from_rows([["3", "-3/4", "0.25", " 2 ", "-1.5"]]) == QMat.from_rows(
+        [[3, Fraction(-3, 4), Fraction(1, 4), 2, Fraction(-3, 2)]])
+
 # -- Fraction reference for elimination ---------------------------------------
 
 
@@ -342,7 +355,7 @@ def _ref_rref(rows, ncols):
         for i in range(nrows):
             if i != r and m[i][c] != 0:
                 f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+                m[i] = [x - f * y if y else x for x, y in zip(m[i], m[r])]
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -486,6 +499,144 @@ def test_inverse_of_singular_matrix_raises():
     with pytest.raises(SingularMatrixError):
         QMat.from_rows([["1/2", 0, 1], [0, 0, 0], [1, 1, 1]]).inverse()
     assert QMat.zeros(0, 0).inverse() == QMat.zeros(0, 0)
+
+
+# -- sparse elimination against the Fraction reference -------------------------
+
+_nonzero = st.builds(Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 4))
+
+
+@st.composite
+def _mostly_zero(draw, nrows, ncols):
+    """Fraction rows of a mostly-zero nrows x ncols matrix: at most
+    nrows + ncols entries at drawn places, so zero rows fall between the
+    others.  Entries are rationals of either sign, so pivots are negative
+    and not 1."""
+    rows = [[Fraction(0)] * ncols for _ in range(nrows)]
+    if nrows and ncols:
+        cells = st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1), _nonzero)
+        for i, j, x in draw(st.lists(cells, max_size=nrows + ncols)):
+            rows[i][j] = x
+    return rows
+
+
+def _assert_elimination_matches_reference(rows, ncols, rhs, k):
+    """rref, rank, kernel and solve_exact of the matrix of rows against the
+    Fraction reference, with rhs (k columns) as the right-hand side."""
+    a = QMat.from_rows(rows, ncols)
+    red, pivots = a.rref()
+    ref, ref_pivots = _ref_rref(rows, ncols)
+    assert pivots == ref_pivots
+    assert _fracs(red) == ref
+    assert red == QMat.from_rows(ref, ncols)
+    assert a.rank() == len(ref_pivots)
+    assert _columns(a.kernel().basis) == _ref_kernel(rows, ncols)
+    want = _ref_solve(rows, rhs, ncols) if rows else [[Fraction(0)] * k] * ncols
+    b = QMat.from_rows(rhs, k)
+    if want is None:
+        with pytest.raises(RestrictionError):
+            solve_exact(a, b)
+    else:
+        assert _fracs(solve_exact(a, b)) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 26), st.integers(0, 8), st.integers(0, 3), st.booleans(), st.data())
+def test_sparse_elimination_matches_fraction_reference(nrows, ncols, k, consistent, data):
+    """Shapes up to 26 x 8, tall thin ones such as 26 x 6 with 6 entries
+    among them, as most of certify's matrices are.  Half of the
+    right-hand sides are a x, so solve_exact meets both outcomes."""
+    rows = data.draw(_mostly_zero(nrows, ncols))
+    if consistent:
+        rhs = _ref_mul(rows, data.draw(_mostly_zero(ncols, k)), nrows, k)
+    else:
+        rhs = data.draw(_mostly_zero(nrows, k))
+    _assert_elimination_matches_reference(rows, ncols, rhs, k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 9), st.booleans(), st.data())
+def test_sparse_inverse_matches_fraction_reference(n, fill_diagonal, data):
+    """A nonzero diagonal makes most of the matrices invertible."""
+    rows = data.draw(_mostly_zero(n, n))
+    if fill_diagonal:
+        for i, x in enumerate(data.draw(st.lists(_nonzero, min_size=n, max_size=n))):
+            rows[i][i] = x
+    a = QMat.from_rows(rows, n)
+    ident = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    want = _ref_solve(rows, ident, n) if n else []
+    if want is None:
+        with pytest.raises(SingularMatrixError):
+            a.inverse()
+    else:
+        assert _fracs(a.inverse()) == want
+        assert a.mul(a.inverse()).is_identity()
+
+
+@pytest.mark.parametrize("rows, ncols", [
+    # a negative, non-unit pivot, a zero row between, a dependent row
+    ([[-2, 4, 0], [0, 0, 0], [3, -6, 5], [-4, 8, 0]], 3),
+    # the pivot of column 1 sits below a zero row and must be swapped up
+    ([[0, 0, 0], [0, 0, 0], [0, -7, 1], [0, 14, "1/2"]], 3),
+    # rational entries whose rows clear to primitive multiples
+    ([["-3/2", "1/3", 0], [0, "-5/4", "2/7"], ["3/4", 0, "-1/6"]], 3),
+    # tall and thin, nearly empty, as most of certify's matrices
+    ([[0] * 6] * 9 + [[0, 0, 0, 0, -3, 0]] + [[0] * 6] * 7
+     + [[5, 0, 0, 0, 0, 0], [0, 0, "2/3", 0, 0, 0]] + [[0] * 6] * 7, 6),
+])
+def test_elimination_examples_match_fraction_reference(rows, ncols):
+    rows = [[Fraction(x) for x in row] for row in rows]
+    rhs = [[Fraction(i % 3 - 1), Fraction(int(not row[-1]))] for i, row in enumerate(rows)]
+    _assert_elimination_matches_reference(rows, ncols, rhs, 2)
+
+
+@pytest.mark.parametrize("n, m", [(0, 0), (0, 4), (4, 0), (3, 3), (26, 6)])
+def test_elimination_on_empty_and_zero_matrices(n, m):
+    z = QMat.zeros(n, m)
+    assert z.rref() == (z, [])
+    assert z.rank() == 0
+    assert z.kernel() == Subspace.full(m)
+    assert Subspace(n, z).dim == 0
+    assert solve_exact(z, QMat.zeros(n, 2)) == QMat.zeros(m, 2)
+    if n:
+        with pytest.raises(RestrictionError):
+            solve_exact(z, QMat.identity(n))
+    if n == m:
+        if n:
+            with pytest.raises(SingularMatrixError):
+                z.inverse()
+        else:
+            assert z.inverse() == z
+    _assert_elimination_matches_reference([[Fraction(0)] * m] * n, m,
+                                          [[Fraction(0)]] * n, 1)
+
+
+def _banded_unitriangular(n, seed):
+    """n x n upper unitriangular, about 4.5 stored entries a row, like the
+    Dold-Kan comparison: the rows fall into three bands, and each row of
+    the first two holds 5 or 6 entries from -3..3, placed in later bands."""
+    import random
+
+    rng = random.Random(seed)
+    band = [3 * i // n for i in range(n)]
+    rows = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        later = [j for j in range(n) if band[j] > band[i]]
+        for j in rng.sample(later, min(len(later), rng.randint(5, 6))):
+            rows[i][j] = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)))
+    return rows
+
+
+def test_inverse_of_a_large_sparse_unitriangular_matrix():
+    """260 x 260, the size of theta's largest, against the reference."""
+    rows = _banded_unitriangular(260, seed=17)
+    theta = QMat.from_rows(rows, 260)
+    assert 4.2 < sum(map(len, theta.sparse)) / 260 < 4.8
+    inv = theta.inverse()
+    ident = [[Fraction(int(i == j)) for j in range(260)] for i in range(260)]
+    assert _fracs(inv) == _ref_solve(rows, ident, 260)
+    assert theta.mul(inv).is_identity()
+    assert inv.mul(theta).is_identity()
 
 
 def test_unit_with_zero_subspaces_raises_with_object_witness(delta3):
