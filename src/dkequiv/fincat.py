@@ -7,6 +7,8 @@ endpoints do not match.  Values are immutable after construction.
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 
 def int_list(value, field):
     """value, if it is a JSON list of integers; a ValueError naming field
@@ -153,16 +155,39 @@ class FinCat:
                 rep.add_law("id o f != f", f=f, label=self.mor_labels[f])
             if comp[f][self.identities[self.dom[f]]] != f:
                 rep.add_law("f o id != f", f=f, label=self.mor_labels[f])
-        if rep.law or next(self._assoc_failures(self.generating_set()), None):
-            for h, g, f in self._assoc_failures(self.morphisms()):
+        if rep.law or not self._associative_at(self.generating_set()):
+            for h, g, f in self._assoc_failures():
                 rep.add_law("associativity violated", h=h, g=g, f=f)
         return rep
 
-    def _assoc_failures(self, middles):
-        """Each composable (h, g, f) with g in middles, in that order, for
-        which h o (g o f) != (h o g) o f."""
-        comp = self.comp
+    def _associative_at(self, middles):
+        """Whether h o (g o f) = (h o g) o f for every composable (h, g, f)
+        with g in middles, on tables that pass check_tables.
+
+        For each g, with into = the morphisms into dom(g) (never empty: it
+        holds the identity) and gf = [g o f for f in into], and each h out
+        of cod(g), itemgetter(*gf)(comp[h]) lists h o (g o f) and
+        itemgetter(*into)(comp[h o g]) lists (h o g) o f, both over f in
+        into in the same order.  So the two are equal exactly when the
+        triple loop finds no failure at (h, g, f) for any f.  When into has
+        one member both getters return that one value, not a tuple, and the
+        comparison is still of h o (g o f) with (h o g) o f.
+        """
+        comp, into = self.comp, self._into
+        take_into = {a: itemgetter(*into[a]) for a in self.objects()}
         for g in middles:
+            take_gf = itemgetter(*map(comp[g].__getitem__, into[self.dom[g]]))
+            take = take_into[self.dom[g]]
+            for h in self._outof[self.cod[g]]:
+                if take_gf(comp[h]) != take(comp[comp[h][g]]):
+                    return False
+        return True
+
+    def _assoc_failures(self):
+        """Each composable (h, g, f) for which h o (g o f) != (h o g) o f,
+        walked by g, then f, then h, each in id order."""
+        comp = self.comp
+        for g in self.morphisms():
             row_g = comp[g]
             hg = [(h, comp[h][g]) for h in self._outof[self.cod[g]]]
             for f in self._into[self.dom[g]]:
@@ -277,12 +302,18 @@ class FinCat:
         first, then the other members, each in id order, so that a taken
         non-isomorphism reaches its composites with those isomorphisms at
         once, and they are not taken as well.
-        The set of all morphisms' generators is computed once per table.
+        The walk depends only on the set of members, since it sorts them;
+        every morphism's generators are computed once per table, and each
+        call whose members are every morphism gets its own copy of them.
         """
-        if members is None:
+        members = set(self.morphisms() if members is None else members)
+        if members == set(self.morphisms()):
             if self._gens is None:
-                self._gens = self.generating_set(self.morphisms())
+                self._gens = self._walk_generators(members)
             return list(self._gens)
+        return self._walk_generators(members)
+
+    def _walk_generators(self, members):
         comp, into, outof = self.comp, self._into, self._outof
         isos = self.isos()
         order = sorted(members, key=lambda x: (x not in isos, x))
@@ -329,8 +360,9 @@ class FinCat:
         if type(objs) is not list:
             raise ValueError("objects: not a list")
         mors = data["morphisms"]
+        undefined = {-1: None}.get
         comp = tuple(
-            tuple(None if x == -1 else x for x in int_list(row, f"comp[{g}]"))
+            tuple(map(undefined, row, int_list(row, f"comp[{g}]")))
             for g, row in enumerate(data["comp"])
         )
         return cls(

@@ -690,29 +690,6 @@ def check_assumptions(s: MRStructure) -> AssumptionReport:
 # -- coend bijections --------------------------------------------------------------
 
 
-class _DSU:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[rx] = ry
-
-    def classes(self):
-        out = {}
-        for x in self.parent:
-            out.setdefault(self.find(x), []).append(x)
-        return out
-
-
 @dataclass
 class CoendPairReport:
     kind: str
@@ -743,6 +720,21 @@ class CoendReport:
 
 
 _ZERO = -1  # the left comparison's basepoint; a pair (x, y) is keyed x * n + y
+
+
+def _classes(parent, pairs):
+    """The classes of the union-find forest parent on the positions of pairs,
+    keyed by root position: in order of each class's first member, with the
+    members' keys in pairs order.  Each position is left pointing at its
+    root."""
+    out = {}
+    for p, key in enumerate(pairs):
+        x = p
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        parent[p] = x
+        out.setdefault(x, []).append(key)
+    return out
 
 
 def _bijection_report(kind, source, target, classes, comp, targets, basepoint=None):
@@ -865,15 +857,23 @@ def verify_coend_bijections(s: MRStructure) -> CoendReport:
                 pairs += [m * n + r for r in rs]
                 if rs:
                     ms.append(m)
-            dsu = _DSU(pairs)
+            pos = {x: p for p, x in enumerate(pairs)}
+            parent = list(range(len(pairs)))
             for m in ms:
                 for i in isos_into[cat.dom[m]]:
                     # (m o i, r') ~ (m, i o r') for r' into the source of i
                     mi = comp[m][i] * n
                     for r2 in r_into.get(cat.dom[i], ()):
-                        dsu.union(mi + r2, m * n + comp[i][r2])
+                        # both roots found inline, halving paths: a find()
+                        # call per pair would cost about half the gain
+                        x, y = pos[mi + r2], pos[m * n + comp[i][r2]]
+                        while parent[x] != x:
+                            parent[x] = x = parent[parent[x]]
+                        while parent[y] != y:
+                            parent[y] = y = parent[parent[y]]
+                        parent[x] = y
             entries.append(_bijection_report(
-                "right", a, d, dsu.classes(), comp, target_set(a, d)
+                "right", a, d, _classes(parent, pairs), comp, target_set(a, d)
             ))
 
     # left comparison: pairs (any g, embedding m) through a middle object,
@@ -884,16 +884,24 @@ def verify_coend_bijections(s: MRStructure) -> CoendReport:
         for b in cat.objects():
             pairs = [g * n + m for m in m_by_dom.get(c, ())
                      for g in cat.hom(cat.cod[m], b)]
-            dsu = _DSU(pairs + [_ZERO])
+            pairs.append(_ZERO)
+            pos = {x: p for p, x in enumerate(pairs)}
+            parent = list(range(len(pairs)))
             for m in m_by_dom.get(c, ()):
                 for k in k_by_dom.get(cat.cod[m], ()):
                     km = comp[k][m] if comp[k][m] in s.m_class else None
                     for g in cat.hom(cat.cod[k], b):
-                        dsu.union(comp[g][k] * n + m,
-                                  _ZERO if km is None else g * n + km)
+                        x = pos[comp[g][k] * n + m]
+                        y = pos[_ZERO if km is None else g * n + km]
+                        while parent[x] != x:
+                            parent[x] = x = parent[parent[x]]
+                        while parent[y] != y:
+                            parent[y] = y = parent[parent[y]]
+                        parent[x] = y
+            classes = _classes(parent, pairs)
             entries.append(_bijection_report(
-                "left", c, b, dsu.classes(), comp, target_set(c, b),
-                basepoint=dsu.find(_ZERO),
+                "left", c, b, classes, comp, target_set(c, b),
+                basepoint=parent[pos[_ZERO]],
             ))
 
     return CoendReport(entries)

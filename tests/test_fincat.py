@@ -32,6 +32,21 @@ def arrow_cat():
     )
 
 
+def swap_cat():
+    # two arrows f, g: a -> b swapped by an involution t of b; a receives
+    # only its identity, and the generators are t and f
+    return FinCat(
+        2,
+        [0, 1, 0, 0, 1],
+        [0, 1, 1, 1, 1],
+        [0, 1],
+        [[0, None, None, None, None], [None, 1, 2, 3, 4], [2, None, None, None, None],
+         [3, None, None, None, None], [None, 4, 3, 2, 1]],
+        ["a", "b"],
+        ["id_a", "id_b", "f", "g", "t"],
+    )
+
+
 def test_terminal_category():
     c = terminal_cat()
     assert c.check().ok
@@ -311,6 +326,30 @@ def test_generating_set_reaches_every_member_of_mutants(delta4, fi3, cube2,
             assert set(k_gens) <= k_class <= _closure(cat, k_gens)
 
 
+def test_generating_set_of_every_morphism_is_the_cached_one(delta4):
+    """generating_set(members) depends only on the set of members: every
+    morphism, in any order or as a one-shot iterator, gives
+    generating_set(), whichever call comes first.  Each call returns its
+    own list, and a proper member set, such as K, gets its own walk."""
+    cat = delta4.cat
+    want = cat.generating_set()
+    fresh = FinCat(cat.n_objects, cat.dom, cat.cod, cat.identities, cat.comp,
+                   cat.obj_labels, cat.mor_labels)
+    shuffled = list(cat.morphisms())
+    random.Random(3).shuffle(shuffled)
+    assert fresh.generating_set(shuffled) == want
+    assert fresh.generating_set(reversed(cat.morphisms())) == want
+    assert fresh.generating_set(iter(shuffled)) == want
+    fresh.generating_set().append(-1)
+    fresh.generating_set(shuffled).clear()
+    assert fresh.generating_set() == want
+    assert fresh.generating_set(cat.morphisms()) == want
+    k_class = delta4.derived.k_class
+    k_gens = fresh.generating_set(reversed(sorted(k_class)))
+    assert k_gens == [3, 4, 7, 12, 13, 18, 22, 23] != want
+    assert set(k_gens) <= k_class <= _closure(cat, k_gens)
+
+
 def _walk_tables(cat):
     """Reference for check_tables: every entry of every row, one by one."""
     out = []
@@ -413,13 +452,16 @@ def _single_entry_mutants(cat, count, rng):
 
 def test_check_matches_the_exhaustive_walk(delta3, fi2, cube2):
     """FinCat.check reports exactly what the walk over every composable
-    triple does, on the stock tables and on 360 seeded single-entry
+    triple does, on the stock tables, on swap_cat, where the generator f
+    has a domain that receives one morphism, and on 480 seeded single-entry
     mutants of them, each of which still passes check_tables."""
     import random
 
+    swap = swap_cat()
+    assert [len(swap._hom_into(swap.dom[g])) for g in swap.generating_set()] == [4, 1]
     rng = random.Random(11)
     failing = {"associativity": 0, "identity": 0}
-    for base in (delta3.cat, fi2.cat, cube2.cat):
+    for base in (delta3.cat, fi2.cat, cube2.cat, swap):
         assert base.check().to_jsonable() == _exhaustive_check(base)
         assert base.check().ok
         for kind, cat in _single_entry_mutants(base, 120, rng):

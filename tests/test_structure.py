@@ -465,20 +465,24 @@ def _outcome(fn, s):
 
 @pytest.fixture(scope="module")
 def coend_cases(single_entry_mutants):
-    """The stock structures of size at most 3, Gamma_2 and Gamma_3, seeded
-    mutants of them that pass validate, and structures on which each
-    precondition of the reduced left comparison fails alone: a
-    non-associative table, a K that is not closed, a K that misses an
-    identity, and a K-action that is not pointed-functorial."""
+    """The stock structures of size at most 3, Gamma_2, Gamma_3 and VI#_2
+    (injective linear maps over F_2, whose isomorphisms do not permute a
+    set's elements), seeded mutants of them that pass validate, and
+    structures on which each precondition of the reduced left comparison
+    fails alone: a non-associative table, a K that is not closed, a K that
+    misses an identity, and a K-action that is not pointed-functorial."""
     import random
 
-    from dkequiv.builders import BUILDERS, build_finset_input, build_par
+    from dkequiv.builders import (
+        BUILDERS, build_finset_input, build_flinj_input, build_par,
+    )
 
     rng = random.Random(5)
     cases = [build_pt()]
     cases += [BUILDERS[name][0](n) for name in ("delta_bt", "fi_sharp", "cube")
               for n in range(BUILDERS[name][1], 4)]
     cases += [build_par(build_finset_input(n)) for n in (2, 3)]
+    cases.append(build_par(build_flinj_input(2, 2)))
     for base in cases[:]:
         if base.cat.n_morphisms <= 40:
             cases += single_entry_mutants(base, 12, rng, lambda x: x.validate().ok)
@@ -516,6 +520,46 @@ def test_coend_bijections_match_the_reference(coend_cases):
     for s in coend_cases:
         got = _outcome(lambda x: verify_coend_bijections(x).to_jsonable(), s)
         assert got == _outcome(_reference_coends, s)
+
+
+def test_classes_point_every_position_at_its_root():
+    """_classes lists the classes in order of first member, members in pairs
+    order, and leaves every position pointing at its root, so the basepoint
+    is parent[pos[_ZERO]] even at the end of a chain longer than path
+    halving shortens to one step."""
+    from dkequiv.structure import _classes
+
+    parent = [1, 2, 3, 3, 0, 5, 5]
+    assert _classes(parent, "abcdefg") == {3: list("abcde"), 5: list("fg")}
+    assert parent == [3, 3, 3, 3, 3, 5, 5]
+
+
+# sha256 of json.dumps(verify_coend_bijections(s).to_jsonable(), sort_keys=True)
+# at the benchmark's sizes, where the reference is too slow to compare with:
+# how the classes are computed must leave these bytes unchanged.
+COEND_DIGESTS = {
+    "delta_bt_6": (
+        lambda: build_delta_bt(6),
+        "2f9af89fd047181fce041ac21e970dd8f49ed929ce022dd4c5bb0cdfc635eb66",
+    ),
+    "cube_3": (
+        lambda: build_cube(3),
+        "66e0d6836514cad777cd9ea995e22975994ad397ce5422cfbb5146a86c823429",
+    ),
+    "fi_sharp_4": (
+        lambda: build_fi_sharp(4),
+        "83072dff8d5c272d2cb856c4c8a15ae09dc23793830ada7450adb58b4f315b0a",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(COEND_DIGESTS))
+def test_coend_reports_are_byte_identical(name):
+    import hashlib
+
+    build, digest = COEND_DIGESTS[name]
+    text = json.dumps(verify_coend_bijections(build()).to_jsonable(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_left_generators_only_when_the_preconditions_hold(coend_cases):
