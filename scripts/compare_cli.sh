@@ -29,6 +29,8 @@
 # restrictions on hat dims up to 51, are compared byte for byte.
 # One idem case holds the entry "1e3", which is malformed input: an exponent
 # is rejected before Fraction could build an integer of that many digits.
+# nested.json opens 100,000 JSON arrays, deeper than the decoder recurses;
+# each reader of input files must reject it as malformed input.
 # `example par` on the finset bases builds Gamma_2, Gamma_3 and Gamma_4 (1,279
 # morphisms, the largest par table; a checkout that finds pullbacks by
 # searching every pair of cones takes about 80 s on it), and one case
@@ -149,6 +151,8 @@ for tag, mats in (
 ):
     write(f"idem_{tag}.json", {"matrices": mats})
 write("idem_nokey.json", {})
+with open("nested.json", "w") as fh:
+    fh.write("[" * 100_000)
 # malformed and invalid pointed functors on delta_bt 4
 g = f.to_jsonable(category="ex/delta_bt_4.structure.json")
 key = next(k for k in sorted(g["mats"]) if g["mats"][k] and g["mats"][k][0])
@@ -291,6 +295,12 @@ cases() {
     run cert_dims_neg -m dkequiv.cli certify --dims-max -1 --out cert_dims_neg.json
     run cert_seeds_neg -m dkequiv.cli certify --seeds -1 --out cert_seeds_neg.json
     run cert_seeds0 -m dkequiv.cli certify --seeds 0 --out cert_seeds0.json
+    run nested_check -m dkequiv.cli check nested.json
+    run nested_idem -m dkequiv.cli idem --input nested.json
+    run nested_hat -m dkequiv.cli transport hat --category ex/delta_bt_4.structure.json \
+        --functor nested.json --out nested_hat.out.json
+    run nested_cert -m dkequiv.cli certify --category nested.json --out nested_cert.json
+    run nested_par -m dkequiv.cli example par --base nested.json --out ex
     # the cases an assert decided, again under python -O
     for t in empty nonsquare ragged; do
         run "idem_${t}_O" -O -m dkequiv.cli idem --input "idem_$t.json"

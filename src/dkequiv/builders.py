@@ -321,9 +321,7 @@ def validate_par_input(inp: ParInput):
     # again in m_class
     pb_cache = {}
     for m in sorted(inp.m_class):
-        for f in cat.morphisms():
-            if cat.cod[f] != cat.cod[m]:
-                continue
+        for f in cat.into[cat.cod[m]]:
             pb = pullback(cat, f, m)
             if pb is None:
                 problems.append(
@@ -377,7 +375,7 @@ def build_par(inp: ParInput) -> MRStructure:
         return canonical(m, i) if i in cat.isos() and m in inp.m_class else None
 
     spans = [canonical(m, f) for m in sorted(inp.m_class)
-             for f in cat.morphisms_from(cat.dom[m])]
+             for f in cat.outof[cat.dom[m]]]
     return split_embeddings(*table_category(
         list(cat.obj_labels),
         [(cat.cod[m], cat.cod[f], (m, f),

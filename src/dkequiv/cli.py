@@ -68,7 +68,7 @@ def _load(path, parse):
         return parse(json.loads(Path(path).read_text()))
     except ParInputError as e:
         raise MalformedInput("base category unsuitable", e.problems) from e
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, RecursionError, json.JSONDecodeError) as e:
         raise MalformedInput(f"cannot read {path}: {e}") from e
     except (KeyError, IndexError, TypeError, ValueError, ZeroDivisionError) as e:
         raise MalformedInput(f"malformed input file {path}: {e!r}") from e

@@ -33,7 +33,7 @@ from .exactlin import (
     restrict,
     solve_exact,
 )
-from .fincat import group_by
+from .fincat import group_by, outside_is_stable
 from .functors import AdditiveFunctor, NatTransform, PointedFunctor
 from .structure import MRStructure, build_d_cat
 
@@ -57,12 +57,8 @@ class KernelModule:
         self.d = build_d_cat(structure)
         cat = structure.cat
         structure.parts  # precompute factorizations
-        self.elements = {}
-        for a in cat.objects():
-            for b in cat.objects():
-                self.elements[(a, b)] = [
-                    u for u in cat.hom(a, b) if structure.s_in_r(u)
-                ]
+        self.elements = {(a, b): [u for u in cat.hom(a, b) if structure.s_in_r(u)]
+                         for a in cat.objects() for b in cat.objects()}
 
     def validate(self):
         """Bimodule-law check; reports every violated instance.
@@ -113,10 +109,10 @@ class KernelModule:
         # covariant variable composed, walked unless _right_law_holds
         if not self._right_law_holds(elems):
             for b, us in sorted(elems_by_cod.items()):
-                for f in cat.morphisms_from(b):
+                for f in cat.outof[b]:
                     cf = comp[f]
                     tus = [(u, cf[u]) for u in us]
-                    for f1 in cat.morphisms_from(cat.cod[f]):
+                    for f1 in cat.outof[cat.cod[f]]:
                         cf1 = comp[f1]
                         cff1 = comp[cf1[f]]
                         for (u, t) in tus:
@@ -130,7 +126,7 @@ class KernelModule:
             for u in elems_by_dom.get(a, ()):
                 ur = comp[u][r]
                 ur_ok = s_in_r[ur]
-                for f in cat.morphisms_from(cat.cod[u]):
+                for f in cat.outof[cat.cod[u]]:
                     fu = comp[f][u]
                     both = kept[comp[f][ur]]
                     via_left = both if ur_ok else None
@@ -140,25 +136,17 @@ class KernelModule:
         return problems
 
     def _right_law_holds(self, elems):
-        """Whether cat.check() passes and no generator g takes a t in
-        X = (C o E) - E into E, E being elems, the u with s_in_r[u].  Then
-        the covariant law holds at every (f, f1, u), by Light's good-set
-        argument as in FinCat.check.  With the table associative, the law
-        at (f, f1, u) holds when t = f o u is in E, and otherwise asks that
-        f1 o t = (f1 o f) o u, which is in C o E, lie in X.  Call f1 good if
-        it maps X into X.  Identities are good, and a o b is good when a and
-        b are, as (a o b) o t = a o (b o t); the identities and generators
-        reach every morphism under composition.  When this is False,
-        validate walks every instance, so its report is the walk's.
+        """Whether cat.check() passes and every morphism maps X = (C o E) - E
+        into X, E being elems, the u with s_in_r[u], as outside_is_stable
+        decides along generating_set().  Then the covariant law holds at
+        every (f, f1, u): with the table associative, it holds when
+        t = f o u is in E, and otherwise asks that f1 o t = (f1 o f) o u lie
+        outside E.  When this is False, validate walks every instance, so
+        its report is the walk's.
         """
         cat = self.structure.cat
-        if not cat.check().ok:
-            return False
-        comp, s_in_r = cat.comp, self.structure.parts.s_in_r
-        c_e = {comp[f][u] for u in elems for f in cat.morphisms_from(cat.cod[u])}
-        x_by_cod = group_by([t for t in c_e if not s_in_r[t]], cat.cod)
-        return not any(s_in_r[comp[g][t]] for g in cat.generating_set()
-                       for t in x_by_cod.get(cat.dom[g], ()))
+        return cat.check().ok and outside_is_stable(
+            cat, cat.generating_set(), cat.outof, set(elems))
 
     @cached_property
     def placement(self):

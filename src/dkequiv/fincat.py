@@ -64,7 +64,9 @@ class ValidationReport:
 
 
 class FinCat:
-    """A finite category: objects 0..n-1, morphisms with dom/cod/comp tables."""
+    """A finite category: objects 0..n-1, morphisms with dom/cod/comp tables,
+    and its hom index, built once: hom(a, b), into[a] and outof[a] are the
+    morphisms a -> b, into a and out of a, as shared tuples in id order."""
 
     def __init__(self, n_objects, dom, cod, identities, comp,
                  obj_labels=None, mor_labels=None):
@@ -91,13 +93,15 @@ class FinCat:
             raise ValueError(f"comp: need an {n} x {n} table")
         if not set(self.dom) | set(self.cod) <= set(range(n_objects)):
             raise ValueError("morphisms: an endpoint is not an object")
-        self._hom = {}
-        self._into = {a: [] for a in range(n_objects)}
-        self._outof = {a: [] for a in range(n_objects)}
+        # one pass, so that all three share each id's int object
+        hom = {}
+        into, outof = [[] for _ in range(n_objects)], [[] for _ in range(n_objects)]
         for f in range(n):
-            self._hom.setdefault((self.dom[f], self.cod[f]), []).append(f)
-            self._into[self.cod[f]].append(f)
-            self._outof[self.dom[f]].append(f)
+            hom.setdefault((self.dom[f], self.cod[f]), []).append(f)
+            into[self.cod[f]].append(f)
+            outof[self.dom[f]].append(f)
+        self._hom = {ends: tuple(fs) for ends, fs in hom.items()}
+        self.into, self.outof = tuple(map(tuple, into)), tuple(map(tuple, outof))
         self._isos = self._report = self._tables = self._gens = None
 
     # -- basics ------------------------------------------------------------
@@ -113,9 +117,9 @@ class FinCat:
         return range(self.n_objects)
 
     def hom(self, a, b):
-        """All morphisms a -> b in stable index order."""
+        """All morphisms a -> b in id order: the index's shared tuple."""
         assert 0 <= a < self.n_objects and 0 <= b < self.n_objects
-        return list(self._hom.get((a, b), []))
+        return self._hom.get((a, b), ())
 
     def identity(self, a):
         return self.identities[a]
@@ -136,10 +140,10 @@ class FinCat:
         identity laws hold.  Call a good if h o (a o f) = (h o a) o f for all
         composable h, f.  Identities are good by the identity laws; if a and
         b are good, h o ((a o b) o f) = h o (a o (b o f)) = (h o a) o (b o f)
-        = ((h o a) o b) o f = (h o (a o b)) o f, so a o b is good; and the
-        generators and identities reach every morphism under composition.
-        On any failure every triple is walked, so the report is the walk's.
-        The tables are tuples, so one report serves every call.
+        = ((h o a) o b) o f = (h o (a o b)) o f, so a o b is good; so, by
+        the lemma in generating_set, every morphism is good.  On any failure
+        every triple is walked, so the report is the walk's.  The tables are
+        tuples, so one report serves every call.
         """
         if self._report is None:
             self._report = self._check()
@@ -173,12 +177,12 @@ class FinCat:
         one member both getters return that one value, not a tuple, and the
         comparison is still of h o (g o f) with (h o g) o f.
         """
-        comp, into = self.comp, self._into
+        comp, into = self.comp, self.into
         take_into = {a: itemgetter(*into[a]) for a in self.objects()}
         for g in middles:
             take_gf = itemgetter(*map(comp[g].__getitem__, into[self.dom[g]]))
             take = take_into[self.dom[g]]
-            for h in self._outof[self.cod[g]]:
+            for h in self.outof[self.cod[g]]:
                 if take_gf(comp[h]) != take(comp[comp[h][g]]):
                     return False
         return True
@@ -189,8 +193,8 @@ class FinCat:
         comp = self.comp
         for g in self.morphisms():
             row_g = comp[g]
-            hg = [(h, comp[h][g]) for h in self._outof[self.cod[g]]]
-            for f in self._into[self.dom[g]]:
+            hg = [(h, comp[h][g]) for h in self.outof[self.cod[g]]]
+            for f in self.into[self.dom[g]]:
                 gf = row_g[f]
                 for h, h_g in hg:
                     if comp[h][gf] != comp[h_g][f]:
@@ -230,7 +234,7 @@ class FinCat:
         for g in range(n):
             row = self.comp[g]
             a, b = dom[g], cod[g]
-            into = self._into[a]
+            into = self.into[a]
             if (a, b) not in want:
                 want[(a, b)] = [(dom[f], b) for f in into]
             if (
@@ -255,12 +259,6 @@ class FinCat:
                             "composite has wrong endpoints", g=g, f=f, composite=h
                         )
         return rep
-
-    def _hom_into(self, a):
-        return self._into[a]
-
-    def morphisms_from(self, a):
-        return list(self._outof[a])
 
     # -- derived data --------------------------------------------------------
 
@@ -296,7 +294,10 @@ class FinCat:
         identities, the identities and the earlier ones do not reach under
         the table's composition.  With the identities they reach every
         member, since each member is either reached or taken; this holds
-        for any walking order.  The reached set stays closed: each
+        for any walking order.  So a property of morphisms that holds at the
+        identities and at the generators, and at a o b whenever it holds at
+        a and at b, holds at every member: the lemma that check and
+        outside_is_stable rest on.  The reached set stays closed: each
         morphism, when its turn comes, is composed on both sides with every
         morphism reached by then.  The walk takes the member isomorphisms
         first, then the other members, each in id order, so that a taken
@@ -314,7 +315,7 @@ class FinCat:
         return self._walk_generators(members)
 
     def _walk_generators(self, members):
-        comp, into, outof = self.comp, self._into, self._outof
+        comp, into, outof = self.comp, self.into, self.outof
         isos = self.isos()
         order = sorted(members, key=lambda x: (x not in isos, x))
         reached, gens = set(), []
@@ -377,6 +378,26 @@ class FinCat:
 
     def __repr__(self):
         return f"FinCat({self.n_objects} objects, {self.n_morphisms} morphisms)"
+
+
+def outside_is_stable(cat, gens, acting, inside):
+    """Whether every member of the subcategory that gens generates maps
+    X = (A o I) - I into X, for I the set inside and A the set whose members
+    out of each object a are acting[a].  The table must be associative, and
+    A must hold the identities and gens and be closed under composition.
+
+    It is decided along gens: no g in gens takes a t in X into I.  Call a
+    in A good if it maps X into X.  For t = a1 o i in X, a o t = (a o a1) o i
+    lies in A o I, so a is good when no a o t lies in I.  Identities are
+    good, and a o b is good when a and b are, as (a o b) o t = a o (b o t)
+    with b o t in X.  So, by the lemma in FinCat.generating_set, every
+    member of the subcategory is good exactly when every g is.
+    """
+    comp, dom, cod = cat.comp, cat.dom, cat.cod
+    outside = {comp[a][i] for i in inside for a in acting[cod[i]]} - inside
+    by_cod = group_by(outside, cod)
+    return not any(comp[g][t] in inside
+                   for g in gens for t in by_cod.get(dom[g], ()))
 
 
 def table_category(obj_labels, morphisms, compose_keys, identity_key):

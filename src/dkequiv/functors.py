@@ -48,7 +48,7 @@ def _functor_laws(functor, is_zero) -> ValidationReport:
             rep.add_law("identity not sent to identity", object=a)
     for g in functor.morphisms():
         mg = mats[g]
-        for f in base._hom_into(base.dom[g]):
+        for f in base.into[base.dom[g]]:
             if is_zero(f):
                 continue
             h = base.comp[g][f]
@@ -230,19 +230,18 @@ def random_invertible(n, rng) -> QMat:
 def _projective_atom(d: DCat, c):
     """Basis 'all nonzero morphisms out of c', acted on by postcomposition."""
     cat = d.cat
-    basis = {a: [u for u in d.nonzero_morphisms() if cat.dom[u] == c and cat.cod[u] == a]
-             for a in cat.objects()}
-    dims = tuple(len(basis[a]) for a in cat.objects())
-    index = {a: {u: i for i, u in enumerate(basis[a])} for a in cat.objects()}
+    basis = [[u for u in cat.hom(c, a) if not d.is_zero(u)] for a in cat.objects()]
+    dims = tuple(map(len, basis))
+    index = [{u: i for i, u in enumerate(us)} for us in basis]
 
     def mat(r):
         a, b = cat.dom[r], cat.cod[r]
-        rows = [[0] * dims[a] for _ in range(dims[b])]
+        rows = [[] for _ in range(dims[b])]
         for col, u in enumerate(basis[a]):
             v = cat.comp[r][u]
             if not d.is_zero(v):
-                rows[index[b][v]][col] = 1
-        return QMat.from_rows(rows, dims[a])
+                rows[index[b][v]].append((col, 1))
+        return QMat(dims[b], dims[a], map(tuple, rows))
 
     return dims, mat
 
@@ -250,21 +249,14 @@ def _projective_atom(d: DCat, c):
 def _unit_atom_valid(d: DCat, c):
     """Whether the one-dimensional atom concentrated at c is a functor:
     no nonzero endomorphism of c may factor through another object or have
-    a composite of endomorphisms fall to zero."""
+    a composite of endomorphisms fall to zero.  A composite with a zero is
+    zero, so only the endomorphisms are filtered to the nonzero ones."""
     cat = d.cat
-    endos = [u for u in d.nonzero_morphisms() if cat.dom[u] == c and cat.cod[u] == c]
-    for u in endos:
-        for v in endos:
-            if cat.cod[u] == cat.dom[v] and d.is_zero(cat.comp[v][u]):
-                return False
-    outs = [u for u in d.nonzero_morphisms()
-            if cat.dom[u] == c and cat.cod[u] != c]
-    for u in outs:
-        for v in d.nonzero_morphisms():
-            if cat.dom[v] == cat.cod[u] and cat.cod[v] == c:
-                if not d.is_zero(cat.comp[v][u]):
-                    return False
-    return True
+    endos = [u for u in cat.hom(c, c) if not d.is_zero(u)]
+    if any(d.is_zero(cat.comp[v][u]) for u in endos for v in endos):
+        return False
+    return all(d.is_zero(cat.comp[v][u]) for u in cat.outof[c] if cat.cod[u] != c
+               for v in cat.hom(cat.cod[u], c))
 
 
 def _unit_atom(d: DCat, c):

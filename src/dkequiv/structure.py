@@ -24,7 +24,14 @@ from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from .fincat import FinCat, ValidationReport, group_by, int_list, table_category
+from .fincat import (
+    FinCat,
+    ValidationReport,
+    group_by,
+    int_list,
+    outside_is_stable,
+    table_category,
+)
 
 
 class StructureError(Exception):
@@ -104,29 +111,18 @@ class SubPoset:
         return [m for m in self.elements if m != self.top()]
 
     def check(self):
-        """Partial-order axioms plus unique-maximum; returns list of problems."""
-        problems = []
-        els = self.elements
-        for a in els:
-            if not self.leq(a, a):
-                problems.append(f"not reflexive at {a}")
-        for a in els:
-            for b in els:
-                if a != b and self.leq(a, b) and self.leq(b, a):
-                    problems.append(f"not antisymmetric at ({a},{b})")
-                for c in els:
-                    if self.leq(a, b) and self.leq(b, c) and not self.leq(a, c):
-                        problems.append(f"not transitive at ({a},{b},{c})")
-        top = self.top()
-        for a in els:
-            if not self.leq(a, top):
-                problems.append(f"{a} not below the whole object")
-        pos = {m: i for i, m in enumerate(self.linearization)}
-        for a in els:
-            for b in els:
-                if self.leq(a, b) and pos[a] > pos[b]:
-                    problems.append(f"linearization violates order at ({a},{b})")
-        return problems
+        """Reflexivity, transitivity and the whole object as maximum; returns
+        the list of problems.  Antisymmetry and the linearization need no
+        check: sub_poset raises on any cycle of leq and the compatibility
+        relation before it builds a poset, and builds the linearization as
+        a topological order of that relation, so every a <= b with a != b
+        puts a before b."""
+        els, leq = self.elements, self.leq
+        problems = [f"not reflexive at {a}" for a in els if not leq(a, a)]
+        problems += [f"not transitive at ({a},{b},{c})" for a in els for b in els
+                     for c in els if leq(a, b) and leq(b, c) and not leq(a, c)]
+        return problems + [f"{a} not below the whole object"
+                           for a in els if not leq(a, self.top())]
 
 
 class MRStructure:
@@ -219,26 +215,15 @@ class MRStructure:
         noninv = [m for m in sorted(self.m_class) if m not in isos]
         bad = set()
         for m in noninv:
-            row = cat.comp[m]
-            for y in cat._hom_into(cat.dom[m]):
-                bad.add(row[y])
-        for m in noninv:
-            sm = self.star[m]
-            for z in cat.morphisms_from(cat.dom[m]):
-                bad.add(cat.comp[z][sm])
+            bad.update(map(cat.comp[m].__getitem__, cat.into[cat.dom[m]]))
+            bad.update(cat.comp[z][self.star[m]] for z in cat.outof[cat.dom[m]])
         r_class = frozenset(f for f in cat.morphisms() if f not in bad)
-        s_class = frozenset(
-            cat.comp[r][self.star[m]]
-            for m in self.m_class
-            for r in r_class
-            if cat.dom[r] == cat.dom[m]
-        )
-        k_class = frozenset(
-            cat.comp[m][self.star[nn]]
-            for nn in self.m_class
-            for m in self.m_class
-            if cat.dom[m] == cat.dom[nn]
-        )
+        r_by_dom = group_by(r_class, cat.dom)
+        m_by_dom = group_by(self.m_class, cat.dom)
+        s_class = frozenset(cat.comp[r][self.star[m]] for m in self.m_class
+                            for r in r_by_dom.get(cat.dom[m], ()))
+        k_class = frozenset(cat.comp[m][self.star[nn]] for nn in self.m_class
+                            for m in m_by_dom[cat.dom[nn]])
         return DerivedClasses(r_class, s_class, k_class, frozenset(isos))
 
     @property
@@ -404,9 +389,7 @@ class MRStructure:
         if cached is not None:
             return cached
         cat = self.cat
-        reps = sorted(
-            {self.canonical_emb(m) for m in self.m_class if cat.cod[m] == a}
-        )
+        reps = sorted({self.canonical_emb(m) for m in cat.into[a] if m in self.m_class})
         leq = set()
         compat = set()  # retraction-compatibility: star(n) o m is an embedding
         for m in reps:
@@ -580,10 +563,11 @@ def _composition_witnesses(s, der):
 
 def _cancellation_witnesses(s, der):
     cat = s.cat
+    r_by_cod = group_by(sorted(der.r_class), cat.cod)
     for m in sorted(s.m_class - der.i_class):
         sm = s.star[m]
-        for r in sorted(der.r_class):
-            if cat.cod[r] == cat.cod[m] and cat.comp[sm][r] in der.r_class:
+        for r in r_by_cod.get(cat.cod[m], ()):
+            if cat.comp[sm][r] in der.r_class:
                 yield {"m": m, "r": r,
                        "labels": [cat.mor_labels[m], cat.mor_labels[r]]}
 
@@ -791,8 +775,8 @@ def _bijection_report(kind, source, target, classes, comp, targets, basepoint=No
 def _left_generators(s, der):
     """The members of K along which the left comparison identifies pairs:
     generating_set(K), when the table is associative, K holds the identities
-    and is closed under composition, and no generator k takes an x in
-    K o M outside M back into M; all of K otherwise.
+    and is closed under composition, and outside_is_stable finds that every
+    k in K maps (K o M) - M outside M; all of K otherwise.
 
     Both give the same classes.  The relation along generators is part of
     the one along K.  Conversely, every k in K is an identity, whose pairs
@@ -802,8 +786,7 @@ def _left_generators(s, der):
     identifies (g o k, m) = ((g o k1) o k2, m) ~ (g o k1, k2 o m) with
     (g, k1 o (k2 o m)) = (g, k o m), or with zero when k o m is not in M.
     If k2 o m is not in M, then (g o k, m) ~ zero, and k o m = k1 o (k2 o m)
-    is not in M either, since k2 o m is in K o M; so the relation along K
-    also sends the pair to zero.
+    is not in M either; so the relation along K also sends it to zero.
     """
     cat = s.cat
     k_class = der.k_class
@@ -812,12 +795,9 @@ def _left_generators(s, der):
         return sorted(k_class)
     gens = cat.generating_set(k_class)
     k_by_dom = group_by(sorted(k_class), cat.dom)
-    km = {cat.comp[k][m] for m in s.m_class for k in k_by_dom.get(cat.cod[m], ())}
-    km_by_cod = group_by(km - s.m_class, cat.cod)
-    if any(cat.comp[k][x] in s.m_class
-           for k in gens for x in km_by_cod.get(cat.dom[k], ())):
-        return sorted(k_class)
-    return gens
+    if outside_is_stable(cat, gens, k_by_dom, s.m_class):
+        return gens
+    return sorted(k_class)
 
 
 def verify_coend_bijections(s: MRStructure) -> CoendReport:
@@ -840,7 +820,6 @@ def verify_coend_bijections(s: MRStructure) -> CoendReport:
     m_sorted = sorted(s.m_class)
     m_by_cod = group_by(m_sorted, cat.cod)
     m_by_dom = group_by(m_sorted, cat.dom)
-    r_by_cod = group_by(sorted(der.r_class), cat.cod)
     isos_into = {c: cat.isos_into(c) for c in cat.objects()}
 
     def target_set(a, b):
@@ -849,11 +828,11 @@ def verify_coend_bijections(s: MRStructure) -> CoendReport:
     # right comparison: pairs (embedding m, irreducible r) composing to D,
     # identified along the isomorphism action on the middle object
     for a in cat.objects():
-        r_into = {c: [r for r in rs if cat.dom[r] == a] for c, rs in r_by_cod.items()}
+        r_into = [[r for r in cat.hom(a, c) if r in der.r_class] for c in cat.objects()]
         for d in cat.objects():
             pairs, ms = [], []
             for m in m_by_cod.get(d, ()):
-                rs = r_into.get(cat.dom[m], ())
+                rs = r_into[cat.dom[m]]
                 pairs += [m * n + r for r in rs]
                 if rs:
                     ms.append(m)
@@ -863,7 +842,7 @@ def verify_coend_bijections(s: MRStructure) -> CoendReport:
                 for i in isos_into[cat.dom[m]]:
                     # (m o i, r') ~ (m, i o r') for r' into the source of i
                     mi = comp[m][i] * n
-                    for r2 in r_into.get(cat.dom[i], ()):
+                    for r2 in r_into[cat.dom[i]]:
                         # both roots found inline, halving paths: a find()
                         # call per pair would cost about half the gain
                         x, y = pos[mi + r2], pos[m * n + comp[i][r2]]

@@ -100,7 +100,7 @@ def _single_entry_mutants(s, count, rng, accept):
             break
         if rng.random() < 0.5:
             g = rng.randrange(cat.n_morphisms)
-            f = rng.choice(cat._hom_into(cat.dom[g]))
+            f = rng.choice(cat.into[cat.dom[g]])
             h = cat.comp[g][f]
             alt = [x for x in cat.hom(cat.dom[h], cat.cod[h]) if x != h]
             if not alt:

@@ -251,7 +251,7 @@ def test_criterion_8_derived_propositions(delta5, fi4, cube3, pt):
         for u in cat.morphisms():
             su_in_r = s.s_in_r(u)
             u_in_s = u in der.s_class
-            for v in cat.morphisms_from(cat.cod[u]):
+            for v in cat.outof[cat.cod[u]]:
                 if s.s_in_r(cat.comp[v][u]):
                     if not su_in_r:
                         violations += 1

@@ -335,9 +335,11 @@ def _malformed_cases(tmp_path):
     with contextlib.redirect_stdout(io.StringIO()):
         main(["transport", "hat", "--category", str(spath),
               "--functor", str(fpath), "--out", str(tpath)])
-    functor, structure = read(fpath), read(spath)
+    functor, structure, additive = read(fpath), read(spath), read(tpath)
     key = next(k for k in sorted(functor["mats"]) if functor["mats"][k]
                and functor["mats"][k][0])
+    delta3 = build_delta_bt(3)
+    reducible = str(min(set(delta3.cat.morphisms()) - delta3.r_class))
     files = {
         "idem_empty": {"matrices": []},
         "idem_nokey": {},
@@ -347,6 +349,9 @@ def _malformed_cases(tmp_path):
         "F_div0": _edited(functor, lambda d: d["mats"][key][0].__setitem__(0, "1/0")),
         "F_short": _edited(functor, lambda d: d["dims"].pop()),
         "F_negdim": _edited(functor, lambda d: d["dims"].__setitem__(0, -1)),
+        "F_reducible": _edited(functor, lambda d: d["mats"].__setitem__(reducible, [])),
+        "T_nomorphism": _edited(additive, lambda d: d["mats"].__setitem__(
+            str(delta3.cat.n_morphisms), [])),
         "S_strids": _edited(structure, lambda d: d.__setitem__(
             "m_class", [str(m) for m in d["m_class"]])),
         "S_compx": _edited(structure, lambda d: d["comp"][0].__setitem__(0, "x")),
@@ -360,12 +365,28 @@ def _malformed_cases(tmp_path):
     cases = [["idem", "--input", str(paths[n])] for n in files if n.startswith("idem")]
     cases += [["transport", "hat", "--category", str(spath), "--functor",
                str(paths[n]), "--out", out] for n in files if n.startswith("F_")]
+    cases += [["transport", "tilde", "--category", str(spath), "--functor",
+               str(paths[n]), "--out", out] for n in files if n.startswith("T_")]
     cases += [["check", str(paths[n])] for n in files if n.startswith("S_")]
     cases += [
         ["theta", "--category", str(spath), "--functor", str(tpath),
          "--object", "7", "--out", out],
         ["certify", "--dims-max", "-1", "--out", out],
         ["certify", "--seeds", "-1", "--out", out],
+    ]
+    # nesting too deep for the JSON decoder, once per reader of input files
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 100_000)
+    cases += [
+        ["idem", "--input", str(nested)],
+        ["check", str(nested)],
+        ["transport", "hat", "--category", str(nested), "--functor", str(fpath),
+         "--out", out],
+        ["transport", "tilde", "--category", str(spath), "--functor", str(nested),
+         "--out", out],
+        ["theta", "--category", str(spath), "--functor", str(nested), "--out", out],
+        ["certify", "--category", str(nested), "--out", out],
+        ["example", "par", "--base", str(nested), "--out", out],
     ]
     return cases
 

@@ -68,7 +68,7 @@ def full_bimodule_law_oracle(km):
                if dcat.cod[r1] == a1]
         for f in cat.morphisms():
             acted = [(u, act(km, r, f, u)) for u in elements[(a, cat.dom[f])]]
-            for f1 in cat.morphisms_from(cat.cod[f]):
+            for f1 in cat.outof[cat.cod[f]]:
                 row1, row1f = comp[f1], comp[comp[f1][f]]
                 for r1, c1, c_rr1 in r1s:
                     for u, x in acted:
@@ -176,8 +176,8 @@ def _exhaustive_bimodule_problems(km):
                 if step != whole:
                     problems.append(("left", r, r1, u))
     for b, us in sorted(elems_by_cod.items()):
-        for f in cat.morphisms_from(b):
-            for f1 in cat.morphisms_from(cat.cod[f]):
+        for f in cat.outof[b]:
+            for f1 in cat.outof[cat.cod[f]]:
                 for u in us:
                     t = comp[f][u]
                     step = kept[comp[f1][t]] if s_in_r[t] else None
@@ -186,7 +186,7 @@ def _exhaustive_bimodule_problems(km):
     for r in r_sorted:
         for u in elems_by_dom.get(cat.cod[r], ()):
             ur = comp[u][r]
-            for f in cat.morphisms_from(cat.cod[u]):
+            for f in cat.outof[cat.cod[u]]:
                 fu = comp[f][u]
                 both = kept[comp[f][ur]]
                 via_left = both if s_in_r[ur] else None

@@ -51,7 +51,7 @@ def test_terminal_category():
     c = terminal_cat()
     assert c.check().ok
     assert c.isos() == {0}
-    assert c.hom(0, 0) == [0]
+    assert c.hom(0, 0) == (0,)
 
 
 def test_arrow_category():
@@ -402,6 +402,16 @@ def test_from_jsonable_names_the_malformed_field(delta3):
         assert str(exc.value).startswith(field + ":")
 
 
+def test_check_tables_reports_an_identity_with_wrong_endpoints():
+    # identities 0, 1 and f = 2: 0 -> 1, with f given as the identity of 0;
+    # the composites themselves are right
+    comp = [[0, None, None], [None, 1, 2], [2, None, None]]
+    cat = FinCat(2, [0, 1, 0], [0, 1, 1], [2, 1], comp)
+    assert cat.check_tables().structural == [
+        {"message": "identity has wrong endpoints", "object": 0, "morphism": 2}
+    ]
+
+
 def _exhaustive_check(cat):
     """Reference for FinCat.check: the identity laws, then associativity
     over every composable triple, middle factor in id order."""
@@ -415,8 +425,8 @@ def _exhaustive_check(cat):
         if comp[f][cat.identities[cat.dom[f]]] != f:
             rep.add_law("f o id != f", f=f, label=cat.mor_labels[f])
     for g in cat.morphisms():
-        for f in cat._hom_into(cat.dom[g]):
-            for h in cat.morphisms_from(cat.cod[g]):
+        for f in cat.into[cat.dom[g]]:
+            for h in cat.outof[cat.cod[g]]:
                 if comp[h][comp[g][f]] != comp[comp[h][g]][f]:
                     rep.add_law("associativity violated", h=h, g=g, f=f)
     return rep.to_jsonable()
@@ -429,7 +439,7 @@ def _single_entry_mutants(cat, count, rng):
     laws intact; half redirect id o f or f o id."""
     ids = set(cat.identities)
     pairs = [(g, f) for g in cat.morphisms() if g not in ids
-             for f in cat._hom_into(cat.dom[g]) if f not in ids]
+             for f in cat.into[cat.dom[g]] if f not in ids]
     out = []
     while len(out) < count:
         kind = rng.choice(["associativity", "identity"])
@@ -458,7 +468,7 @@ def test_check_matches_the_exhaustive_walk(delta3, fi2, cube2):
     import random
 
     swap = swap_cat()
-    assert [len(swap._hom_into(swap.dom[g])) for g in swap.generating_set()] == [4, 1]
+    assert [len(swap.into[swap.dom[g]]) for g in swap.generating_set()] == [4, 1]
     rng = random.Random(11)
     failing = {"associativity": 0, "identity": 0}
     for base in (delta3.cat, fi2.cat, cube2.cat, swap):

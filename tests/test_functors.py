@@ -1,16 +1,28 @@
+import hashlib
+import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from dkequiv.builders import (
+    build_cube,
+    build_delta_bt,
+    build_fi_sharp,
+    build_finset_input,
+    build_flinj_input,
+    build_par,
+    build_pt,
+)
 from dkequiv.exactlin import QMat
-from dkequiv.fincat import FinCat
+from dkequiv.fincat import FinCat, table_category
 from dkequiv.functors import (
     AdditiveFunctor,
     InfeasibleRelations,
     NatTransform,
     PointedFunctor,
+    _unit_atom_valid,
     random_pointed_functor,
 )
 from dkequiv.structure import MRStructure, build_d_cat
@@ -139,6 +151,102 @@ def test_infeasible_relations_raised():
     assert f.validate().ok
 
 
+def split_idempotent_pair():
+    """Objects x and c, an embedding m: x -> c retracted by p, e = m o p,
+    and End(c) = {1, u, v, e}, in which every product of two
+    non-identities is e, with u o m = v o m = m and p o u = p o v = p.
+    u and v are irreducible and v o u = e is not, so v o u falls to zero
+    in the completion: the one-dimensional atom at c is not a functor."""
+    def compose(g, f):
+        if f in ("1x", "1c"):
+            return g
+        if g in ("1x", "1c"):
+            return f
+        if (g, f) == ("p", "m"):
+            return "1x"
+        return "m" if f == "m" else "p" if g == "p" else "e"
+
+    cat, _ = table_category(
+        ["x", "c"],
+        [(0, 0, "1x", "1x"), (1, 1, "1c", "1c"), (0, 1, "m", "m"),
+         (1, 0, "p", "p"), (1, 1, "e", "e"), (1, 1, "u", "u"), (1, 1, "v", "v")],
+        compose,
+        lambda a: ("1x", "1c")[a],
+    )
+    return MRStructure(cat, [0, 1, 2], {0: 0, 1: 1, 2: 3})
+
+
+def test_unit_atom_fails_where_endomorphisms_fall_to_zero():
+    s = split_idempotent_pair()
+    assert s.cat.check().ok and s.validate().ok
+    assert sorted(s.r_class) == [0, 1, 5, 6]
+    d = s.d_cat
+    assert [_unit_atom_valid(d, c) for c in d.cat.objects()] == [True, False]
+    with pytest.raises(InfeasibleRelations):
+        random_pointed_functor(d, (0, 1), seed=0)
+    # the projective atom at c is three-dimensional: 1, u and v
+    assert random_pointed_functor(d, (1, 3), seed=0).validate().ok
+
+
+# sha256 of random_pointed_functor(d, dims, seed).to_jsonable(), as sorted
+# JSON, recorded before the atoms read D's hom sets through the hom index
+FUNCTOR_DIGESTS = {
+    "pt": (build_pt, [
+        ((2, 1), 0, "095a5c763af74366c334226cfdb98a092405bd0b3b716fc8dbecbdc1426eddc9"),
+        ((1, 2), 1, "5e1713ef2afaddb5934fe931d1d114f15d879921fa8f02180d66fbd9bf07fedc"),
+        ((3, 3), 2, "b6d5f8e1ecc8b74cb20b9fd4212f2c55ba9026300be02eea6b5ef667da01010d"),
+    ]),
+    "delta_bt_4": (lambda: build_delta_bt(4), [
+        ((1, 2, 2, 1), 0,
+         "be879ef48c4b44bf5f214710cd565b3f86c2061789e671bfd799d6f7d4f9b7fa"),
+        ((2, 2, 1, 1), 5,
+         "aca2441c681aae5aedf590d979115813f7c7992d693f447d0c3b803ce3a5232c"),
+        ((3, 1, 2, 3), 7,
+         "08d9b2fddf7873cce577309e4cfaddaf879acb2b06d0a22dd18be47e693a3f4e"),
+    ]),
+    "fi_sharp_3": (lambda: build_fi_sharp(3), [
+        ((1, 2, 2, 1), 0,
+         "77f462ab7aefee9fdf054b09294a95334a129502c11e4da456f1686d0205a226"),
+        ((1, 0, 2, 1), 5,
+         "086b89c6b75b279c548f737681c1006b947ef09dc1c2cce35096b8e5ea56d2be"),
+        ((2, 3, 3, 2), 7,
+         "7b3c0e8b511b803d7d38db46a002f9206a0c9dbecdeb5bd697b1bc56542c371b"),
+    ]),
+    "fi_sharp_4": (lambda: build_fi_sharp(4), [
+        ((1, 1, 2, 1, 1), 0,
+         "dcce376ed65963286f592a016e9453444c405c50fcc1d1a1844762393c22a212"),
+        ((2, 0, 3, 1, 2), 3,
+         "6cc2b6530d9dc7602be65daca3882be9acf409fc1ee8745238f483813cd2c90b"),
+    ]),
+    "cube_2": (lambda: build_cube(2), [
+        ((1, 0, 2), 0, "e350305ff3815eed486c021432b45de4e0ac61fe7af91513fb3692bb1d9c5471"),
+        ((2, 2, 1), 5, "34efdff1019d2dae917463f340765e3f41f63cb3fdaf7da1899217572338c8cf"),
+    ]),
+    "vi_sharp_2": (lambda: build_par(build_flinj_input(2)), [
+        ((1, 2, 1), 0, "7181181c98d3bc43a0fc33190119f58659c7384a23ff9fa7f048ee480b40d86f"),
+        ((2, 1, 3), 4, "998c747281a8bddd028ab9ecf215ba8aced41abdff0b6a91ff779323c82e1f82"),
+    ]),
+    "gamma_2": (lambda: build_par(build_finset_input(2)), [
+        ((1, 2, 1), 0, "5d23cc3c378a07c52f67aad5cc2b5d8b4a51b4a14788e9627e1a56cf9dde7b61"),
+        ((2, 1, 3), 4, "0def43531f69607255ab9c516b953e442d1684cfd4c5b76fbc13f88b82d5f2a0"),
+    ]),
+    "split_idempotent_pair": (split_idempotent_pair, [
+        ((1, 3), 0, "e3f3000d059b80b57382289127bfc7d6400fb07b7ee7c5eae3992b997b682f4c"),
+        ((2, 6), 1, "a1b4339b08c34e7838f0eb3c29f04ace088fbe3ca2a65e9347052a05df739a2f"),
+    ]),
+}
+
+
+@pytest.mark.parametrize("name", list(FUNCTOR_DIGESTS))
+def test_seeded_functors_are_byte_identical(name):
+    build, runs = FUNCTOR_DIGESTS[name]
+    d = build().d_cat
+    for dims, seed, digest in runs:
+        f = random_pointed_functor(d, dims, seed)
+        text = json.dumps(f.to_jsonable(), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, (dims, seed)
+
+
 def test_nat_transform_iso_detection(km_delta4):
     f = random_pointed_functor(km_delta4.d, (1, 1, 1, 1), seed=1)
     ident = NatTransform(f, f, [QMat.identity(1)] * 4)
@@ -146,6 +254,21 @@ def test_nat_transform_iso_detection(km_delta4):
     assert ident.is_iso()
     singular = NatTransform(f, f, [QMat.zeros(1, 1)] * 4)
     assert not singular.is_iso()
+
+
+def test_nat_transform_shapes_and_non_square_components(pt):
+    cat = pt.cat
+    one = QMat.identity(1)
+    f = AdditiveFunctor(cat, [1, 1], {x: one for x in cat.morphisms()})
+    wrong = NatTransform(f, f, [QMat.zeros(2, 1), one])
+    assert wrong.validate().to_jsonable() == {
+        "structural": [{"message": "component shape mismatch", "object": 0,
+                        "shape": [2, 1]}],
+        "law": [],
+        "ok": False,
+    }
+    # a 1 x 2 component of full row rank: only its shape makes it no iso
+    assert not NatTransform(f, f, [QMat.from_rows([[1, 0]]), one]).is_iso()
 
 
 def test_functor_json_round_trip(km_delta4, delta4):

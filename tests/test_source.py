@@ -1,0 +1,35 @@
+"""Checks on the source of the package itself."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "dkequiv"
+
+
+def private_reads(source):
+    """(line, expression) for each read of an underscore attribute of an
+    object other than self or cls; dunder methods such as __getitem__ are
+    public protocol, not private state."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                and node.attr.startswith("_") and not node.attr.endswith("__")
+                and not (isinstance(node.value, ast.Name)
+                         and node.value.id in ("self", "cls"))):
+            out.append((node.lineno, ast.unparse(node)))
+    return sorted(out)
+
+
+def test_private_reads_are_found():
+    source = (
+        "def f(self, cat, row):\n"
+        "    self._a, cls._b = cat._hom_into(0), row.__getitem__\n"
+        "    return self.x._c, cat.ok\n"
+    )
+    assert private_reads(source) == [(2, "cat._hom_into"), (3, "self.x._c")]
+
+
+def test_src_reads_no_other_objects_private_attributes():
+    found = {path.name: private_reads(path.read_text())
+             for path in sorted(SRC.glob("*.py"))}
+    assert {name: reads for name, reads in found.items() if reads} == {}

@@ -10,6 +10,8 @@ from dkequiv.fincat import FinCat
 from dkequiv.structure import (
     MRStructure,
     StructureError,
+    SubPoset,
+    _finiteness_witnesses,
     build_d_cat,
     check_assumptions,
     verify_coend_bijections,
@@ -258,6 +260,55 @@ def test_corrupted_star_reported_structurally(delta4):
     assert not rep.passed
     assert rep.structural.structural  # reported before the axiom checks
     assert rep.checks == []
+
+
+def test_validate_returns_the_table_report_alone():
+    # a dangling composite: validate stops at the tables, before it reads
+    # the embeddings, which hold a dangling id as well
+    cat = FinCat(1, [0], [0], [0], [[5]])
+    rep = MRStructure(cat, [0, 7], {0: 0}).validate()
+    assert rep.to_jsonable() == cat.check_tables().to_jsonable() == {
+        "structural": [{"message": "dangling composite id", "g": 0, "f": 0,
+                        "value": 5}],
+        "law": [],
+        "ok": False,
+    }
+
+
+def test_star_of_an_identity_must_be_the_identity():
+    # identity 0 and an endomorphism 1 with 1 o 0 = 0, which breaks an
+    # identity law, one that validate leaves to FinCat.check; star(0) = 1
+    # then passes star(m) o m = id, and only star(id) = id fails
+    cat = FinCat(1, [0, 0], [0, 0], [0], [[0, 1], [0, 1]])
+    assert MRStructure(cat, [0], {0: 1}).validate().to_jsonable() == {
+        "structural": [{"message": "star(id) != id", "object": 0}],
+        "law": [],
+        "ok": False,
+    }
+
+
+def test_sub_poset_check_names_each_failed_axiom():
+    # hand-built posets on classes 1, 2, 3; the last in the linearization is
+    # the whole object
+    assert SubPoset(0, [1, 2], {(2, 2), (1, 2)}, [1, 2]).check() == [
+        "not reflexive at 1"]
+    refl = {(1, 1), (2, 2), (3, 3)}
+    assert SubPoset(0, [1, 2, 3], refl | {(1, 2), (2, 3)}, [1, 2, 3]).check() == [
+        "not transitive at (1,2,3)", "1 not below the whole object"]
+    assert SubPoset(0, [1, 2], {(1, 1), (2, 2)}, [1, 2]).check() == [
+        "1 not below the whole object"]
+    assert SubPoset(0, [1, 2], refl | {(1, 2)}, [1, 2]).check() == []
+
+
+def test_a_two_cycle_of_subobject_relations_is_a_finiteness_witness(pt):
+    # the idempotent e = mu o mu* taken as an embedding with star(e) = e:
+    # star(id) o e and star(e) o id are both e, an embedding, so the classes
+    # of id and e are compatible with each other
+    e = pt.cat.mor_labels.index("e")
+    s = MRStructure(pt.cat, pt.m_class | {e}, {**pt.star, e: e})
+    assert list(_finiteness_witnesses(s, None)) == [
+        {"object": 1, "problems": ["subobject relations of object 1 contain a cycle"]}
+    ]
 
 
 def test_idempotent_ordering_fi(fi3):
@@ -615,7 +666,7 @@ def test_proposition_two_step_exhaustive(delta4, fi3):
         cat = s.cat
         der = s.derived
         for u in cat.morphisms():
-            for v in cat.morphisms_from(cat.cod[u]):
+            for v in cat.outof[cat.cod[u]]:
                 vu = cat.comp[v][u]
                 if s.s_in_r(vu):
                     assert s.s_in_r(u)
