@@ -19,6 +19,9 @@
 # The benchmark's structures (delta_bt 6, fi_sharp 4, cube 3) are built,
 # checked and certified by each checkout: fi_sharp 4 with five seeds,
 # delta_bt 6 and cube 3 with two.
+# One frontier case certifies fi_sharp 5 (3,395 morphisms) with one seed and
+# dims at most 1; it is the slowest case, about 25 s on a checkout that walks
+# every interchange instance of the kernel bimodule.
 # One check case reads fi_sharp 3 with a single composite redirected, which
 # breaks associativity only, so the full list of violated triples is compared.
 # check, certify, transport and theta read the non-associative fi_sharp 2,
@@ -208,6 +211,8 @@ cases() {
     done
     run cert_fi -m dkequiv.cli certify --name fi_sharp --size 3 --seeds 5 --out cert_fi.json
     run cert_fi4 -m dkequiv.cli certify --name fi_sharp --size 4 --seeds 5 --out cert_fi4.json
+    run cert_fi5 -m dkequiv.cli certify --name fi_sharp --size 5 --seeds 1 \
+        --dims-max 1 --out cert_fi5.json
     run cert_delta6 -m dkequiv.cli certify --name delta_bt --size 6 --seeds 2 \
         --out cert_delta6.json
     run cert_cube3 -m dkequiv.cli certify --name cube --size 3 --seeds 2 --out cert_cube3.json

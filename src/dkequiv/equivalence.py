@@ -33,7 +33,7 @@ from .exactlin import (
     restrict,
     solve_exact,
 )
-from .fincat import group_by, outside_is_stable
+from .fincat import group_by, outside_composites, outside_is_stable
 from .functors import AdditiveFunctor, NatTransform, PointedFunctor
 from .structure import MRStructure, build_d_cat
 
@@ -65,9 +65,12 @@ class KernelModule:
 
         The general law factors through the identity laws, the two
         one-variable composition laws, and the interchange law; together
-        these force the two-sided law for arbitrary composites.  Each is
-        walked over every instance, the covariant law only when
-        _right_law_holds cannot vouch for it.
+        these force the two-sided law for arbitrary composites.  The
+        identity and contravariant laws are walked over every instance.
+        The covariant law is walked only when _right_law_holds cannot vouch
+        for it, and the interchange law only when, besides,
+        _interchange_holds cannot; both read the one set
+        X = (C o E) - E.  So the problem list is always the walk's.
         """
         s = self.structure
         cat = s.cat
@@ -79,6 +82,8 @@ class KernelModule:
         problems = []
 
         elems = list(itertools.chain.from_iterable(self.elements.values()))
+        inside = set(elems)
+        outside = outside_composites(cat, cat.outof, inside)
         elems_by_dom = group_by(elems, cat.dom)
         elems_by_cod = group_by(elems, cat.cod)
 
@@ -107,7 +112,8 @@ class KernelModule:
                         problems.append(("left", r, r1, u))
 
         # covariant variable composed, walked unless _right_law_holds
-        if not self._right_law_holds(elems):
+        right_holds = self._right_law_holds(inside, outside)
+        if not right_holds:
             for b, us in sorted(elems_by_cod.items()):
                 for f in cat.outof[b]:
                     cf = comp[f]
@@ -120,7 +126,9 @@ class KernelModule:
                             if step != kept[cff1[u]]:
                                 problems.append(("right", f, f1, u))
 
-        # interchange of the two actions
+        # interchange of the two actions, walked unless _interchange_holds
+        if right_holds and self._interchange_holds(inside, outside):
+            return problems
         for r in r_sorted:
             a = cat.cod[r]
             for u in elems_by_dom.get(a, ()):
@@ -135,18 +143,41 @@ class KernelModule:
                         problems.append(("interchange", r, f, u))
         return problems
 
-    def _right_law_holds(self, elems):
-        """Whether cat.check() passes and every morphism maps X = (C o E) - E
-        into X, E being elems, the u with s_in_r[u], as outside_is_stable
-        decides along generating_set().  Then the covariant law holds at
-        every (f, f1, u): with the table associative, it holds when
-        t = f o u is in E, and otherwise asks that f1 o t = (f1 o f) o u lie
-        outside E.  When this is False, validate walks every instance, so
-        its report is the walk's.
+    def _right_law_holds(self, inside, outside):
+        """Whether cat.check() passes and every morphism maps X = outside =
+        (C o E) - E into X, E being inside, the u with s_in_r[u], as
+        outside_is_stable decides along generating_set().  Then the
+        covariant law holds at every (f, f1, u): with the table associative,
+        it holds when t = f o u is in E, and otherwise asks that
+        f1 o t = (f1 o f) o u lie outside E.  When this is False, validate
+        walks every instance, so its report is the walk's.
         """
         cat = self.structure.cat
         return cat.check().ok and outside_is_stable(
-            cat, cat.generating_set(), cat.outof, set(elems))
+            cat, cat.generating_set(), outside, inside)
+
+    def _interchange_holds(self, inside, outside):
+        """Whether R lies in E = inside and no t in X = outside =
+        (C o E) - E has t o r in E for an r in R into dom t.  When
+        _right_law_holds is True, this holds exactly when the interchange
+        law holds at every (r, f, u); otherwise validate walks every
+        instance, so its report is the walk's.
+
+        With the table associative, let w = f o u o r.  When w is not in E
+        the walk's three values are all the basepoint, so the law holds; when
+        w is in E it asks that u o r and f o u be in E.  If u o r is not in
+        E, it is in X, as r is in E, and f maps X into X by _right_law_holds,
+        so w is not in E.  If f o u is not in E, it is a t in X with
+        t o r = w, which this test finds in E.  Conversely, a t = f o u in X
+        (u in E) with t o r in E is a failing instance (r, f, u).
+        """
+        cat = self.structure.cat
+        comp, rset = cat.comp, self.structure.r_class
+        if not rset <= inside:
+            return False
+        r_by_cod = group_by(rset, cat.cod)
+        return not any(comp[t][r] in inside
+                       for t in outside for r in r_by_cod.get(cat.dom[t], ()))
 
     @cached_property
     def placement(self):

@@ -292,20 +292,42 @@ class FinCat:
     def generating_set(self, members=None):
         """The members (all morphisms by default) that, walked after the
         identities, the identities and the earlier ones do not reach under
-        the table's composition.  With the identities they reach every
+        the table's composition.  Each taken member x is extended, and so
+        is each morphism it reaches, by one identity or one generator taken
+        so far on either side: y o g and g o y.  So on any table each
+        reached morphism is a composite of reached morphisms and
+        identities, and with the identities the generators reach every
         member, since each member is either reached or taken; this holds
         for any walking order.  So a property of morphisms that holds at the
         identities and at the generators, and at a o b whenever it holds at
         a and at b, holds at every member: the lemma that check and
-        outside_is_stable rest on.  The reached set stays closed: each
-        morphism, when its turn comes, is composed on both sides with every
-        morphism reached by then.  The walk takes the member isomorphisms
-        first, then the other members, each in id order, so that a taken
-        non-isomorphism reaches its composites with those isomorphisms at
-        once, and they are not taken as well.
-        The walk depends only on the set of members, since it sorts them;
-        every morphism's generators are computed once per table, and each
-        call whose members are every morphism gets its own copy of them.
+        outside_is_stable rest on.
+
+        On a table that is associative and obeys the identity laws, the
+        reached set after each taken x is the closure of the identities
+        and the generators taken so far, so each test "x is reached" asks
+        whether the earlier generators generate x.  Induct on the taken
+        generators.  After x's turn the reached set R holds the earlier
+        closure and x, and g o y and y o g lie in R for every y in R and
+        every identity or generator g: a y reached in x's turn was
+        extended; for y in the earlier closure and g taken before x, the
+        composite stays in that closure; and g_k o ... o g_1 o x, for such
+        a y = g_k o ... o g_1, is reached one letter at a time from x, each
+        step from a morphism reached in x's turn or from one in the earlier
+        closure (likewise x o y).  A set that holds the identities and is
+        closed under one-generator extension holds every composable word in
+        the generators, so R is the closure.  A walk that composes each
+        reached morphism with every morphism reached by then keeps its
+        reached set closed, so it too reaches that closure, and the two
+        walks take the same members.
+
+        The walk takes the member isomorphisms first, then the other
+        members, each in id order, so that a taken non-isomorphism reaches
+        its composites with those isomorphisms at once, and they are not
+        taken as well.  The walk depends only on the set of members, since
+        it sorts them; every morphism's generators are computed once per
+        table, and each call whose members are every morphism gets its own
+        copy of them.
         """
         members = set(self.morphisms() if members is None else members)
         if members == set(self.morphisms()):
@@ -315,21 +337,26 @@ class FinCat:
         return self._walk_generators(members)
 
     def _walk_generators(self, members):
-        comp, into, outof = self.comp, self.into, self.outof
+        comp, dom, cod = self.comp, self.dom, self.cod
         isos = self.isos()
         order = sorted(members, key=lambda x: (x not in isos, x))
-        reached, gens = set(), []
-        for x in [*self.identities, *order]:
+        # the identities and the generators taken so far, by cod and by dom
+        taken_into = [[i] for i in self.identities]
+        taken_outof = [[i] for i in self.identities]
+        reached, gens = set(self.identities), []
+        for x in order:
             if x in reached:
                 continue
-            if not self.is_identity(x):
-                gens.append(x)
+            gens.append(x)
+            taken_into[cod[x]].append(x)
+            taken_outof[dom[x]].append(x)
             reached.add(x)
             todo = [x]
             while todo:
                 y = todo.pop()
-                new = [comp[y][z] for z in into[self.dom[y]] if z in reached]
-                new += [comp[z][y] for z in outof[self.cod[y]] if z in reached]
+                row = comp[y]
+                new = [row[g] for g in taken_into[dom[y]]]
+                new += [comp[g][y] for g in taken_outof[cod[y]]]
                 for w in new:
                     if w not in reached:
                         reached.add(w)
@@ -380,11 +407,18 @@ class FinCat:
         return f"FinCat({self.n_objects} objects, {self.n_morphisms} morphisms)"
 
 
-def outside_is_stable(cat, gens, acting, inside):
+def outside_composites(cat, acting, inside):
+    """X = (A o I) - I, for I the set inside and A the set whose members out
+    of each object a are acting[a]: the composites a o i that leave I."""
+    comp, cod = cat.comp, cat.cod
+    return {comp[a][i] for i in inside for a in acting[cod[i]]} - inside
+
+
+def outside_is_stable(cat, gens, outside, inside):
     """Whether every member of the subcategory that gens generates maps
-    X = (A o I) - I into X, for I the set inside and A the set whose members
-    out of each object a are acting[a].  The table must be associative, and
-    A must hold the identities and gens and be closed under composition.
+    X = outside into X, for X = outside_composites(cat, acting, inside) =
+    (A o I) - I.  The table must be associative, and A must hold the
+    identities and gens and be closed under composition.
 
     It is decided along gens: no g in gens takes a t in X into I.  Call a
     in A good if it maps X into X.  For t = a1 o i in X, a o t = (a o a1) o i
@@ -393,9 +427,8 @@ def outside_is_stable(cat, gens, acting, inside):
     with b o t in X.  So, by the lemma in FinCat.generating_set, every
     member of the subcategory is good exactly when every g is.
     """
-    comp, dom, cod = cat.comp, cat.dom, cat.cod
-    outside = {comp[a][i] for i in inside for a in acting[cod[i]]} - inside
-    by_cod = group_by(outside, cod)
+    comp, dom = cat.comp, cat.dom
+    by_cod = group_by(outside, cat.cod)
     return not any(comp[g][t] in inside
                    for g in gens for t in by_cod.get(dom[g], ()))
 

@@ -29,6 +29,7 @@ from .fincat import (
     ValidationReport,
     group_by,
     int_list,
+    outside_composites,
     outside_is_stable,
     table_category,
 )
@@ -795,7 +796,8 @@ def _left_generators(s, der):
         return sorted(k_class)
     gens = cat.generating_set(k_class)
     k_by_dom = group_by(sorted(k_class), cat.dom)
-    if outside_is_stable(cat, gens, k_by_dom, s.m_class):
+    outside = outside_composites(cat, k_by_dom, s.m_class)
+    if outside_is_stable(cat, gens, outside, s.m_class):
         return gens
     return sorted(k_class)
 

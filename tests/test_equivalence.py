@@ -28,14 +28,14 @@ from dkequiv.equivalence import (
     unit,
 )
 from dkequiv.exactlin import QMat, Subspace, block
-from dkequiv.fincat import FinCat, group_by
+from dkequiv.fincat import FinCat, group_by, outside_composites
 from dkequiv.functors import (
     AdditiveFunctor,
     NatTransform,
     PointedFunctor,
     random_pointed_functor,
 )
-from dkequiv.structure import MRStructure, check_assumptions
+from dkequiv.structure import MRStructure, StructureError, check_assumptions
 
 
 def act(km, d_r, f, u):
@@ -214,13 +214,41 @@ def _unit_group_monoid():
     return MRStructure(cat, {0, 1}, {0: 0, 1: 1})
 
 
+def _closed_cuts(s, count, rng):
+    """count seeded cuts of s: its isomorphisms and a random subset of its
+    other embeddings, closed under composition, with their retractions.
+    The table is s's, so it is associative; cuts whose factorizations are
+    not unique are passed over."""
+    cat = s.cat
+    extra = sorted(s.m_class - cat.isos())
+    out = []
+    for _ in range(100 * count):
+        if len(out) == count:
+            break
+        cut = cat.isos() | set(rng.sample(extra, rng.randrange(len(extra) + 1)))
+        new = cut
+        while new:
+            new = {cat.comp[a][b] for a in cut for b in cut
+                   if cat.composable(a, b)} - cut
+            cut |= new
+        mutant = MRStructure(cat, cut, {m: s.star[m] for m in cut})
+        try:
+            mutant.parts
+        except StructureError:
+            continue
+        out.append(mutant)
+    return out
+
+
 @pytest.fixture(scope="module")
 def bimodule_cases(fi2, single_entry_mutants):
     """The stock structures of size at most 3, Gamma_2 and Gamma_3, the
     pinned cut of fi_sharp 2, seeded comp and retraction mutants of the
     bases with at most 40 morphisms that pass check_assumptions (the comp
-    mutants' tables are not associative), and _unit_group_monoid, whose
-    table is associative and whose covariant law fails."""
+    mutants' tables are not associative), _unit_group_monoid, whose table
+    is associative and whose covariant law fails, and seeded cuts of every
+    base closed under composition, whose tables are associative and some
+    of which break the interchange law while the covariant law holds."""
     rng = random.Random(11)
     bases = _stock_small() + [build_par(build_finset_input(n)) for n in (2, 3)]
     cut = fi2.cat.isos() | {1}
@@ -229,25 +257,57 @@ def bimodule_cases(fi2, single_entry_mutants):
     for base in bases:
         if base.cat.n_morphisms <= 40:
             cases += single_entry_mutants(base, 8, rng, _passes_assumptions)
+    rng = random.Random(23)
+    for base in bases:
+        cases += _closed_cuts(base, 6, rng)
     return cases
+
+
+def _outside(km):
+    """E, the elements of km, and X = (C o E) - E."""
+    cat = km.structure.cat
+    inside = {u for us in km.elements.values() for u in us}
+    return inside, outside_composites(cat, cat.outof, inside)
 
 
 def test_bimodule_validate_matches_the_exhaustive_walk(bimodule_cases):
     """validate() gives the problem list of the walk over every instance, on
     associative tables whose covariant law holds or fails and on tables
     that are not associative; it skips the covariant walk exactly on the
-    associative tables where that walk finds nothing."""
-    seen = set()
+    associative tables where that walk finds nothing.  Where it may skip
+    the interchange walk too (the table associative, _right_law_holds
+    True and R inside E), _interchange_holds is True exactly when that
+    walk finds nothing; both outcomes occur."""
+    seen, interchange_seen = set(), set()
     for s in bimodule_cases:
         km = KernelModule(s)
         want = _exhaustive_bimodule_problems(km)
         assert km.validate() == want
         key = (s.cat.check().ok, any(p[0] == "right" for p in want))
-        elems = [u for us in km.elements.values() for u in us]
-        assert km._right_law_holds(elems) == (key == (True, False))
+        inside, outside = _outside(km)
+        right_holds = km._right_law_holds(inside, outside)
+        assert right_holds == (key == (True, False))
         seen.add(key)
+        if right_holds and s.r_class <= inside:
+            broken = any(p[0] == "interchange" for p in want)
+            assert km._interchange_holds(inside, outside) == (not broken)
+            interchange_seen.add(broken)
     assert {(True, False), (True, True)} <= seen
     assert any(not associative for associative, _ in seen)
+    assert interchange_seen == {True, False}
+
+
+def test_bimodule_validate_takes_the_reduced_path(fi4, cube3):
+    """On the benchmark's structures, Gamma_3 and VI#_2 neither the
+    covariant nor the interchange law is walked: both reduced tests pass,
+    and validate() finds nothing."""
+    for s in (build_delta_bt(6), fi4, cube3, build_par(build_finset_input(3)),
+              build_par(build_flinj_input(2))):
+        km = KernelModule(s)
+        inside, outside = _outside(km)
+        assert km._right_law_holds(inside, outside)
+        assert km._interchange_holds(inside, outside)
+        assert km.validate() == []
 
 
 def zero_functor(d):
