@@ -18,7 +18,11 @@ def tuple_category(obj_labels, homs, compose, identity):
     """The category whose maps d -> c are the tuples homs(d, c), for every
     pair of objects, each labelled by its entries; compose(g, f) is the
     tuple of g after f and identity(a) that of the identity of a.  Returns
-    the FinCat and the index from each (d, c, tuple) to its id."""
+    the FinCat and the index from each (d, c, tuple) to its id.
+
+    Composition of maps is associative, so table_category fills the table
+    by its generator walk, which composes tuples for the rows of the
+    identities and of the walk's generators only."""
     n = len(obj_labels)
     return table_category(
         obj_labels,
@@ -26,6 +30,7 @@ def tuple_category(obj_labels, homs, compose, identity):
          for d in range(n) for c in range(n) for t in homs(d, c)],
         compose,
         identity,
+        associative=True,
     )
 
 

@@ -23,7 +23,8 @@ from dkequiv.builders import (
     pullback,
     validate_par_input,
 )
-from dkequiv.fincat import FinCat
+from dkequiv import builders, structure
+from dkequiv.fincat import FinCat, table_category
 from dkequiv.structure import check_assumptions
 
 from conftest import restricted_to_k
@@ -685,3 +686,93 @@ def test_built_categories_are_byte_identical(name):
     build, digest = BUILT_DIGESTS[name]
     text = json.dumps(build().to_jsonable(), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# -- the walked fill against the keyed one ------------------------------------
+
+
+def spy_tables(monkeypatch, module):
+    """Replace module.table_category by a spy that records, for each call,
+    its FinCat, its index, its compose_keys, its keyword arguments and how
+    many key compositions the fill asked for."""
+    calls = []
+
+    def spy(obj_labels, morphisms, compose_keys, identity_key, **kwargs):
+        asked = [0]
+
+        def counted(g, f):
+            asked[0] += 1
+            return compose_keys(g, f)
+
+        cat, index = table_category(
+            obj_labels, morphisms, counted, identity_key, **kwargs)
+        calls.append({"cat": cat, "index": index, "compose": compose_keys,
+                      "kwargs": kwargs, "asked": asked[0]})
+        return cat, index
+
+    monkeypatch.setattr(module, "table_category", spy)
+    return calls
+
+
+def keyed_reference(cat, index, compose):
+    """The table keyed at every composable pair: the reference that a
+    walked table must equal."""
+    keys = [None] * cat.n_morphisms
+    for (_, _, key), i in index.items():
+        keys[i] = key
+    return tuple(
+        tuple(index[(cat.dom[f], cat.cod[g], compose(keys[g], keys[f]))]
+              if cat.cod[f] == cat.dom[g] else None
+              for f in cat.morphisms())
+        for g in cat.morphisms()
+    )
+
+
+def composable_pairs(cat):
+    return sum(len(cat.into[cat.dom[g]]) for g in cat.morphisms())
+
+
+# every tuple builder at every size up to the benchmark's; fi_sharp 0 and
+# delta_bt 1 have an object whose only incoming morphism is its identity
+WALKED_SIZES = (
+    [(build_delta_bt, k) for k in range(1, 7)]
+    + [(build_fi_sharp, k) for k in range(5)]
+    + [(build_cube, k) for k in range(4)]
+)
+
+
+@pytest.mark.parametrize(
+    "build, size", WALKED_SIZES,
+    ids=[f"{b.__name__}-{k}" for b, k in WALKED_SIZES])
+def test_walked_table_equals_the_keyed_table(monkeypatch, build, size):
+    calls = spy_tables(monkeypatch, builders)
+    s = build(size)
+    [call] = calls
+    assert call["kwargs"] == {"associative": True}
+    assert call["cat"] is s.cat
+    assert s.cat.comp == keyed_reference(s.cat, call["index"], call["compose"])
+    assert call["asked"] <= composable_pairs(s.cat)
+
+
+def test_fi_sharp_4_composes_keys_for_the_walks_generators_only(monkeypatch):
+    # the identities' rows and the 58 generators' rows are keyed, every other
+    # row gathered; the keyed fill asks once per composable pair
+    calls = spy_tables(monkeypatch, builders)
+    cat = build_fi_sharp(4).cat
+    assert calls[0]["asked"] == 8441
+    assert composable_pairs(cat) == 113381
+
+
+def test_dcat_pt_and_par_key_every_composable_pair(monkeypatch):
+    # their keyed compositions are not known to be associative before the
+    # axioms are checked, so they stay on the keyed fill
+    s = build_delta_bt(3)
+    base = build_fi_input(2)
+    d_calls = spy_tables(monkeypatch, structure)
+    calls = spy_tables(monkeypatch, builders)
+    cats = [s.d_cat.cat, build_pt().cat, build_par(base).cat]
+    recorded = d_calls + calls
+    assert [c["cat"] for c in recorded] == cats
+    for call in recorded:
+        assert call["kwargs"] == {}
+        assert call["asked"] == composable_pairs(call["cat"])
