@@ -13,8 +13,9 @@
 # redirected so that only associativity fails, the par base categories
 # (injections of sets up to 2, all maps of sets up to 2, 3 and 4, and
 # injective linear maps over F_2 up to dimension 2), idempotent lists,
-# and the malformed files of the exit-3 cases) are written once, by the old
-# checkout, and copied to both sides.
+# delta_bt 4 with one wrong table entry, and the malformed files of the
+# exit-3 cases) are written once, by the old checkout, and copied to both
+# sides.
 # Cases whose outcome an assert decided run again under python -O.
 # The benchmark's structures (delta_bt 6, fi_sharp 4, cube 3) are built,
 # checked and certified by each checkout: fi_sharp 4 with five seeds,
@@ -26,6 +27,11 @@
 # interchange instance of the kernel bimodule.
 # One check case reads fi_sharp 3 with a single composite redirected, which
 # breaks associativity only, so the full list of violated triples is compared.
+# Five check cases read delta_bt 4 with one table entry made structurally
+# wrong: a composite with other endpoints, the ids 10**30 and -7, a composite
+# at a pair that is not composable, and -1 at a composable pair.  The table
+# check walks only the rows that fail its hom-set gathers, so these compare
+# the reports of that fallback.
 # check, certify, transport and theta read the non-associative fi_sharp 2,
 # each reporting the category's laws.
 # transport hat, tilde and theta on delta_bt 6 take a functor with the dims of
@@ -180,6 +186,21 @@ for tag, edit in (
     d = json.loads(json.dumps(t))
     edit(d)
     write(f"S_{tag}.json", d)
+# well-formed delta_bt 4 files whose tables are structurally wrong at one
+# entry of a row g that is no identity: at a composable pair (g, f), a
+# composite with other endpoints, an id out of range on either side, or -1;
+# at a pair (g, x) that is not composable, a defined composite
+ids = set(t["identities"])
+ends = [(m["dom"], m["cod"]) for m in t["morphisms"]]
+g, f = next((g, f) for g, row in enumerate(t["comp"]) if g not in ids
+            for f, h in enumerate(row) if h != -1 and f not in ids)
+x = t["comp"][g].index(-1)
+wrong = next(h for h, e in enumerate(ends) if e != (ends[f][0], ends[g][1]))
+for tag, at, value in (("ends", f, wrong), ("huge", f, 10**30), ("neg", f, -7),
+                       ("noncomposable", x, t["comp"][g][f]), ("undefined", f, -1)):
+    d = json.loads(json.dumps(t))
+    d["comp"][g][at] = value
+    write(f"T_{tag}.json", d)
 EOF
 )
 
@@ -284,6 +305,9 @@ cases() {
     done
     for t in strids compx idshort; do
         run "check_$t" -m dkequiv.cli check "S_$t.json"
+    done
+    for t in ends huge neg noncomposable undefined; do
+        run "check_table_$t" -m dkequiv.cli check "T_$t.json" --out "check_table_$t.json"
     done
     run hat_cut78 -m dkequiv.cli transport hat --category cut78.json --functor F.json \
         --out hat_cut78.out.json

@@ -18,6 +18,13 @@ def int_list(value, field):
     return value
 
 
+def gather(ids):
+    """itemgetter of the ids, a non-empty sequence: a function from a row to
+    the tuple of its entries there, taken twice when ids has one member,
+    so that it is a tuple then too."""
+    return itemgetter(*ids) if len(ids) > 1 else itemgetter(ids[0], ids[0])
+
+
 def group_by(members, ends):
     """members, in their given order, grouped by ends[x]: ends is a table
     indexed by morphism id, such as dom, cod or a row of comp."""
@@ -208,11 +215,16 @@ class FinCat:
         once per table, and each call returns its own copy, since _check and
         MRStructure.validate add to the report they get.
 
-        A row g passes when it holds len(into) defined entries and, at each
-        f in into = the morphisms into dom(g), a morphism id with endpoints
-        (dom f, cod g): then its defined entries are exactly those at into,
-        and all of them are right.  Only a row that fails is walked entry by
-        entry, so the report is that of the walk.
+        A row g passes when it holds len(into) defined entries, into being
+        the morphisms into dom(g), and, for each object x, its entries at
+        hom(x, dom g), gathered at once, form a subset of the set
+        hom(x, cod g).  The hom sets hom(x, dom g) partition into, so then
+        each entry at an f in into is a morphism id with endpoints
+        (dom f, cod g): None, an id out of range and an id with other
+        endpoints are not members of hom(x, cod g).  So the len(into)
+        defined entries are those at into, and the row is right exactly
+        when the walk finds nothing in it.  Only a row that fails is
+        walked entry by entry, so the report is that of the walk.
         """
         if self._tables is None:
             self._tables = self._check_tables()
@@ -228,19 +240,20 @@ class FinCat:
                 rep.add_structural("dangling identity id", object=a, value=i)
             elif dom[i] != a or cod[i] != a:
                 rep.add_structural("identity has wrong endpoints", object=a, morphism=i)
-        # ends.get gives None for anything but a morphism id
-        ends = {h: (dom[h], cod[h]) for h in range(n)}
-        want = {}  # (dom g, cod g) -> the endpoints row g must hold at into
+        hom_sets = {ends: frozenset(fs) for ends, fs in self._hom.items()}
+        empty = frozenset()
+        # (dom g, cod g) -> [(gather of hom(x, dom g), the set hom(x, cod g))]
+        tests = {}
         for g in range(n):
             row = self.comp[g]
             a, b = dom[g], cod[g]
-            into = self.into[a]
-            if (a, b) not in want:
-                want[(a, b)] = [(dom[f], b) for f in into]
-            if (
-                len(row) - row.count(None) == len(into)
-                and list(map(ends.get, map(row.__getitem__, into))) == want[(a, b)]
-            ):
+            test = tests.get((a, b))
+            if test is None:
+                test = tests[(a, b)] = [
+                    (gather(fs), hom_sets.get((x, b), empty))
+                    for (x, y), fs in self._hom.items() if y == a]
+            if (len(row) - row.count(None) == len(self.into[a])
+                    and all(want.issuperset(take(row)) for take, want in test)):
                 continue
             for f in range(n):
                 h = row[f]
@@ -383,14 +396,22 @@ class FinCat:
         """Parse the form to_jsonable writes.  A ValueError names the first
         field that is not of that form: ids are checked to be integers here,
         counts and endpoints by the constructor; identities and composites
-        out of range are left to check_tables()."""
+        out of range are left to check_tables().
+
+        Each composite id in range is replaced by one shared int object per
+        id, and -1 by None; any other integer is kept as it is, for
+        check_tables to report.  So the loaded table holds one object per
+        id, not one per cell, and comparing two of its entries finds equal
+        ids identical."""
         objs = data["objects"]
         if type(objs) is not list:
             raise ValueError("objects: not a list")
         mors = data["morphisms"]
-        undefined = {-1: None}.get
+        # a morphisms field that is not a list is reported below, as before
+        canon = {i: i for i in range(len(mors) if type(mors) is list else 0)}
+        canon[-1] = None
         comp = tuple(
-            tuple(map(undefined, row, int_list(row, f"comp[{g}]")))
+            tuple(map(canon.get, row, int_list(row, f"comp[{g}]")))
             for g, row in enumerate(data["comp"])
         )
         return cls(

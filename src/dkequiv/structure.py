@@ -22,11 +22,13 @@ from __future__ import annotations
 import heapq
 from dataclasses import asdict, dataclass
 from functools import cached_property
+from itertools import repeat
 from typing import NamedTuple
 
 from .fincat import (
     FinCat,
     ValidationReport,
+    gather,
     group_by,
     int_list,
     outside_composites,
@@ -166,10 +168,13 @@ class MRStructure:
         for i in sorted(cat.isos()):
             if i not in self.m_class:
                 rep.add_structural("isomorphism not in m_class", morphism=i)
+        # the pairs (m, f) of embeddings with cod f = dom m, by m, then f
         ms = sorted(self.m_class)
+        ms_into = group_by(ms, cat.cod)
         for m in ms:
-            for f in ms:
-                if cat.composable(m, f) and cat.comp[m][f] not in self.m_class:
+            row = cat.comp[m]
+            for f in ms_into.get(cat.dom[m], ()):
+                if row[f] not in self.m_class:
                     rep.add_structural(
                         "m_class not closed under composition", g=m, f=f
                     )
@@ -197,14 +202,12 @@ class MRStructure:
             if self.star[i] != i:
                 rep.add_structural("star(id) != id", object=a)
         for m in ms:
-            for f in ms:
-                if cat.composable(m, f):
-                    lhs = self.star[cat.comp[m][f]]
-                    rhs = cat.comp[self.star[f]][self.star[m]]
-                    if lhs != rhs:
-                        rep.add_structural(
-                            "star not contravariantly functorial", g=m, f=f
-                        )
+            row, sm = cat.comp[m], self.star[m]
+            for f in ms_into.get(cat.dom[m], ()):
+                if self.star[row[f]] != cat.comp[self.star[f]][sm]:
+                    rep.add_structural(
+                        "star not contravariantly functorial", g=m, f=f
+                    )
         return rep
 
     # -- derived classes -----------------------------------------------------
@@ -574,11 +577,22 @@ def _cancellation_witnesses(s, der):
 
 
 def _closure_witnesses(s, der):
+    """The (k, k2) in K with cod k = dom k2 and k2 o k not in K, by k, then
+    k2.  They are walked for only when some k2 fails the test K >= {k2 o k :
+    k in K into dom k2}, made by one gather of row k2: that set holds
+    exactly the composites the walk tests with k2 last, so when every k2
+    passes the walk finds nothing."""
     cat = s.cat
-    k_by_dom = group_by(sorted(der.k_class), cat.dom)
-    for k in sorted(der.k_class):
+    k_class = der.k_class
+    k_sorted = sorted(k_class)
+    take_into = {a: gather(ks) for a, ks in group_by(k_sorted, cat.cod).items()}
+    if all(k_class.issuperset(take_into[cat.dom[k2]](cat.comp[k2]))
+           for k2 in k_sorted if cat.dom[k2] in take_into):
+        return
+    k_by_dom = group_by(k_sorted, cat.dom)
+    for k in k_sorted:
         for k2 in k_by_dom.get(cat.cod[k], ()):
-            if cat.comp[k2][k] not in der.k_class:
+            if cat.comp[k2][k] not in k_class:
                 yield {"k": k, "k2": k2,
                        "labels": [cat.mor_labels[k], cat.mor_labels[k2]]}
 
@@ -802,6 +816,43 @@ def _left_generators(s, der):
     return sorted(k_class)
 
 
+def _right_isos(s):
+    """The isomorphisms along which the right comparison identifies pairs:
+    generating_set(isos), when cat.check() and validate() pass; every
+    isomorphism, in id order, otherwise.
+
+    Both give the same classes.  The relation along generators is part of
+    the one along every isomorphism.  Conversely, call an isomorphism i
+    good when (m o i, r) ~ (m, i o r) along generators for every embedding
+    m out of cod i and every irreducible r into dom i.  Identities are good
+    by the identity laws, and generators by definition.  With validate()
+    passing, m o i is an embedding, as isomorphisms are embeddings and
+    embeddings compose; and i o r is irreducible: if i o r were n o f or
+    z o star(n) for a non-invertible embedding n, then r would be
+    (inv(i) o n) o f or (inv(i) o z) o star(n), with inv(i) o n a
+    non-invertible embedding, so r would not be irreducible.  So if i and j
+    are good, (m o (i o j), r) = ((m o i) o j, r) ~ (m o i, j o r) ~
+    (m, i o (j o r)) = (m, (i o j) o r) by associativity, and i o j is
+    good; by the lemma in FinCat.generating_set every isomorphism is good.
+    """
+    cat = s.cat
+    if cat.check().ok and s.validate().ok:
+        return cat.generating_set(cat.isos())
+    return sorted(cat.isos())
+
+
+def _union_all(parent, xs, ys):
+    """Merge, in the union-find forest parent, the class of each x of xs
+    with that of the y of ys beside it, in order: the root of x is pointed
+    at the root of y, both found by path halving."""
+    for x, y in zip(xs, ys):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        while parent[y] != y:
+            parent[y] = y = parent[parent[y]]
+        parent[x] = y
+
+
 def verify_coend_bijections(s: MRStructure) -> CoendReport:
     """Check the two colimit comparison maps that reduce the transport
     problem to the embedding-after-retraction subcategory.
@@ -810,9 +861,17 @@ def verify_coend_bijections(s: MRStructure) -> CoendReport:
     by union-find over their generating relations, and _bijection_report
     checks the induced map onto {u : s_part(u) irreducible}: a bijection on
     the right, a bijection of pointed sets on the left, whose fall-to-zero
-    identifications make a basepoint class.  The left relation runs along
-    _left_generators, which gives the classes of the relation along all of
-    K.  Problems carry witnesses.
+    identifications make a basepoint class.  The right relation runs along
+    _right_isos and the left one along _left_generators, which give the
+    classes of the relations along every isomorphism and along all of K.
+    Problems carry witnesses.
+
+    The pairs of each entry are listed by their first member, then their
+    second in id order, and each pair is found at its position: the offset
+    of its block plus the index of its free member in its hom set, read
+    off one column per (morphism, object) that lists where composing with
+    that morphism sends each member.  So the tables must pass
+    check_tables, as everything here presumes.
     """
     cat = s.cat
     der = s.derived
@@ -822,37 +881,37 @@ def verify_coend_bijections(s: MRStructure) -> CoendReport:
     m_sorted = sorted(s.m_class)
     m_by_cod = group_by(m_sorted, cat.cod)
     m_by_dom = group_by(m_sorted, cat.dom)
-    isos_into = {c: cat.isos_into(c) for c in cat.objects()}
 
     def target_set(a, b):
         return [u for u in cat.hom(a, b) if s.s_in_r(u)]
 
     # right comparison: pairs (embedding m, irreducible r) composing to D,
     # identified along the isomorphism action on the middle object
+    isos_into = group_by(_right_isos(s), cat.cod)
     for a in cat.objects():
         r_into = [[r for r in cat.hom(a, c) if r in der.r_class] for c in cat.objects()]
+        r_at = [{r: j for j, r in enumerate(rs)} for rs in r_into]
+        cols = {}  # i -> [position of i o r in r_into[cod i], r in r_into[dom i]]
         for d in cat.objects():
-            pairs, ms = [], []
+            pairs, off, ms = [], {}, []
             for m in m_by_cod.get(d, ()):
                 rs = r_into[cat.dom[m]]
+                off[m] = len(pairs)
                 pairs += [m * n + r for r in rs]
                 if rs:
                     ms.append(m)
-            pos = {x: p for p, x in enumerate(pairs)}
             parent = list(range(len(pairs)))
             for m in ms:
-                for i in isos_into[cat.dom[m]]:
-                    # (m o i, r') ~ (m, i o r') for r' into the source of i
-                    mi = comp[m][i] * n
-                    for r2 in r_into[cat.dom[i]]:
-                        # both roots found inline, halving paths: a find()
-                        # call per pair would cost about half the gain
-                        x, y = pos[mi + r2], pos[m * n + comp[i][r2]]
-                        while parent[x] != x:
-                            parent[x] = x = parent[parent[x]]
-                        while parent[y] != y:
-                            parent[y] = y = parent[parent[y]]
-                        parent[x] = y
+                for i in isos_into.get(cat.dom[m], ()):
+                    col = cols.get(i)
+                    if col is None:
+                        at = r_at[cat.cod[i]]
+                        col = cols[i] = [at[comp[i][r]] for r in r_into[cat.dom[i]]]
+                    if col:
+                        # (m o i, r) ~ (m, i o r) for r into the source of i
+                        x = off[comp[m][i]]
+                        _union_all(parent, range(x, x + len(col)),
+                                   map(off[m].__add__, col))
             entries.append(_bijection_report(
                 "right", a, d, _classes(parent, pairs), comp, target_set(a, d)
             ))
@@ -860,29 +919,40 @@ def verify_coend_bijections(s: MRStructure) -> CoendReport:
     # left comparison: pairs (any g, embedding m) through a middle object,
     # identified along the embedding-after-retraction subcategory including
     # the fall-to-zero identifications
-    k_by_dom = group_by(_left_generators(s, der), cat.dom)
-    for c in cat.objects():
+    index = [0] * n  # each morphism's position in its hom set
+    for a in cat.objects():
         for b in cat.objects():
-            pairs = [g * n + m for m in m_by_dom.get(c, ())
-                     for g in cat.hom(cat.cod[m], b)]
+            for j, g in enumerate(cat.hom(a, b)):
+                index[g] = j
+    k_by_dom = group_by(_left_generators(s, der), cat.dom)
+    cols = {}  # (k, b) -> [index of g o k, g in hom(cod k, b)]
+    for c in cat.objects():
+        ms = m_by_dom.get(c, ())
+        for b in cat.objects():
+            pairs, off = [], {}
+            for m in ms:
+                off[m] = len(pairs)
+                pairs += [g * n + m for g in cat.hom(cat.cod[m], b)]
+            zero = len(pairs)
             pairs.append(_ZERO)
-            pos = {x: p for p, x in enumerate(pairs)}
             parent = list(range(len(pairs)))
-            for m in m_by_dom.get(c, ()):
+            for m in ms:
                 for k in k_by_dom.get(cat.cod[m], ()):
-                    km = comp[k][m] if comp[k][m] in s.m_class else None
-                    for g in cat.hom(cat.cod[k], b):
-                        x = pos[comp[g][k] * n + m]
-                        y = pos[_ZERO if km is None else g * n + km]
-                        while parent[x] != x:
-                            parent[x] = x = parent[parent[x]]
-                        while parent[y] != y:
-                            parent[y] = y = parent[parent[y]]
-                        parent[x] = y
+                    col = cols.get((k, b))
+                    if col is None:
+                        col = cols[(k, b)] = [index[comp[g][k]]
+                                              for g in cat.hom(cat.cod[k], b)]
+                    # (g o k, m) ~ (g, k o m), or ~ zero when k o m is no
+                    # embedding
+                    km = comp[k][m]
+                    y = off[km] if km in s.m_class else None
+                    _union_all(parent, map(off[m].__add__, col),
+                               repeat(zero, len(col)) if y is None
+                               else range(y, y + len(col)))
             classes = _classes(parent, pairs)
             entries.append(_bijection_report(
                 "left", c, b, classes, comp, target_set(c, b),
-                basepoint=parent[pos[_ZERO]],
+                basepoint=parent[zero],
             ))
 
     return CoendReport(entries)

@@ -122,6 +122,65 @@ def _single_entry_mutants(s, count, rng, accept):
     return out
 
 
+def negative_controls(sources, rng, count=10):
+    """count seeded single-entry mutants, made from each of sources in
+    turn, as acceptance criterion 9 and the axioms benchmark make them:
+    ("table", s) with a composite id o f redirected to another morphism
+    parallel to f, or ("star", s) with the retraction of a non-identity
+    embedding m replaced by a g for which g o m is not the identity."""
+    out = []
+    while len(out) < count:
+        s = sources[len(out) % len(sources)]
+        cat = s.cat
+        if rng.randrange(2):
+            f = rng.randrange(cat.n_morphisms)
+            i = cat.identity(cat.cod[f])
+            alt = [g for g in cat.hom(cat.dom[f], cat.cod[f]) if g != f]
+            if not alt:
+                continue
+            comp = [list(row) for row in cat.comp]
+            comp[i][f] = rng.choice(alt)
+            table = FinCat(cat.n_objects, cat.dom, cat.cod, cat.identities, comp,
+                           cat.obj_labels, cat.mor_labels)
+            out.append(("table", MRStructure(table, s.m_class, s.star)))
+        else:
+            ms = [m for m in sorted(s.m_class) if not cat.is_identity(m)]
+            m = rng.choice(ms)
+            bad = [g for g in cat.hom(cat.cod[m], cat.dom[m])
+                   if cat.comp[g][m] != cat.identity(cat.dom[m])]
+            if not bad:
+                continue
+            out.append(("star", MRStructure(cat, s.m_class,
+                                            {**s.star, m: rng.choice(bad)})))
+    return out
+
+
+def closed_cuts(s, count, rng):
+    """count seeded cuts of s: its isomorphisms and a random subset of its
+    other embeddings, closed under composition, with their retractions.
+    The table is s's, so it is associative; cuts whose factorizations are
+    not unique are passed over."""
+    cat = s.cat
+    extra = sorted(s.m_class - cat.isos())
+    out = []
+    for _ in range(100 * count):
+        if len(out) == count:
+            break
+        cut = cat.isos() | set(rng.sample(extra, rng.randrange(len(extra) + 1)))
+        new = cut
+        while new:
+            new = {cat.comp[a][b] for a in cut for b in cut
+                   if cat.composable(a, b)} - cut
+            cut |= new
+        mutant = MRStructure(cat, cut, {m: s.star[m] for m in cut})
+        try:
+            mutant.parts
+        except StructureError:
+            continue
+        out.append(mutant)
+    return out
+
+
 @pytest.fixture(scope="session")
 def single_entry_mutants():
     """The seeded single-entry mutant generator

@@ -15,7 +15,9 @@ from dkequiv.cli import main
 from dkequiv.equivalence import certify_functor, theta_matrix
 from dkequiv.exactlin import PreconditionViolated, QMat, orthogonal_idempotents
 from dkequiv.functors import random_invertible, random_pointed_functor
-from dkequiv.structure import MRStructure, check_assumptions, verify_coend_bijections
+from dkequiv.structure import check_assumptions, verify_coend_bijections
+
+from conftest import negative_controls
 
 
 def _decode(cat, f):
@@ -263,42 +265,10 @@ def test_criterion_8_derived_propositions(delta5, fi4, cube3, pt):
 
 
 def test_criterion_9_negative_controls(delta4, fi3):
-    from dkequiv.fincat import FinCat
-
-    rng = random.Random(1909)
-    detected = 0
-    produced = 0
-    sources = [delta4, fi3]
-    while produced < 10:
-        s = sources[produced % 2]
-        cat = s.cat
-        if rng.randrange(2):
-            f = rng.randrange(cat.n_morphisms)
-            i = cat.identity(cat.cod[f])
-            alt = [g for g in cat.hom(cat.dom[f], cat.cod[f]) if g != f]
-            if not alt:
-                continue
-            comp = [list(row) for row in cat.comp]
-            comp[i][f] = rng.choice(alt)
-            mutant = FinCat(cat.n_objects, cat.dom, cat.cod, cat.identities,
-                            comp, cat.obj_labels, cat.mor_labels)
-            produced += 1
-            if not mutant.check().ok:
-                detected += 1
-        else:
-            ms = [m for m in sorted(s.m_class) if not cat.is_identity(m)]
-            m = rng.choice(ms)
-            bad = [g for g in cat.hom(cat.cod[m], cat.dom[m])
-                   if cat.comp[g][m] != cat.identity(cat.dom[m])]
-            if not bad:
-                continue
-            star = dict(s.star)
-            star[m] = rng.choice(bad)
-            mutant = MRStructure(cat, s.m_class, star)
-            produced += 1
-            if not mutant.validate().ok:
-                detected += 1
-    assert detected == produced == 10
+    mutants = negative_controls([delta4, fi3], random.Random(1909))
+    detected = sum(not (s.cat.check().ok if kind == "table" else s.validate().ok)
+                   for kind, s in mutants)
+    assert detected == len(mutants) == 10
     print("PASS criterion 9: 10 seeded mutations, 100% detected with witnesses")
 
 

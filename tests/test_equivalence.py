@@ -35,7 +35,9 @@ from dkequiv.functors import (
     PointedFunctor,
     random_pointed_functor,
 )
-from dkequiv.structure import MRStructure, StructureError, check_assumptions
+from dkequiv.structure import MRStructure, check_assumptions
+
+from conftest import closed_cuts
 
 
 def act(km, d_r, f, u):
@@ -214,32 +216,6 @@ def _unit_group_monoid():
     return MRStructure(cat, {0, 1}, {0: 0, 1: 1})
 
 
-def _closed_cuts(s, count, rng):
-    """count seeded cuts of s: its isomorphisms and a random subset of its
-    other embeddings, closed under composition, with their retractions.
-    The table is s's, so it is associative; cuts whose factorizations are
-    not unique are passed over."""
-    cat = s.cat
-    extra = sorted(s.m_class - cat.isos())
-    out = []
-    for _ in range(100 * count):
-        if len(out) == count:
-            break
-        cut = cat.isos() | set(rng.sample(extra, rng.randrange(len(extra) + 1)))
-        new = cut
-        while new:
-            new = {cat.comp[a][b] for a in cut for b in cut
-                   if cat.composable(a, b)} - cut
-            cut |= new
-        mutant = MRStructure(cat, cut, {m: s.star[m] for m in cut})
-        try:
-            mutant.parts
-        except StructureError:
-            continue
-        out.append(mutant)
-    return out
-
-
 @pytest.fixture(scope="module")
 def bimodule_cases(fi2, single_entry_mutants):
     """The stock structures of size at most 3, Gamma_2 and Gamma_3, the
@@ -259,7 +235,7 @@ def bimodule_cases(fi2, single_entry_mutants):
             cases += single_entry_mutants(base, 8, rng, _passes_assumptions)
     rng = random.Random(23)
     for base in bases:
-        cases += _closed_cuts(base, 6, rng)
+        cases += closed_cuts(base, 6, rng)
     return cases
 
 
@@ -308,6 +284,15 @@ def test_bimodule_validate_takes_the_reduced_path(fi4, cube3):
         assert km._right_law_holds(inside, outside)
         assert km._interchange_holds(inside, outside)
         assert km.validate() == []
+
+
+def test_interchange_holds_needs_every_irreducible_inside(fi3):
+    """_interchange_holds is False when E lacks an irreducible, although no
+    t in X has t o r in the smaller E: its proof needs R inside E."""
+    km = KernelModule(fi3)
+    inside, outside = _outside(km)
+    assert fi3.r_class <= inside and km._interchange_holds(inside, outside)
+    assert not km._interchange_holds(inside - {min(fi3.r_class)}, outside)
 
 
 def zero_functor(d):

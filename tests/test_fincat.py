@@ -425,23 +425,41 @@ def _walk_tables(cat):
     return out
 
 
-def test_check_tables_matches_the_entrywise_walk(delta3, fi2):
-    """The row-at-once test of check_tables reports exactly what walking
-    every entry does, on seeded corruptions of one to three entries."""
+def test_check_tables_matches_the_entrywise_walk(delta3, fi2, cube2):
+    """The hom-set gathers of check_tables report exactly what walking
+    every entry does, on seeded corruptions of one to three entries: None,
+    ids out of range on either side, and ids with any endpoints, at
+    composable pairs and elsewhere."""
     import random
 
     rng = random.Random(7)
-    for base in (delta3.cat, fi2.cat):
+    for base in (delta3.cat, fi2.cat, cube2.cat):
         n = base.n_morphisms
         assert base.check_tables().ok and _walk_tables(base) == []
         for _ in range(300):
             comp = [list(row) for row in base.comp]
             for _ in range(rng.randrange(1, 4)):
                 g, f = rng.randrange(n), rng.randrange(n)
-                comp[g][f] = rng.choice([None, -2, n, rng.randrange(n)])
+                comp[g][f] = rng.choice([None, -2, n, 10**30, rng.randrange(n)])
             cat = FinCat(base.n_objects, base.dom, base.cod, base.identities, comp)
             got = [(e["message"], e["g"], e["f"]) for e in cat.check_tables().structural]
             assert got == _walk_tables(cat)
+
+
+def test_loaded_tables_share_one_int_object_per_id(fi4):
+    """A table read from JSON holds at most one int object per morphism
+    id, while an id out of range is kept for check_tables to report.
+    fi_sharp 4 has ids above 256, which, unlike smaller ones, the JSON
+    reader gives a new object at each cell."""
+    data = json.loads(json.dumps(fi4.cat.to_jsonable()))
+    n = len(data["morphisms"])
+    cat = FinCat.from_jsonable(data)
+    assert len({id(x) for row in cat.comp for x in row if x is not None}) <= n < 500
+    assert cat.comp == fi4.cat.comp
+    f = fi4.cat.into[fi4.cat.dom[5]][0]
+    data["comp"][5][f] = 10**30
+    assert FinCat.from_jsonable(data).check_tables().structural == [
+        {"message": "dangling composite id", "g": 5, "f": f, "value": 10**30}]
 
 
 def test_from_jsonable_names_the_malformed_field(delta3):

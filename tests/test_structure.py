@@ -17,7 +17,13 @@ from dkequiv.structure import (
     verify_coend_bijections,
 )
 
-from conftest import idempotent_ordering, maximal_proper, restricted_to_k
+from conftest import (
+    closed_cuts,
+    idempotent_ordering,
+    maximal_proper,
+    negative_controls,
+    restricted_to_k,
+)
 
 
 def naive_r_class(s):
@@ -518,10 +524,14 @@ def _outcome(fn, s):
 def coend_cases(single_entry_mutants):
     """The stock structures of size at most 3, Gamma_2, Gamma_3 and VI#_2
     (injective linear maps over F_2, whose isomorphisms do not permute a
-    set's elements), seeded mutants of them that pass validate, and
-    structures on which each precondition of the reduced left comparison
-    fails alone: a non-associative table, a K that is not closed, a K that
-    misses an identity, and a K-action that is not pointed-functorial."""
+    set's elements), seeded mutants of those with at most 40 morphisms
+    that pass validate, seeded cuts closed under composition of those of
+    them with isomorphisms other than identities, and structures on which
+    each precondition of the reduced left comparison fails alone: a
+    non-associative table, a K that is not closed, a K that misses an
+    identity, and a K-action that is not pointed-functorial.  The last
+    three fail validate, so the right comparison runs along every
+    isomorphism there."""
     import random
 
     from dkequiv.builders import (
@@ -537,6 +547,8 @@ def coend_cases(single_entry_mutants):
     for base in cases[:]:
         if base.cat.n_morphisms <= 40:
             cases += single_entry_mutants(base, 12, rng, lambda x: x.validate().ok)
+            if any(not base.cat.is_identity(i) for i in base.cat.isos()):
+                cases += closed_cuts(base, 4, rng)
     # a retraction replaced by a morphism that is not one: K is not closed
     cube2 = build_cube(2)
     for _ in range(200):
@@ -626,6 +638,141 @@ def test_left_generators_only_when_the_preconditions_hold(coend_cases):
         want = (s.cat.generating_set(k_class) if all(_coend_preconditions(s))
                 else sorted(k_class))
         assert _left_generators(s, s.derived) == want
+
+
+def test_right_isos_only_when_the_preconditions_hold(coend_cases, monkeypatch):
+    """The right comparison runs along generating_set(isos) exactly when
+    check() and validate() pass, and along every isomorphism otherwise.
+    Along every isomorphism it gives the same report on every case, and on
+    some cases the generators are fewer."""
+    from dkequiv import structure
+
+    seen = set()
+    for s in coend_cases:
+        isos = s.cat.isos()
+        gated = s.cat.check().ok and s.validate().ok
+        want = s.cat.generating_set(isos) if gated else sorted(isos)
+        assert structure._right_isos(s) == want
+        seen.add((gated, len(want) < len(isos)))
+    assert {(True, True), (False, False)} <= seen
+    fast = [_outcome(lambda x: verify_coend_bijections(x).to_jsonable(), s)
+            for s in coend_cases]
+    monkeypatch.setattr(structure, "_right_isos", lambda s: sorted(s.cat.isos()))
+    assert fast == [_outcome(lambda x: verify_coend_bijections(x).to_jsonable(), s)
+                    for s in coend_cases]
+
+
+def test_closure_witnesses_match_the_walk(coend_cases):
+    """_closure_witnesses yields the walk's witnesses over every composable
+    pair of K, on every case of coend_cases; K is closed on some and not
+    on others."""
+    from dkequiv.structure import _closure_witnesses
+
+    seen = set()
+    for s in coend_cases:
+        cat, k_class = s.cat, s.derived.k_class
+        want = [{"k": k, "k2": k2, "labels": [cat.mor_labels[k], cat.mor_labels[k2]]}
+                for k in sorted(k_class) for k2 in sorted(k_class)
+                if cat.composable(k2, k) and cat.comp[k2][k] not in k_class]
+        assert list(_closure_witnesses(s, s.derived)) == want
+        seen.add(bool(want))
+    assert seen == {True, False}
+
+
+def _walk_validate(s):
+    """Reference for validate() once the retractions are known to split
+    their embeddings: the messages and witnesses of m_class closure and of
+    star's functoriality, over every pair of embeddings, composable ones
+    kept."""
+    cat = s.cat
+    ms = sorted(s.m_class)
+    pairs = [(m, f) for m in ms for f in ms if cat.composable(m, f)]
+    closure = [("m_class not closed under composition", m, f) for m, f in pairs
+               if cat.comp[m][f] not in s.m_class]
+    if closure:
+        return closure
+    return [("star not contravariantly functorial", m, f) for m, f in pairs
+            if s.star[cat.comp[m][f]] != cat.comp[s.star[f]][s.star[m]]]
+
+
+def test_validate_matches_the_pairwise_walk(fi3, cube2, single_entry_mutants):
+    """validate() names the pairs of embeddings that the walk over every
+    pair finds, in its order, on seeded cuts of fi_sharp 3 and cube 2 that
+    are not closed under composition and on seeded retraction mutants."""
+    rng = random.Random(3)
+    cases = []
+    for base in (fi3, cube2):
+        cat = base.cat
+        extra = sorted(base.m_class - cat.isos())
+        for _ in range(20):
+            cut = cat.isos() | set(rng.sample(extra, rng.randrange(len(extra) + 1)))
+            cases.append(MRStructure(cat, cut, {m: base.star[m] for m in cut}))
+        cases += single_entry_mutants(base, 20, rng, lambda x: x.cat is cat)
+    kinds = set()
+    for s in cases:
+        got = [(e["message"], e["g"], e["f"]) for e in s.validate().structural
+               if "g" in e]
+        assert got == _walk_validate(s)
+        kinds.update(message for message, _, _ in got)
+    assert kinds == {"m_class not closed under composition",
+                     "star not contravariantly functorial"}
+
+
+# sha256 of json.dumps(..., sort_keys=True) of s.cat.check().to_jsonable()
+# and of check_assumptions(s).to_jsonable(), recorded with the entrywise
+# walks of check_tables, validate and the closure axiom, on the benchmark's
+# structures and on the ten negative controls of acceptance criterion 9
+# drawn with seed 0, as the axioms benchmark draws them
+AXIOM_DIGESTS = {
+    "delta_bt_6": ("db08e961613f30afba7660469e9bb65f97b38fcca37c630be14c63cc1076eda3",
+                   "badd0aebf6868b687439afd23637684cc3e5f505e09b97a599ac7c52726b22c9"),
+    "cube_3": ("db08e961613f30afba7660469e9bb65f97b38fcca37c630be14c63cc1076eda3",
+               "d9249fa75dc06f0c58d933c0e5847dd519c8d3b693d90719929c617be03510b1"),
+    "fi_sharp_4": ("db08e961613f30afba7660469e9bb65f97b38fcca37c630be14c63cc1076eda3",
+                   "9c2907743db1dafacdb244d68f604836071ae5e45c552c4c431e69371579f484"),
+    "mutant0": ("4e5c12b9ff625171f00792a39fa0f2c0113002e42e070ae314ee6c1b815aa4bb",
+                "b455aba4b0fe184f6f65d45dfed582dec94c8e7940c70479f3b5c3f8bbe64567"),
+    "mutant1": ("6306906204315677f2fafe07370e3c95126660a59d49af24c0ce4803daca8029",
+                "b85bb4a60cccbf927c0153e2ab2c60f384a4be77a28c484d64b3a42a63180304"),
+    "mutant2": ("3eb5d4c6ae34fedaf2e708bfc524e45c0c0803a5e6bdcf606a3e9ff5dd3714ec",
+                "b455aba4b0fe184f6f65d45dfed582dec94c8e7940c70479f3b5c3f8bbe64567"),
+    "mutant3": ("a79c68ba63c61a86af6f5f221b20ee2f5a884479cd451d2c917627827de460ef",
+                "b85bb4a60cccbf927c0153e2ab2c60f384a4be77a28c484d64b3a42a63180304"),
+    "mutant4": ("db08e961613f30afba7660469e9bb65f97b38fcca37c630be14c63cc1076eda3",
+                "0206d9b1fddef7e05c3a3fe9cf55666c2b56e1d3c15a0181a3d500e3cd672998"),
+    "mutant5": ("db08e961613f30afba7660469e9bb65f97b38fcca37c630be14c63cc1076eda3",
+                "3687d5ce55a6ff4ef85e0022486c651d75e8df069ac0863ddc851b3f4531ae15"),
+    "mutant6": ("db08e961613f30afba7660469e9bb65f97b38fcca37c630be14c63cc1076eda3",
+                "8f05d690063a56cfb11505e3f661bbb4e62c4615dd1c7a142bc9b7dc1f32bc7e"),
+    "mutant7": ("db08e961613f30afba7660469e9bb65f97b38fcca37c630be14c63cc1076eda3",
+                "48bf5aab2fc82d4484de48c277057aa0d04e44272c7014a629b08541dff633ec"),
+    "mutant8": ("db08e961613f30afba7660469e9bb65f97b38fcca37c630be14c63cc1076eda3",
+                "7fa071e4c60f866078297ec21570e1b8b032daa8400efc7674ad4a552a271209"),
+    "mutant9": ("f643971ce2722e4fcf14a54079260b5e658825056139a16baf3f5403c64977fe",
+                "b85bb4a60cccbf927c0153e2ab2c60f384a4be77a28c484d64b3a42a63180304"),
+}
+
+
+@pytest.fixture(scope="module")
+def axiom_stage_cases(delta4, fi3, cube3, fi4):
+    """The structures of AXIOM_DIGESTS, each read back from its JSON as
+    the axioms benchmark reads it."""
+    cases = {"delta_bt_6": build_delta_bt(6), "cube_3": cube3, "fi_sharp_4": fi4}
+    mutants = negative_controls([delta4, fi3], random.Random(0))
+    cases.update((f"mutant{j}", s) for j, (_, s) in enumerate(mutants))
+    return {name: MRStructure.from_jsonable(json.loads(json.dumps(s.to_jsonable())))
+            for name, s in cases.items()}
+
+
+@pytest.mark.parametrize("name", list(AXIOM_DIGESTS))
+def test_axiom_stage_reports_are_byte_identical(name, axiom_stage_cases):
+    import hashlib
+
+    s = axiom_stage_cases[name]
+    got = tuple(
+        hashlib.sha256(json.dumps(x.to_jsonable(), sort_keys=True).encode()).hexdigest()
+        for x in (s.cat.check(), check_assumptions(s)))
+    assert got == AXIOM_DIGESTS[name]
 
 
 def test_restricted_structure_has_iso_irreducibles(fi3, delta4, cube2):
