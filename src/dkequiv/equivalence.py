@@ -20,6 +20,7 @@ builds the triangular coproduct-to-product comparison used to prove it.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from math import lcm
@@ -204,6 +205,71 @@ class KernelModule:
             cells.append(sorted(rows.items()))
         return lins, cells
 
+    @cached_property
+    def placement_is_functorial(self):
+        """Whether placement composes like a functor, so that hat(x) is a
+        functor for every pointed functor x on self.d that passes its laws.
+        False unless cat.check() and d.cat.check() pass.
+
+        Write P_g for the pattern of g: a -> b, sending block column j of a
+        to (block row i of b, D-morphism e) for each cell of placement, and
+        nothing else.  First, each e must run from the object of block j to
+        that of block i; then hat(x)(g) is the block matrix with x(e) at
+        (i, j) for each j -> (i, e), and zero blocks elsewhere.  Its product
+        hat(x)(g2) hat(x)(g1) has block (k, j) = x(e2) x(e1) when
+        P_g1(j) = (i, e1) and P_g2(i) = (k, e2), and zero otherwise, and
+        x(e2) x(e1) = x(e2 o e1), which is zero when e2 o e1 is a formal
+        zero.  So hat(x) sends g2 o g1 to that product, for every x, when
+        P_{g2 o g1} = P_g2 . P_g1, the pattern j -> (k, e2 o e1) that drops
+        j when e2 o e1 is a zero; and it sends id_a to the identity when
+        P_{id_a} sends each j to (j, the identity of D at block j's object).
+
+        The identities are tested, and the composed pattern only for g2 in
+        cat.generating_set() and every g1 into dom g2.  '.' is associative:
+        (P_a . P_b) . P_c and P_a . (P_b . P_c) both send j to
+        (l, e3 o e2 o e1) when the three steps are defined and that
+        composite is not a zero, and drop j otherwise, since D's table is
+        associative and its zeros absorb (DCat's keys).  Call a good when
+        P_{a o c} = P_a . P_c for every c into dom a.  Identities are good
+        by the unit laws of C and D.  If a and b are good,
+        P_{(a o b) o c} = P_{a o (b o c)} = P_a . (P_b . P_c) =
+        (P_a . P_b) . P_c = P_{a o b} . P_c, so a o b is good; so, by the
+        lemma in FinCat.generating_set, every morphism is good when every
+        generator is.  The patterns are tuples over block columns, built
+        for this test only.
+        """
+        cat, dcat = self.structure.cat, self.d.cat
+        if not (cat.check().ok and dcat.check().ok):
+            return False
+        lins, cells = self.placement
+        blocks = [[cat.dom[rep] for rep in lin] for lin in lins]
+        pats = []
+        for g, g_cells in enumerate(cells):
+            pat = [None] * len(blocks[cat.dom[g]])
+            to = blocks[cat.cod[g]]
+            for i, row in g_cells:
+                for j, e in row:
+                    if dcat.cod[e] != to[i] or dcat.dom[e] != blocks[cat.dom[g]][j]:
+                        return False
+                    pat[j] = (i, e)
+            pats.append(tuple(pat))
+        if any(pats[cat.identity(a)] != tuple(enumerate(map(dcat.identity, objs)))
+               for a, objs in enumerate(blocks)):
+            return False
+        nonzero = self.d.n_nonzero
+        for g2 in cat.generating_set():
+            # per block row i of dom g2: (block row k, D's row of e2) or None
+            step = [c and (c[0], dcat.comp[c[1]]) for c in pats[g2]]
+            row = cat.comp[g2]
+            for g1 in cat.into[cat.dom[g2]]:
+                composed = tuple([
+                    None if c is None or (st := step[c[0]]) is None
+                    or (e := st[1][c[1]]) >= nonzero else (st[0], e)
+                    for c in pats[g1]])
+                if composed != pats[row[g1]]:
+                    return False
+        return True
+
 
 def build_kernel_module(s: MRStructure, validate=True) -> KernelModule:
     """The kernel module of s; with validate, an AssertionError names the
@@ -225,10 +291,10 @@ def hat(km: KernelModule, f: PointedFunctor) -> AdditiveFunctor:
     """Left transport: direct sums over subobject classes, block action from
     the three-part factorization of (morphism o subobject).
 
-    The matrix of g is assembled from km.placement as block() would
-    assemble it, and equals block()'s.  Every matrix of f is scaled once to
-    den, the lcm of f's denominators, and each (D-morphism, column offset)
-    is shifted once.  Row r of block row i joins row r of the shifted
+    The matrix of g is assembled from km.placement when it is first read,
+    as block() would assemble it, and equals block()'s.  Every matrix of f
+    is scaled to den, the lcm of f's denominators, and each (D-morphism,
+    column offset) is shifted once.  Row r of block row i joins row r of the shifted
     blocks of that row by ascending block column, over den; a zero block
     adds nothing to it, and the rows of block rows with no block are empty.
     These are the entries block() stores, by ascending column, over den
@@ -244,29 +310,56 @@ def hat(km: KernelModule, f: PointedFunctor) -> AdditiveFunctor:
     lins, cells = km.placement
     offsets = [[0, *itertools.accumulate(f.dims[cat.dom[rep]] for rep in lin)]
                for lin in lins]
-    den = lcm(*(m.den for m in f.mats.values()))
+    f_mats = dict(f.mats)
+    den = lcm(*(m.den for m in f_mats.values()))
     shifted = {}
 
     def rows_of(dm, c0):
         out = shifted.get((dm, c0))
         if out is None:
-            m = f.mats[dm]
+            m = f_mats[dm]
             assert m.shape == (f.dims[d.cat.cod[dm]], f.dims[d.cat.dom[dm]])
             k = den // m.den
             out = shifted[(dm, c0)] = m.sparse if c0 == 0 and k == 1 else [
                 tuple([(c0 + c, x * k) for c, x in row]) for row in m.sparse]
         return out
 
-    mats = {}
-    for g in cat.morphisms():
+    def matrix(g):
         rows0, cols0 = offsets[cat.cod[g]], offsets[cat.dom[g]]
         rows = [()] * rows0[-1]
         for i, row_cells in cells[g]:
             parts = [rows_of(dm, cols0[j]) for j, dm in row_cells]
             rows[rows0[i]:rows0[i + 1]] = (
                 parts[0] if len(parts) == 1 else [sum(r, ()) for r in zip(*parts)])
-        mats[g] = QMat(rows0[-1], cols0[-1], rows, den)
-    return AdditiveFunctor(cat, [o[-1] for o in offsets], mats)
+        return QMat(rows0[-1], cols0[-1], rows, den)
+
+    out = AdditiveFunctor(cat, [o[-1] for o in offsets], {})
+    out.mats = HatMats(km, f, matrix)
+    return out
+
+
+class HatMats(Mapping):
+    """The matrices of hat(km, f) by morphism id, each assembled on its
+    first read and kept; km and f are kept too, so that certify_functor can
+    tell a functor that hat assembled from km.placement.  Read-only."""
+
+    def __init__(self, km, f, matrix):
+        self.km, self.f = km, f
+        self._matrix, self._built = matrix, {}
+
+    def __getitem__(self, g):
+        m = self._built.get(g)
+        if m is None:
+            if g not in self.km.structure.cat.morphisms():
+                raise KeyError(g)
+            m = self._built[g] = self._matrix(g)
+        return m
+
+    def __iter__(self):
+        return iter(self.km.structure.cat.morphisms())
+
+    def __len__(self):
+        return self.km.structure.cat.n_morphisms
 
 
 def tilde_subspaces(km: KernelModule, t: AdditiveFunctor):
@@ -455,6 +548,13 @@ def certify_functor(km: KernelModule, f: PointedFunctor, name) -> CertificateEnt
     sum of eta over b's subobject classes, and eps_a restricted to
     sub_hft_a -> sub_t_a after the unit at ft.
 
+    The counit's squares are tested along cat.generating_set() first when
+    t and hft were assembled by hat from km.placement out of f and ft,
+    pointed functors on km.d, the placement is functorial and ft, like f,
+    passes its laws: then t and hft are functors (placement_is_functorial),
+    and NatTransform.validate's proof applies.  Otherwise, and on any
+    failing square, every square is walked.
+
     tilde(hft) is not built.  It would only check that hft(r) restricts to
     sub_hft for every irreducible r, and that check decides no entry:
       - counit natural and invertible: hft(g) = eps_b^-1 t(g) eps_a for
@@ -484,7 +584,9 @@ def certify_functor(km: KernelModule, f: PointedFunctor, name) -> CertificateEnt
         unit_invertible = eta.is_iso()
         hft = hat(km, ft)
         eps = NatTransform(hft, t, counit_with(km, t, sub_t))
-        eps_rep = eps.validate()
+        eps_rep = eps.validate(cat.generating_set() if (
+            _assembled(km, f, t) and _assembled(km, ft, hft)
+            and km.placement_is_functorial and ft.validate().ok) else None)
         counit_natural = eps_rep.ok
         if not counit_natural and witness is None:
             witness = {"counit": eps_rep.to_jsonable()["law"][:1]}
@@ -514,6 +616,13 @@ def certify_functor(km: KernelModule, f: PointedFunctor, name) -> CertificateEnt
         unit_invertible, counit_natural, counit_invertible, tri_hat, tri_tilde,
         witness,
     )
+
+
+def _assembled(km, x, y):
+    """Whether y is hat(km, x), as hat assembles it from km.placement, and
+    x a pointed functor on km.d."""
+    return type(y.mats) is HatMats and y.mats.km is km and y.mats.f is x \
+        and x.d is km.d
 
 
 def certify_equivalence(km: KernelModule, pointed_functors,
