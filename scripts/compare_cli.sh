@@ -38,6 +38,11 @@
 # the benchmark's theta workload (3, 3, 2, 3, 4, 3), so the largest matrices
 # the CLI writes (theta and its inverse up to 260 x 260), and the kernels and
 # restrictions on hat dims up to 51, are compared byte for byte.
+# transport hat reads a pointed functor on fi_sharp 3, and transport tilde an
+# additive functor on delta_bt 4, each with one matrix entry bumped at a
+# morphism that is neither an identity nor a generator; the functor laws are
+# tested along generators first, so both exit 2 with the report of the walk
+# over every composable pair.
 # One idem case holds the entry "1e3", which is malformed input: an exponent
 # is rejected before Fraction could build an integer of that many digits.
 # nested.json opens 100,000 JSON arrays, deeper than the decoder recurses;
@@ -201,6 +206,27 @@ for tag, at, value in (("ends", f, wrong), ("huge", f, 10**30), ("neg", f, -7),
     d = json.loads(json.dumps(t))
     d["comp"][g][at] = value
     write(f"T_{tag}.json", d)
+# functors that break a law only at a morphism that is no generator: a
+# pointed one on fi_sharp 3 with the matrix of its last irreducible that is
+# neither an identity nor a generator of D bumped at entry (0, 0), and
+# hat(F) on delta_bt 4 with its last such morphism's matrix bumped
+from dkequiv.equivalence import hat
+
+km3 = build_kernel_module(build_fi_sharp(3), validate=False)
+d3 = km3.d
+plain = (set(d3.nonzero_morphisms()) - set(d3.cat.identities)
+         - set(d3.cat.generating_set(d3.nonzero_morphisms())))
+p = random_pointed_functor(d3, (2, 2, 2, 2), seed=3).to_jsonable(
+    category="ex/fi_sharp_3.structure.json")
+rows = p["mats"][str(d3.d_to_r[max(plain)])]
+rows[0][0] = str(Fraction(rows[0][0]) + 1)
+write("F_nongen.json", p)
+a = hat(km, random_pointed_functor(km.d, (1, 2, 2, 1), seed=5)).to_jsonable(
+    category="ex/delta_bt_4.structure.json")
+plain = set(cat.morphisms()) - set(cat.identities) - set(cat.generating_set())
+rows = a["mats"][str(max(g for g in plain if a["mats"][str(g)] and a["mats"][str(g)][0]))]
+rows[0][0] = str(Fraction(rows[0][0]) + 1)
+write("A_nongen.json", a)
 EOF
 )
 
@@ -309,6 +335,11 @@ cases() {
     for t in ends huge neg noncomposable undefined; do
         run "check_table_$t" -m dkequiv.cli check "T_$t.json" --out "check_table_$t.json"
     done
+    run hat_nongen -m dkequiv.cli transport hat --category ex/fi_sharp_3.structure.json \
+        --functor F_nongen.json --out hat_nongen.out.json
+    run tilde_nongen -m dkequiv.cli transport tilde \
+        --category ex/delta_bt_4.structure.json --functor A_nongen.json \
+        --out tilde_nongen.out.json
     run hat_cut78 -m dkequiv.cli transport hat --category cut78.json --functor F.json \
         --out hat_cut78.out.json
     run theta_cut78 -m dkequiv.cli theta --category cut78.json --functor T.json \

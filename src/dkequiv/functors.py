@@ -3,9 +3,9 @@
 An AdditiveFunctor assigns a dimension to every object and an exact rational
 matrix to every morphism of a FinCat; a PointedFunctor does the same on a
 zero-completed category, sending the formal zeros to zero matrices.  Both
-are validated with the report of the exhaustive walk.  Random pointed functors are generated from a
-library of structurally-correct atoms and a seeded change of basis, so the
-generator can never emit an invalid functor.
+are validated with the report of the exhaustive walk.  Random pointed
+functors are generated from a library of structurally-correct atoms and a
+seeded change of basis, so the generator can never emit an invalid functor.
 """
 
 from __future__ import annotations
@@ -39,12 +39,13 @@ def _functor_laws(functor, is_zero, gens=None) -> ValidationReport:
     F by F(z) = 0 at each formal zero z, which absorbs under composition;
     then the law at (g, f) reads F(g o f) = F(g) F(f), and holds trivially
     when g or f is a zero.  Call g good when it holds at (g, f) for every f
-    into dom g.  With F of identities identities, each identity is good by
-    the unit law.  If a and b are good and a o b is defined, then for every
-    f into dom b, F((a o b) o f) = F(a o (b o f)) = F(a) F(b o f) =
-    F(a) F(b) F(f) = F(a o b) F(f), by associativity and then a, b and a
-    good; so a o b is good.  So, by the lemma in FinCat.generating_set,
-    every stored g is good when every g in gens is.
+    into dom g.  As F sends identities to identities, which is tested
+    first, each identity is good by the unit law.  If a and b are good and
+    a o b is defined, then for every f into dom b, F((a o b) o f) =
+    F(a o (b o f)) = F(a) F(b o f) = F(a) F(b) F(f) = F(a o b) F(f), by
+    associativity and then by a, b and a being good; so a o b is good.  So,
+    by the lemma in FinCat.generating_set, every stored g is good when
+    every g in gens is.
     """
     rep = ValidationReport()
     base, mats, dims = functor.base, functor.mats, functor.dims

@@ -731,3 +731,423 @@ def test_certificate_fails_when_hat_of_tilde_hat_is_corrupted(km_delta4, monkeyp
         "morphism": keys[0],
         "label": s.cat.mor_labels[keys[0]],
     }]}
+
+
+def test_certificate_fails_when_hat_is_corrupted_at_a_non_generator(fi3, monkeypatch):
+    """hat(tilde(hat f)) with morphism 5 of fi_sharp 3, which is no
+    generator, bumped: every generator's counit square commutes, so only
+    the full walk finds the failure.  A functor that hat did not assemble
+    from the placement gets that walk."""
+    from dkequiv import equivalence
+
+    km = build_kernel_module(fi3)
+    cat = fi3.cat
+    assert 5 not in cat.generating_set()
+    f = random_pointed_functor(km.d, (2, 2, 2, 2), seed=3)
+    real_hat = equivalence.hat
+    calls, transforms = [], []
+
+    def corrupting_hat(km_, g):
+        out = real_hat(km_, g)
+        calls.append(g)
+        if len(calls) != 2:
+            return out
+        mats = dict(out.mats)
+        mats[5] = _bump(mats[5])
+        return AdditiveFunctor(out.base, out.dims, mats)
+
+    real_validate = NatTransform.validate
+
+    def spying_validate(self, along=None):
+        transforms.append((self, along))
+        return real_validate(self, along)
+
+    monkeypatch.setattr(equivalence, "hat", corrupting_hat)
+    monkeypatch.setattr(NatTransform, "validate", spying_validate)
+    entry = equivalence.certify_functor(km, f, "corrupted")
+    assert len(calls) == 2
+    (_, unit_along), (eps, eps_along) = transforms
+    assert unit_along is None and eps_along is None
+    assert real_validate(eps, cat.generating_set()).ok
+    assert not entry.counit_natural and not entry.ok
+    assert entry.unit_natural and entry.counit_invertible
+    assert entry.witness == {"counit": [{
+        "message": "naturality square does not commute",
+        "morphism": 5, "label": "0"}]}
+
+
+def _counit_along(km, f, monkeypatch, **patches):
+    """The along argument certify_functor gives the counit's validate, with
+    the named functions of equivalence replaced, and the entry."""
+    from dkequiv import equivalence
+
+    for name, fn in patches.items():
+        monkeypatch.setattr(equivalence, name, fn)
+    seen = []
+    real_validate = NatTransform.validate
+
+    def spying_validate(self, along=None):
+        seen.append(along)
+        return real_validate(self, along)
+
+    monkeypatch.setattr(NatTransform, "validate", spying_validate)
+    entry = equivalence.certify_functor(km, f, "f")
+    monkeypatch.undo()
+    return seen[-1], entry
+
+
+def test_counit_is_walked_in_full_unless_every_condition_holds(fi3, monkeypatch):
+    """The counit is checked along C's generators only when hat assembled t
+    and hft from this placement, out of f and ft on km.d, the placement is
+    functorial and ft passes its laws; each condition failing alone gives
+    the full walk, and every entry is the same."""
+    from dkequiv import equivalence
+
+    km = build_kernel_module(fi3)
+    gens = fi3.cat.generating_set()
+    f = random_pointed_functor(km.d, (2, 2, 2, 2), seed=3)
+    along, want = _counit_along(km, f, monkeypatch)
+    assert along == gens and want.ok
+    real_hat, real_tilde = equivalence.hat, equivalence.tilde
+
+    def copied_hat(km_, g):  # same matrices, not HatMats
+        out = real_hat(km_, g)
+        return AdditiveFunctor(out.base, out.dims, dict(out.mats))
+
+    calls = []
+
+    def second_copied(km_, g):
+        calls.append(g)
+        return copied_hat(km_, g) if len(calls) == 2 else real_hat(km_, g)
+
+    # f on the completion of a copy of the structure, not on km.d
+    other = MRStructure.from_jsonable(fi3.to_jsonable()).d_cat
+    assert other is not km.d
+    f_other = PointedFunctor(other, f.dims, f.mats)
+    unchecked = KernelModule(fi3)
+    unchecked.__dict__["placement_is_functorial"] = False
+    for km_, g, patches in ((km, f, {"hat": copied_hat}),
+                            (km, f, {"hat": second_copied}),
+                            (km, f_other, {}),
+                            (unchecked, f, {})):
+        along, entry = _counit_along(km_, g, monkeypatch, **patches)
+        assert along is None
+        assert entry == want
+
+    # ft failing its laws: its identity at object 1 bumped, which hat
+    # carries to hft; the full walk then reports the counit's failures
+    def bad_tilde(km_, t, sub=None):
+        ft = real_tilde(km_, t, sub)
+        i = km_.d.cat.identity(1)
+        return PointedFunctor(km_.d, ft.dims, {**ft.mats, i: _bump(ft.mats[i])})
+
+    along, entry = _counit_along(km, f, monkeypatch, tilde=bad_tilde)
+    assert along is None and not entry.counit_natural
+
+
+def _placement_reference(km):
+    """placement_is_functorial's four conditions, computed from every
+    composable pair with each pattern read as a dict: C's and D's tables
+    pass check(); each cell's D-morphism runs between its blocks' objects;
+    each identity has the identity pattern; and P_{g2 o g1} is P_g2 after
+    P_g1, with D-composites that are zeros dropped."""
+    cat, d = km.structure.cat, km.d
+    lins, cells = km.placement
+    pat = [{j: (i, e) for i, row in cells[g] for j, e in row}
+           for g in cat.morphisms()]
+
+    def obj(a, k):
+        return cat.dom[lins[a][k]]
+
+    ends = all(d.cat.dom[e] == obj(cat.dom[g], j) and d.cat.cod[e] == obj(cat.cod[g], i)
+               for g in cat.morphisms() for j, (i, e) in pat[g].items())
+    ids = all(pat[cat.identity(a)] == {j: (j, d.cat.identity(obj(a, j)))
+                                       for j in range(len(lins[a]))}
+              for a in cat.objects())
+
+    def after(g2, g1):
+        out = {}
+        for j, (i, e1) in pat[g1].items():
+            if i in pat[g2]:
+                k, e2 = pat[g2][i]
+                e = d.cat.comp[e2][e1]
+                if not d.is_zero(e):
+                    out[j] = (k, e)
+        return out
+
+    composes = ends and all(pat[cat.comp[g2][g1]] == after(g2, g1)
+                            for g2 in cat.morphisms()
+                            for g1 in cat.into[cat.dom[g2]])
+    return cat.check().ok and d.cat.check().ok, ends, ids, composes
+
+
+def _placement_structures():
+    """delta_bt 1-6, fi_sharp 0-4, cube 0-3, pt, Gamma_3 and VI#_2."""
+    return ([build_delta_bt(n) for n in range(1, 7)]
+            + [build_fi_sharp(n) for n in range(5)]
+            + [build_cube(n) for n in range(4)]
+            + [build_pt(), build_par(build_finset_input(3)),
+               build_par(build_flinj_input(2))])
+
+
+def _placement_mutant(km, rng):
+    """A KernelModule of km's structure whose placement differs from km's
+    at one cell: its block row moved to another block row of the codomain,
+    or its D-morphism replaced by another nonzero one, with the same
+    endpoints when there is one; None when the drawn cell has no other."""
+    cat, d = km.structure.cat, km.d
+    lins, cells = km.placement
+    g = rng.choice([g for g in cat.morphisms() if cells[g]])
+    flat = [(i, j, e) for i, row in cells[g] for j, e in row]
+    k = rng.randrange(len(flat))
+    i, j, e = flat[k]
+    if rng.random() < 0.5:
+        rows = [x for x in range(len(lins[cat.cod[g]])) if x != i]
+        if not rows:
+            return None
+        flat[k] = (rng.choice(rows), j, e)
+    else:
+        others = [x for x in d.nonzero_morphisms() if x != e]
+        same = [x for x in others if (d.cat.dom[x], d.cat.cod[x])
+                == (d.cat.dom[e], d.cat.cod[e])]
+        if not others:
+            return None
+        flat[k] = (i, j, rng.choice(same or others))
+    rows = {}
+    for i, j, e in sorted(flat):
+        rows.setdefault(i, []).append((j, e))
+    mutant = KernelModule(km.structure)
+    mutant.__dict__["placement"] = (
+        lins, [sorted(rows.items()) if x == g else c for x, c in enumerate(cells)])
+    return mutant
+
+
+@pytest.fixture(scope="module")
+def placement_cases():
+    """(structure, whether it is stock) for the structures of
+    _placement_structures, the closed cuts of the small ones (2 each), and
+    the comp mutants of those with at most 40 morphisms that pass
+    check_assumptions, whose tables are not associative."""
+    from conftest import _single_entry_mutants
+
+    rng = random.Random(5)
+    bases = _placement_structures()
+    small = [s for s in bases if s.cat.n_morphisms <= 200]
+    cases = [(s, True) for s in bases]
+    for s in small:
+        cases += [(c, False) for c in closed_cuts(s, 2, rng)]
+    for s in small:
+        if s.cat.n_morphisms <= 40:
+            cases += [(m, False) for m in
+                      _single_entry_mutants(s, 3, rng, _passes_assumptions)]
+    return cases
+
+
+def test_placement_is_functorial_matches_the_all_pairs_reference(placement_cases):
+    """placement_is_functorial is True exactly when the four conditions
+    hold over every composable pair; on the stock structures, Gamma_3, VI#_2
+    and their closed cuts it is True, and the tables fail check() on some
+    mutants."""
+    seen = set()
+    for k, (s, stock) in enumerate(placement_cases):
+        km = KernelModule(s)
+        ref = _placement_reference(km)
+        assert km.placement_is_functorial == all(ref), k
+        seen.add(ref[0])
+        assert all(ref) or not stock, k
+    assert seen == {True, False}
+
+
+def _swapped_blocks(km, rng):
+    """A KernelModule of km's structure whose placement swaps two blocks of
+    one object that have the same object, as block rows and as block
+    columns: it stays functorial, and hat(x) is conjugated by a
+    permutation, which the counit's components do not follow."""
+    cat = km.structure.cat
+    lins, cells = km.placement
+    pairs = [(a, j, k) for a, lin in enumerate(lins)
+             for j, k in itertools.combinations(range(len(lin)), 2)
+             if cat.dom[lin[j]] == cat.dom[lin[k]]]
+    a, j, k = rng.choice(pairs)
+
+    def swap(x):
+        return {j: k, k: j}.get(x, x)
+
+    new = []
+    for g in cat.morphisms():
+        at_dom, at_cod = cat.dom[g] == a, cat.cod[g] == a
+        rows = {}
+        for i, row in cells[g]:
+            for c, e in row:
+                rows.setdefault(swap(i) if at_cod else i, []).append(
+                    (swap(c) if at_dom else c, e))
+        new.append(sorted((i, sorted(row)) for i, row in rows.items()))
+    mutant = KernelModule(km.structure)
+    mutant.__dict__["placement"] = (lins, new)
+    return mutant
+
+
+def test_placement_mutants_fail_the_check_or_keep_the_certificate():
+    """Seeded single-cell mutants of the placement: each turns the check
+    False, or else certifies exactly as the exhaustive walk does.  Each of
+    the endpoint, identity and composition conditions fails on some
+    mutant.  Mutants that swap two blocks of one object keep the check
+    True, and certify as the walk does."""
+    rng = random.Random(17)
+    failed = set()
+    kept = 0
+    for build, dims in ((lambda: build_fi_sharp(3), (1, 2, 1, 1)),
+                        (lambda: build_delta_bt(4), (1, 2, 2, 1)),
+                        (lambda: build_cube(2), (1, 1, 2)),
+                        (lambda: build_par(build_flinj_input(2)), (1, 1, 1))):
+        km = build_kernel_module(build())
+        fs = [random_pointed_functor(km.d, dims, seed=s) for s in range(2)]
+        for n in range(44):
+            mutant = (_placement_mutant if n < 40 else _swapped_blocks)(km, rng)
+            if mutant is None:
+                continue
+            ref = _placement_reference(mutant)
+            assert mutant.placement_is_functorial == all(ref)
+            failed |= {k for k, ok in enumerate(ref) if not ok}
+            if not all(ref):
+                continue
+            kept += 1
+            walked = KernelModule(km.structure)
+            walked.__dict__.update(placement=mutant.placement,
+                                   placement_is_functorial=False)
+            names = ["f0", "f1"]
+            assert (certify_equivalence(mutant, fs, names).to_jsonable()
+                    == certify_equivalence(walked, fs, names).to_jsonable())
+    assert failed == {1, 2, 3}
+    assert kept >= 16
+
+
+def test_reduced_counit_report_matches_the_walk_on_component_mutants():
+    """The counit of seeded functors, with one entry of one component
+    changed: along C's generators, validate gives the walk's report, since
+    its source and target are functors whatever the components; both
+    outcomes occur."""
+    rng = random.Random(29)
+    outcomes = set()
+    for build, dims in ((lambda: build_fi_sharp(3), (2, 1, 1, 1)),
+                        (lambda: build_delta_bt(5), (1, 2, 1, 2, 1)),
+                        (lambda: build_cube(3), (1, 1, 2, 1)),
+                        (lambda: build_par(build_finset_input(3)), (1, 1, 1, 1))):
+        km = build_kernel_module(build())
+        gens = km.structure.cat.generating_set()
+        assert km.placement_is_functorial
+        for seed in range(3):
+            t = hat(km, random_pointed_functor(km.d, dims, seed=seed))
+            sub = tilde_subspaces(km, t)
+            comps = counit_with(km, t, sub)
+            hft = hat(km, tilde(km, t, sub))
+            for _ in range(4):
+                a = rng.choice([a for a, c in enumerate(comps) if c.nrows and c.ncols])
+                c = comps[a]
+                i, j = rng.randrange(c.nrows), rng.randrange(c.ncols)
+                rows = [[Fraction(x, c.den) for x in row] for row in c.rows]
+                rows[i][j] += rng.choice((-1, 1, Fraction(1, 2)))
+                mutant = list(comps)
+                mutant[a] = QMat.from_rows(rows, c.ncols)
+                eps = NatTransform(hft, t, mutant)
+                full = eps.validate()
+                assert eps.validate(gens).to_jsonable() == full.to_jsonable()
+                outcomes.add(full.ok)
+            assert NatTransform(hft, t, comps).validate(gens).ok
+    assert outcomes == {True, False}
+
+
+def test_hat_builds_only_the_matrices_read(km_fi4):
+    """hat assembles a matrix on its first read and keeps it; certifying
+    the benchmark's first fi_sharp 4 functor reads 86 of hat(f)'s 499
+    matrices and 42 of hat(tilde(hat f))'s, and checks the counit on the 26
+    generators' squares.  Copying the table reads every matrix, and ids
+    that are not morphisms are not keys."""
+    from dkequiv import equivalence
+
+    km = km_fi4
+    f = random_pointed_functor(km.d, (3, 3, 0, 2, 3), seed=random.Random(0).randrange(2 ** 30))
+    t = hat(km, f)
+    assert t.mats._built == {}
+    m = t.mats[7]
+    assert t.mats._built == {7: m} and t.mats[7] is m
+    for bad in (-1, 499, "7"):
+        assert bad not in t.mats
+    assert len(dict(t.mats)) == len(t.mats) == 499
+    built = []
+    real_hat = equivalence.hat
+
+    def spying_hat(km_, g):
+        out = real_hat(km_, g)
+        built.append(out.mats._built)
+        return out
+
+    equivalence.hat = spying_hat
+    try:
+        assert equivalence.certify_functor(km, f, "f").ok
+    finally:
+        equivalence.hat = real_hat
+    assert [len(b) for b in built] == [86, 42]
+    assert len(km.structure.cat.generating_set()) == 26
+
+
+# sha256 of json.dumps(certify_equivalence(...).to_jsonable(), sort_keys=True),
+# recorded while the counit and the functor laws were walked at every
+# morphism and every composable pair
+CERTIFICATE_DIGESTS = {
+    "fi_sharp_4": "9aa35cf5f37d060669ec2efdd0b910a571d0c0e04c53525f2015ed3f1542f4ee",
+    "delta_bt_6": "4e5661fb9f0072fd514152a0286421dacc313aad0f5f21d20a7c322221a22c4e",
+    "cube_3": "b232ff3104066902accb6d8d40116490096b51be78adf7ecd575723897489f4a",
+    "gamma_3": "b232ff3104066902accb6d8d40116490096b51be78adf7ecd575723897489f4a",
+    "vi_sharp_2": "b1c043b8f5794cb91bbc558401988c25339089844661c63850a7b60f6bc7896d",
+    "failing": "5fe6ab344e7aee7a67ac52a74b7dd271efaf0b69602dfeca9675ccbcec33f17b",
+}
+
+
+def _cli_functors(km, count, seed=0, dims_max=3):
+    """The first count functors `dkequiv certify` draws at seed."""
+    from dkequiv.functors import InfeasibleRelations
+
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        dims = tuple(rng.randrange(dims_max + 1)
+                     for _ in range(km.structure.cat.n_objects))
+        try:
+            out.append(random_pointed_functor(km.d, dims, seed=rng.randrange(2 ** 30)))
+        except InfeasibleRelations:
+            continue
+    return out
+
+
+def _certificate_case(tag):
+    """(kernel module, functors, names) of the pinned certificate tag."""
+    if tag == "fi_sharp_4":
+        km = build_kernel_module(build_fi_sharp(4))
+        rng = random.Random(0)
+        dims = ((3, 3, 0, 2, 3), (2, 3, 2, 1, 1), (1, 0, 2, 1, 2), (0, 2, 3, 0, 2),
+                (2, 1, 3, 3, 2))
+        return km, [random_pointed_functor(km.d, x, seed=rng.randrange(2 ** 30))
+                    for x in dims], [f"seed0_{i}" for i in range(5)]
+    if tag == "failing":
+        # fi_sharp 3's irreducible 9, no generator of D, with one entry
+        # bumped: the law report of the walk is the witness
+        km = build_kernel_module(build_fi_sharp(3))
+        f = random_pointed_functor(km.d, (2, 2, 2, 2), seed=3)
+        assert 9 not in km.d.cat.generating_set(km.d.nonzero_morphisms())
+        return km, [PointedFunctor(km.d, f.dims, {**f.mats, 9: _bump(f.mats[9])})], ["bad"]
+    build = {"delta_bt_6": lambda: build_delta_bt(6), "cube_3": lambda: build_cube(3),
+             "gamma_3": lambda: build_par(build_finset_input(3)),
+             "vi_sharp_2": lambda: build_par(build_flinj_input(2))}[tag]
+    km = build_kernel_module(build())
+    return km, _cli_functors(km, 2), ["f0", "f1"]
+
+
+@pytest.mark.parametrize("tag", sorted(CERTIFICATE_DIGESTS))
+def test_certificate_bytes_are_pinned(tag):
+    import hashlib
+
+    cert = certify_equivalence(*_certificate_case(tag))
+    assert cert.ok == (tag != "failing")
+    text = json.dumps(cert.to_jsonable(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == CERTIFICATE_DIGESTS[tag]

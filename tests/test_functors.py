@@ -25,7 +25,7 @@ from dkequiv.functors import (
     _unit_atom_valid,
     random_pointed_functor,
 )
-from dkequiv.structure import MRStructure, build_d_cat
+from dkequiv.structure import MRStructure, build_d_cat, check_assumptions
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -349,3 +349,115 @@ def test_pointed_validation_reports_are_pinned(delta3):
         ],
         "ok": False,
     }
+
+
+def _law_walk(functor, is_zero):
+    """The functor laws' report from every composable pair: the reference
+    that validate's generator reduction must reproduce."""
+    from dkequiv.fincat import ValidationReport
+
+    rep = ValidationReport()
+    base, mats = functor.base, functor.mats
+    for a in base.objects():
+        if not mats[base.identity(a)].is_identity():
+            rep.add_law("identity not sent to identity", object=a)
+    for g in functor.morphisms():
+        for f in base.into[base.dom[g]]:
+            if is_zero(f):
+                continue
+            h = base.comp[g][f]
+            prod = mats[g].mul(mats[f])
+            if is_zero(h):
+                if not prod.is_zero():
+                    rep.add_law("zero composite not sent to zero", g=g, f=f)
+            elif mats[h] != prod:
+                rep.add_law("composition not preserved", g=g, f=f)
+    return rep
+
+
+def _entry_mutant(mats, keys, rng):
+    """mats with one entry of the matrix at one of keys changed."""
+    from fractions import Fraction
+
+    key = rng.choice([k for k in keys if mats[k].nrows and mats[k].ncols])
+    m = mats[key]
+    rows = [[Fraction(x, m.den) for x in row] for row in m.rows]
+    rows[rng.randrange(m.nrows)][rng.randrange(m.ncols)] += rng.choice(
+        (-1, 1, Fraction(1, 2)))
+    return {**mats, key: QMat.from_rows(rows, m.ncols)}
+
+
+def test_reduced_functor_laws_match_the_walk_on_entry_mutants():
+    """Pointed functors and hat's additive ones, each with one seeded entry
+    changed, and unchanged: validate gives the report of the walk over
+    every composable pair, along generators when the base passes check()
+    and in full when it does not (comp mutants of fi_sharp 2 that still
+    factor, on which only the zero functor is one); every outcome of the
+    gate and of the laws occurs."""
+    import random
+
+    from conftest import _single_entry_mutants
+    from dkequiv.equivalence import build_kernel_module, hat
+
+    def factors(s):
+        try:
+            return check_assumptions(s).passed and not s.cat.check().ok
+        except ValueError:
+            return False
+
+    rng = random.Random(3)
+    fi2 = build_fi_sharp(2)
+    cases = [(build_fi_sharp(3), (1, 1, 2, 1)), (build_delta_bt(4), (1, 2, 2, 1)),
+             (build_cube(2), (1, 1, 2)), (build_par(build_finset_input(3)), (1, 1, 1, 1)),
+             (build_par(build_flinj_input(2)), (1, 1, 1))]
+    cases += [(s, dims) for s in _single_entry_mutants(fi2, 2, rng, factors)
+              for dims in ((1, 1, 1), (0, 0, 0))]
+    seen = set()
+    for s, dims in cases:
+        km = build_kernel_module(s, validate=False)
+        d = km.d
+        for seed in range(2):
+            f = random_pointed_functor(d, dims, seed=seed)
+            t = hat(km, f)
+            t = AdditiveFunctor(s.cat, t.dims, dict(t.mats))
+            for n in range(6 if any(dims) else 1):
+                g = PointedFunctor(d, f.dims, f.mats if n == 0 else _entry_mutant(
+                    f.mats, list(d.nonzero_morphisms()), rng))
+                u = AdditiveFunctor(s.cat, t.dims, t.mats if n == 0 else _entry_mutant(
+                    t.mats, list(s.cat.morphisms()), rng))
+                for x, is_zero, base in ((g, d.is_zero, d.cat),
+                                         (u, lambda f: False, s.cat)):
+                    want = _law_walk(x, is_zero).to_jsonable()
+                    assert x.validate().to_jsonable() == want
+                    seen.add((base.check().ok, want["ok"]))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+@pytest.mark.parametrize("name, size, reduced, full", [
+    ("delta_bt", 6, 10_519, 73_547),
+    ("fi_sharp", 4, 3_218, 113_381),
+])
+def test_additive_laws_of_a_functor_take_the_generators_products(
+        name, size, reduced, full, monkeypatch):
+    """On a functor, validate multiplies once per generator g and morphism
+    into dom g, and the walk once per composable pair."""
+    from dkequiv.builders import BUILDERS
+    from dkequiv.equivalence import build_kernel_module, hat
+
+    km = build_kernel_module(BUILDERS[name][0](size))
+    f = random_pointed_functor(km.d, (1,) * km.structure.cat.n_objects, seed=0)
+    t = hat(km, f)
+    t = AdditiveFunctor(t.base, t.dims, dict(t.mats))
+    calls = []
+    real_mul = QMat.mul
+
+    def counting_mul(a, b):
+        calls.append(1)
+        return real_mul(a, b)
+
+    monkeypatch.setattr(QMat, "mul", counting_mul)
+    assert t.validate().ok
+    assert len(calls) == reduced
+    calls.clear()
+    assert _law_walk(t, lambda f: False).ok
+    assert len(calls) == full
