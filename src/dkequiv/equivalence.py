@@ -246,11 +246,11 @@ class KernelModule:
         blocks = [[cat.dom[rep] for rep in lin] for lin in lins]
         pats, pairs = [], {}
         for g, g_cells in enumerate(cells):
-            pat = [None] * len(blocks[cat.dom[g]])
-            to = blocks[cat.cod[g]]
+            frm, to = blocks[cat.dom[g]], blocks[cat.cod[g]]
+            pat = [None] * len(frm)
             for i, row in g_cells:
                 for j, e in row:
-                    if dcat.cod[e] != to[i] or dcat.dom[e] != blocks[cat.dom[g]][j]:
+                    if dcat.dom[e] != frm[j] or dcat.cod[e] != to[i]:
                         return False
                     pat[j] = pairs.setdefault((i, e), (i, e))
             pats.append(tuple(pat))
