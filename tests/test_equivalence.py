@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import random
@@ -31,6 +32,7 @@ from dkequiv.exactlin import QMat, Subspace, block
 from dkequiv.fincat import FinCat, group_by, outside_composites
 from dkequiv.functors import (
     AdditiveFunctor,
+    InfeasibleRelations,
     NatTransform,
     PointedFunctor,
     random_pointed_functor,
@@ -733,6 +735,28 @@ def test_certificate_fails_when_hat_of_tilde_hat_is_corrupted(km_delta4, monkeyp
     }]}
 
 
+def _counit_along(km, f, monkeypatch, **patches):
+    """certify_functor's entry for f, with the named functions of
+    equivalence replaced, and the counit it validated with the along
+    argument it gave."""
+    from dkequiv import equivalence
+
+    for name, fn in patches.items():
+        monkeypatch.setattr(equivalence, name, fn)
+    seen = []
+    real_validate = NatTransform.validate
+
+    def spying_validate(self, along=None):
+        seen.append((self, along))
+        return real_validate(self, along)
+
+    monkeypatch.setattr(NatTransform, "validate", spying_validate)
+    entry = equivalence.certify_functor(km, f, "f")
+    monkeypatch.undo()
+    eps, along = seen[-1]
+    return eps, along, entry
+
+
 def test_certificate_fails_when_hat_is_corrupted_at_a_non_generator(fi3, monkeypatch):
     """hat(tilde(hat f)) with morphism 5 of fi_sharp 3, which is no
     generator, bumped: every generator's counit square commutes, so only
@@ -745,7 +769,7 @@ def test_certificate_fails_when_hat_is_corrupted_at_a_non_generator(fi3, monkeyp
     assert 5 not in cat.generating_set()
     f = random_pointed_functor(km.d, (2, 2, 2, 2), seed=3)
     real_hat = equivalence.hat
-    calls, transforms = [], []
+    calls = []
 
     def corrupting_hat(km_, g):
         out = real_hat(km_, g)
@@ -756,44 +780,14 @@ def test_certificate_fails_when_hat_is_corrupted_at_a_non_generator(fi3, monkeyp
         mats[5] = _bump(mats[5])
         return AdditiveFunctor(out.base, out.dims, mats)
 
-    real_validate = NatTransform.validate
-
-    def spying_validate(self, along=None):
-        transforms.append((self, along))
-        return real_validate(self, along)
-
-    monkeypatch.setattr(equivalence, "hat", corrupting_hat)
-    monkeypatch.setattr(NatTransform, "validate", spying_validate)
-    entry = equivalence.certify_functor(km, f, "corrupted")
-    assert len(calls) == 2
-    (_, unit_along), (eps, eps_along) = transforms
-    assert unit_along is None and eps_along is None
-    assert real_validate(eps, cat.generating_set()).ok
+    eps, along, entry = _counit_along(km, f, monkeypatch, hat=corrupting_hat)
+    assert len(calls) == 2 and along is None
+    assert eps.validate(cat.generating_set()).ok
     assert not entry.counit_natural and not entry.ok
     assert entry.unit_natural and entry.counit_invertible
     assert entry.witness == {"counit": [{
         "message": "naturality square does not commute",
         "morphism": 5, "label": "0"}]}
-
-
-def _counit_along(km, f, monkeypatch, **patches):
-    """The along argument certify_functor gives the counit's validate, with
-    the named functions of equivalence replaced, and the entry."""
-    from dkequiv import equivalence
-
-    for name, fn in patches.items():
-        monkeypatch.setattr(equivalence, name, fn)
-    seen = []
-    real_validate = NatTransform.validate
-
-    def spying_validate(self, along=None):
-        seen.append(along)
-        return real_validate(self, along)
-
-    monkeypatch.setattr(NatTransform, "validate", spying_validate)
-    entry = equivalence.certify_functor(km, f, "f")
-    monkeypatch.undo()
-    return seen[-1], entry
 
 
 def test_counit_is_walked_in_full_unless_every_condition_holds(fi3, monkeypatch):
@@ -806,7 +800,7 @@ def test_counit_is_walked_in_full_unless_every_condition_holds(fi3, monkeypatch)
     km = build_kernel_module(fi3)
     gens = fi3.cat.generating_set()
     f = random_pointed_functor(km.d, (2, 2, 2, 2), seed=3)
-    along, want = _counit_along(km, f, monkeypatch)
+    _, along, want = _counit_along(km, f, monkeypatch)
     assert along == gens and want.ok
     real_hat, real_tilde = equivalence.hat, equivalence.tilde
 
@@ -830,7 +824,7 @@ def test_counit_is_walked_in_full_unless_every_condition_holds(fi3, monkeypatch)
                             (km, f, {"hat": second_copied}),
                             (km, f_other, {}),
                             (unchecked, f, {})):
-        along, entry = _counit_along(km_, g, monkeypatch, **patches)
+        _, along, entry = _counit_along(km_, g, monkeypatch, **patches)
         assert along is None
         assert entry == want
 
@@ -841,7 +835,7 @@ def test_counit_is_walked_in_full_unless_every_condition_holds(fi3, monkeypatch)
         i = km_.d.cat.identity(1)
         return PointedFunctor(km_.d, ft.dims, {**ft.mats, i: _bump(ft.mats[i])})
 
-    along, entry = _counit_along(km, f, monkeypatch, tilde=bad_tilde)
+    _, along, entry = _counit_along(km, f, monkeypatch, tilde=bad_tilde)
     assert along is None and not entry.counit_natural
 
 
@@ -923,13 +917,11 @@ def _placement_mutant(km, rng):
 
 
 @pytest.fixture(scope="module")
-def placement_cases():
+def placement_cases(single_entry_mutants):
     """(structure, whether it is stock) for the structures of
     _placement_structures, the closed cuts of the small ones (2 each), and
     the comp mutants of those with at most 40 morphisms that pass
     check_assumptions, whose tables are not associative."""
-    from conftest import _single_entry_mutants
-
     rng = random.Random(5)
     bases = _placement_structures()
     small = [s for s in bases if s.cat.n_morphisms <= 200]
@@ -939,7 +931,7 @@ def placement_cases():
     for s in small:
         if s.cat.n_morphisms <= 40:
             cases += [(m, False) for m in
-                      _single_entry_mutants(s, 3, rng, _passes_assumptions)]
+                      single_entry_mutants(s, 3, rng, _passes_assumptions)]
     return cases
 
 
@@ -1057,7 +1049,7 @@ def test_reduced_counit_report_matches_the_walk_on_component_mutants():
     assert outcomes == {True, False}
 
 
-def test_hat_builds_only_the_matrices_read(km_fi4):
+def test_hat_builds_only_the_matrices_read(km_fi4, monkeypatch):
     """hat assembles a matrix on its first read and keeps it; certifying
     the benchmark's first fi_sharp 4 functor reads 86 of hat(f)'s 499
     matrices and 42 of hat(tilde(hat f))'s, and checks the counit on the 26
@@ -1082,11 +1074,8 @@ def test_hat_builds_only_the_matrices_read(km_fi4):
         built.append(out.mats._built)
         return out
 
-    equivalence.hat = spying_hat
-    try:
-        assert equivalence.certify_functor(km, f, "f").ok
-    finally:
-        equivalence.hat = real_hat
+    monkeypatch.setattr(equivalence, "hat", spying_hat)
+    assert equivalence.certify_functor(km, f, "f").ok
     assert [len(b) for b in built] == [86, 42]
     assert len(km.structure.cat.generating_set()) == 26
 
@@ -1106,8 +1095,6 @@ CERTIFICATE_DIGESTS = {
 
 def _cli_functors(km, count, seed=0, dims_max=3):
     """The first count functors `dkequiv certify` draws at seed."""
-    from dkequiv.functors import InfeasibleRelations
-
     rng = random.Random(seed)
     out = []
     while len(out) < count:
@@ -1145,8 +1132,6 @@ def _certificate_case(tag):
 
 @pytest.mark.parametrize("tag", sorted(CERTIFICATE_DIGESTS))
 def test_certificate_bytes_are_pinned(tag):
-    import hashlib
-
     cert = certify_equivalence(*_certificate_case(tag))
     assert cert.ok == (tag != "failing")
     text = json.dumps(cert.to_jsonable(), sort_keys=True)

@@ -1,12 +1,15 @@
 import hashlib
 import json
+import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from dkequiv.builders import (
+    BUILDERS,
     build_cube,
     build_delta_bt,
     build_fi_sharp,
@@ -15,8 +18,9 @@ from dkequiv.builders import (
     build_par,
     build_pt,
 )
+from dkequiv.equivalence import build_kernel_module, hat
 from dkequiv.exactlin import QMat
-from dkequiv.fincat import FinCat, table_category
+from dkequiv.fincat import FinCat, ValidationReport, table_category
 from dkequiv.functors import (
     AdditiveFunctor,
     InfeasibleRelations,
@@ -354,8 +358,6 @@ def test_pointed_validation_reports_are_pinned(delta3):
 def _law_walk(functor, is_zero):
     """The functor laws' report from every composable pair: the reference
     that validate's generator reduction must reproduce."""
-    from dkequiv.fincat import ValidationReport
-
     rep = ValidationReport()
     base, mats = functor.base, functor.mats
     for a in base.objects():
@@ -377,8 +379,6 @@ def _law_walk(functor, is_zero):
 
 def _entry_mutant(mats, keys, rng):
     """mats with one entry of the matrix at one of keys changed."""
-    from fractions import Fraction
-
     key = rng.choice([k for k in keys if mats[k].nrows and mats[k].ncols])
     m = mats[key]
     rows = [[Fraction(x, m.den) for x in row] for row in m.rows]
@@ -387,18 +387,13 @@ def _entry_mutant(mats, keys, rng):
     return {**mats, key: QMat.from_rows(rows, m.ncols)}
 
 
-def test_reduced_functor_laws_match_the_walk_on_entry_mutants():
+def test_reduced_functor_laws_match_the_walk_on_entry_mutants(single_entry_mutants):
     """Pointed functors and hat's additive ones, each with one seeded entry
     changed, and unchanged: validate gives the report of the walk over
     every composable pair, along generators when the base passes check()
     and in full when it does not (comp mutants of fi_sharp 2 that still
     factor, on which only the zero functor is one); every outcome of the
     gate and of the laws occurs."""
-    import random
-
-    from conftest import _single_entry_mutants
-    from dkequiv.equivalence import build_kernel_module, hat
-
     def factors(s):
         try:
             return check_assumptions(s).passed and not s.cat.check().ok
@@ -410,7 +405,7 @@ def test_reduced_functor_laws_match_the_walk_on_entry_mutants():
     cases = [(build_fi_sharp(3), (1, 1, 2, 1)), (build_delta_bt(4), (1, 2, 2, 1)),
              (build_cube(2), (1, 1, 2)), (build_par(build_finset_input(3)), (1, 1, 1, 1)),
              (build_par(build_flinj_input(2)), (1, 1, 1))]
-    cases += [(s, dims) for s in _single_entry_mutants(fi2, 2, rng, factors)
+    cases += [(s, dims) for s in single_entry_mutants(fi2, 2, rng, factors)
               for dims in ((1, 1, 1), (0, 0, 0))]
     seen = set()
     for s, dims in cases:
@@ -441,9 +436,6 @@ def test_additive_laws_of_a_functor_take_the_generators_products(
         name, size, reduced, full, monkeypatch):
     """On a functor, validate multiplies once per generator g and morphism
     into dom g, and the walk once per composable pair."""
-    from dkequiv.builders import BUILDERS
-    from dkequiv.equivalence import build_kernel_module, hat
-
     km = build_kernel_module(BUILDERS[name][0](size))
     f = random_pointed_functor(km.d, (1,) * km.structure.cat.n_objects, seed=0)
     t = hat(km, f)
