@@ -788,7 +788,8 @@ def _bijection_report(kind, source, target, classes, comp, targets, basepoint=No
 
 
 def _left_generators(s, der):
-    """The members of K along which the left comparison identifies pairs:
+    """The members of K along which the left comparison identifies the pairs
+    of the entries that _left_zero_ideal does not decide:
     generating_set(K), when the table is associative, K holds the identities
     and is closed under composition, and outside_is_stable finds that every
     k in K maps (K o M) - M outside M; all of K otherwise.
@@ -814,6 +815,39 @@ def _left_generators(s, der):
     if outside_is_stable(cat, gens, outside, s.m_class):
         return gens
     return sorted(k_class)
+
+
+def _left_zero_ideal(s, der):
+    """Z = C o X, for X = (K o M) - M, walked along generating_set(), when
+    check() passes and the identities lie in M and M in K; None otherwise.
+
+    Then the union-find reports no problem at an entry (c, b), and as many
+    classes as targets, exactly when hom(c, b) - Z, in hom order, is the
+    target list.  A step (g o k, m) ~ (g, k o m), k in K, keeps the value
+    g o m, by associativity, and (g, m) ~ (g o m, id_c) is the step at
+    k = m.  A shortest chain to zero ends at some (h o k, m') with k o m'
+    in X, its earlier steps keeping the value, so only pairs whose value
+    lies in Z are zero; and if g o m = h o k o m' with k o m' in X, then
+    (g, m) ~ (h o k o m', id_c) ~ (h o k, m') ~ zero.
+    So the other classes are those of the u in hom(c, b) - Z, each mapped
+    to u, and the basepoint class holds the values in Z.  A u outside Z that
+    is no target maps its class to zero, and a target t in Z puts (t, id_c)
+    beside zero: _bijection_report flags either.
+    """
+    cat = s.cat
+    if not (cat.check().ok and set(cat.identities) <= s.m_class <= der.k_class):
+        return None
+    comp, cod = cat.comp, cat.cod
+    ideal = outside_composites(cat, group_by(der.k_class, cat.dom), s.m_class)
+    gens_out = group_by(cat.generating_set(), cat.dom)
+    walk = list(ideal)
+    for x in walk:
+        for g in gens_out.get(cod[x], ()):
+            y = comp[g][x]
+            if y not in ideal:
+                ideal.add(y)
+                walk.append(y)
+    return ideal
 
 
 def _right_isos(s):
@@ -864,7 +898,9 @@ def verify_coend_bijections(s: MRStructure) -> CoendReport:
     identifications make a basepoint class.  The right relation runs along
     _right_isos and the left one along _left_generators, which give the
     classes of the relations along every isomorphism and along all of K.
-    Problems carry witnesses.
+    Problems carry witnesses.  A left entry is reported without union-find
+    when _left_zero_ideal shows that union-find would find no problem, so a
+    failing report is always the walk's.
 
     The pairs of each entry are listed by their first member, then their
     second in id order, and each pair is found at its position: the offset
@@ -919,16 +955,25 @@ def verify_coend_bijections(s: MRStructure) -> CoendReport:
     # left comparison: pairs (any g, embedding m) through a middle object,
     # identified along the embedding-after-retraction subcategory including
     # the fall-to-zero identifications
-    index = [0] * n  # each morphism's position in its hom set
-    for a in cat.objects():
-        for b in cat.objects():
-            for j, g in enumerate(cat.hom(a, b)):
-                index[g] = j
-    k_by_dom = group_by(_left_generators(s, der), cat.dom)
-    cols = {}  # (k, b) -> [index of g o k, g in hom(cod k, b)]
+    zero_ideal = _left_zero_ideal(s, der)
+    index = None
     for c in cat.objects():
         ms = m_by_dom.get(c, ())
         for b in cat.objects():
+            targets = target_set(c, b)
+            if zero_ideal is not None and targets == [
+                    u for u in cat.hom(c, b) if u not in zero_ideal]:
+                entries.append(CoendPairReport(
+                    "left", c, b, len(targets), len(targets), []))
+                continue
+            if index is None:
+                index = [0] * n  # each morphism's position in its hom set
+                for a in cat.objects():
+                    for d in cat.objects():
+                        for j, g in enumerate(cat.hom(a, d)):
+                            index[g] = j
+                k_by_dom = group_by(_left_generators(s, der), cat.dom)
+                cols = {}  # (k, b) -> [index of g o k, g in hom(cod k, b)]
             pairs, off = [], {}
             for m in ms:
                 off[m] = len(pairs)
@@ -951,7 +996,7 @@ def verify_coend_bijections(s: MRStructure) -> CoendReport:
                                else range(y, y + len(col)))
             classes = _classes(parent, pairs)
             entries.append(_bijection_report(
-                "left", c, b, classes, comp, target_set(c, b),
+                "left", c, b, classes, comp, targets,
                 basepoint=parent[zero],
             ))
 

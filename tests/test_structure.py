@@ -4,7 +4,15 @@ from math import comb
 
 import pytest
 
-from dkequiv.builders import build_cube, build_delta_bt, build_fi_sharp, build_pt
+from dkequiv.builders import (
+    build_cube,
+    build_delta_bt,
+    build_fi_sharp,
+    build_finset_input,
+    build_flinj_input,
+    build_par,
+    build_pt,
+)
 from dkequiv.equivalence import KernelModule
 from dkequiv.fincat import FinCat
 from dkequiv.structure import (
@@ -531,12 +539,14 @@ def coend_cases(single_entry_mutants):
     non-associative table, a K that is not closed, a K that misses an
     identity, and a K-action that is not pointed-functorial.  The last
     three fail validate, so the right comparison runs along every
-    isomorphism there."""
+    isomorphism there.  Then the cases of the closed-form left comparison:
+    an identity dropped from M, and M not inside K, each alone and with
+    targets borrowed from the intact structure, and two structures whose
+    targets have one member swapped for a non-target of the same hom
+    set."""
     import random
 
-    from dkequiv.builders import (
-        BUILDERS, build_finset_input, build_flinj_input, build_par,
-    )
+    from dkequiv.builders import BUILDERS
 
     rng = random.Random(5)
     cases = [build_pt()]
@@ -563,14 +573,37 @@ def coend_cases(single_entry_mutants):
     # the retraction of the identity of the middle object of cube 2 replaced
     # by the idempotent 0,2,2: K is closed but misses that identity
     labels = cube2.cat.mor_labels
-    cases.append(MRStructure(cube2.cat, cube2.m_class, {
-        **cube2.star, cube2.cat.identity(1): labels.index("0,2,2")}))
+    idempotent_star = {**cube2.star, cube2.cat.identity(1): labels.index("0,2,2")}
+    cases.append(MRStructure(cube2.cat, cube2.m_class, idempotent_star))
     # a 3-cycle dropped from the embeddings: its inverse in K o M leaves M
     # and the 3-cycle in K brings it back
     fi3 = build_fi_sharp(3)
     cycle = fi3.cat.mor_labels.index("3,1,2")
     kept = fi3.m_class - {cycle}
     cases.append(MRStructure(fi3.cat, kept, {m: fi3.star[m] for m in kept}))
+    # targets borrowed from the intact structure, where factorize fails:
+    # delta_bt 3 with the identity of its last object dropped from the
+    # embeddings (M stays inside K), and the cube 2 case above (M leaves K)
+    delta3 = build_delta_bt(3)
+    kept = delta3.m_class - {delta3.cat.identity(2)}
+    borrowed = [(MRStructure(delta3.cat, kept, {m: delta3.star[m] for m in kept}),
+                 delta3),
+                (MRStructure(cube2.cat, cube2.m_class, idempotent_star), cube2)]
+    for bad, base in borrowed:
+        bad.s_in_r = base.s_in_r
+        cases.append(bad)
+    # a target and a non-target of one hom set swapped: as many targets,
+    # but not the same ones
+    for base in (delta3, fi3):
+        cat = base.cat
+        swapped = next({ins[0], outs[0]}
+                       for c in cat.objects() for b in cat.objects()
+                       for ins in [[u for u in cat.hom(c, b) if base.s_in_r(u)]]
+                       for outs in [[u for u in cat.hom(c, b) if u not in ins]]
+                       if ins and outs)
+        bad = MRStructure(cat, base.m_class, base.star)
+        bad.s_in_r = lambda u, base=base, swapped=swapped: base.s_in_r(u) != (u in swapped)
+        cases.append(bad)
     seen = {_coend_preconditions(s) for s in cases}
     assert {(True, True, True), (False, True, True), (True, False, True),
             (True, True, False)} <= seen
@@ -583,6 +616,49 @@ def test_coend_bijections_match_the_reference(coend_cases):
     for s in coend_cases:
         got = _outcome(lambda x: verify_coend_bijections(x).to_jsonable(), s)
         assert got == _outcome(_reference_coends, s)
+
+
+def test_left_closed_form_matches_the_union_find(coend_cases, monkeypatch):
+    """The closed-form left comparison gives, entry by entry, the report of
+    the union-find it replaces, on every case of coend_cases.  It is used
+    exactly when the table passes check(), the identities lie in M and M in
+    K; its zero set is then C o X for X = (K o M) - M, composed test-side
+    with every morphism; and under it an entry passes exactly when the
+    union-find finds it ok.  Both paths occur, and so does each condition
+    failing alone on a case whose report is computed."""
+    from dkequiv import structure
+
+    fast = [_outcome(lambda x: verify_coend_bijections(x).to_jsonable(), s)
+            for s in coend_cases]
+    monkeypatch.setattr(structure, "_left_zero_ideal", lambda s, der: None)
+    walked = [_outcome(lambda x: verify_coend_bijections(x).to_jsonable(), s)
+              for s in coend_cases]
+    monkeypatch.undo()
+    seen, alone = set(), set()
+    for s, got, want in zip(coend_cases, fast, walked):
+        assert got == want
+        cat, der = s.cat, s.derived
+        gate = (cat.check().ok, set(cat.identities) <= s.m_class,
+                s.m_class <= der.k_class)
+        zero = structure._left_zero_ideal(s, der)
+        if not all(gate):
+            assert zero is None
+            seen.add("walked")
+            if "entries" in got and sum(gate) == 2:
+                alone.add(gate)
+            continue
+        x = {cat.comp[k][m] for m in s.m_class for k in der.k_class
+             if cat.composable(k, m)} - s.m_class
+        assert zero == {cat.comp[h][t] for t in x for h in cat.outof[cat.cod[t]]}
+        for e in got["entries"] if "entries" in got else ():
+            if e["kind"] == "left":
+                c, b = e["source"], e["target"]
+                passes = ([u for u in cat.hom(c, b) if u not in zero]
+                          == [u for u in cat.hom(c, b) if s.s_in_r(u)])
+                assert passes == e["ok"]
+                seen.add(passes)
+    assert seen == {"walked", True, False}
+    assert alone == {(False, True, True), (True, False, True), (True, True, False)}
 
 
 def test_classes_point_every_position_at_its_root():
@@ -598,8 +674,9 @@ def test_classes_point_every_position_at_its_root():
 
 
 # sha256 of json.dumps(verify_coend_bijections(s).to_jsonable(), sort_keys=True)
-# at the benchmark's sizes, where the reference is too slow to compare with:
-# how the classes are computed must leave these bytes unchanged.
+# at the benchmark's sizes, where the reference is too slow to compare with,
+# and on Gamma_3 and VI#_2: how the classes are computed must leave these
+# bytes unchanged.
 COEND_DIGESTS = {
     "delta_bt_6": (
         lambda: build_delta_bt(6),
@@ -612,6 +689,14 @@ COEND_DIGESTS = {
     "fi_sharp_4": (
         lambda: build_fi_sharp(4),
         "83072dff8d5c272d2cb856c4c8a15ae09dc23793830ada7450adb58b4f315b0a",
+    ),
+    "gamma_3": (
+        lambda: build_par(build_finset_input(3)),
+        "778c28fd4abc5e074f7dd3ab8de1508283f7c8702b25d564d009b706bcdf3a73",
+    ),
+    "vi_sharp_2": (
+        lambda: build_par(build_flinj_input(2, 2)),
+        "a57c979adcbea1b0801f270afdcf2d9d7c579e454e909f2e3be6bcab40068fd6",
     ),
 }
 
