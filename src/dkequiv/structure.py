@@ -32,7 +32,6 @@ from .fincat import (
     group_by,
     int_list,
     outside_composites,
-    outside_is_stable,
     table_category,
 )
 
@@ -787,39 +786,35 @@ def _bijection_report(kind, source, target, classes, comp, targets, basepoint=No
     return CoendPairReport(kind, source, target, count, len(targets), problems)
 
 
-def _left_generators(s, der):
-    """The members of K along which the left comparison identifies the pairs
-    of the entries that _left_zero_ideal does not decide:
-    generating_set(K), when the table is associative, K holds the identities
-    and is closed under composition, and outside_is_stable finds that every
-    k in K maps (K o M) - M outside M; all of K otherwise.
+def _closed_forms_apply(s):
+    """Whether verify_coend_bijections may decide its entries in closed
+    form: cat.check() and validate() pass.  Then the identities lie in M,
+    and M in K, as m = m o star(id) for m in M.
 
-    Both give the same classes.  The relation along generators is part of
-    the one along K.  Conversely, every k in K is an identity, whose pairs
-    are already equal, or k = k1 o k2 with k1 a generator and k2 in K a
-    shorter composite of generators; by induction (g o k2, m) is identified
-    with (g, k2 o m) or with zero.  If k2 o m is in M, the generator k1
-    identifies (g o k, m) = ((g o k1) o k2, m) ~ (g o k1, k2 o m) with
-    (g, k1 o (k2 o m)) = (g, k o m), or with zero when k o m is not in M.
-    If k2 o m is not in M, then (g o k, m) ~ zero, and k o m = k1 o (k2 o m)
-    is not in M either; so the relation along K also sends it to zero.
+    The right comparison at (a, d) identifies the pairs (m, r), m in M into
+    d and r irreducible out of a, by (m o i, r) ~ (m, i o r) for the
+    isomorphisms i into dom m.  Under the gate the isomorphisms act on the
+    pairs by (m, r).i = (m o i, inv(i) o r): m o i is in M, which holds the
+    isomorphisms and is closed, and inv(i) o r is irreducible, for if
+    inv(i) o r were n o f or z o star(n) with n a non-invertible embedding,
+    r would be (i o n) o f or (i o z) o star(n), i o n again one.  A step
+    (m o i, r) ~ (m, i o r) is (m, i o r).i, and (m, r) ~ (m, r).i is the
+    step at inv(i) o r, so the classes are the orbits.  The action is free,
+    since m o i = m o j gives i = star(m) o m o i = j, so the orbit of
+    (m, r) has |isos_into(dom m)| members, all of value m o r.  So no value
+    varies on a class, and the entry passes, with as many classes as
+    targets and no problem, exactly when the values reached are the target
+    list and each value v is reached by as many pairs as the orbit of the
+    first pair of value v has: that orbit is then all of them.  The proof
+    uses no factorization, only the tables and validate().  The left
+    comparison's closed form is _left_zero_ideal's.
     """
-    cat = s.cat
-    k_class = der.k_class
-    if not (cat.check().ok and set(cat.identities) <= k_class
-            and next(_closure_witnesses(s, der), None) is None):
-        return sorted(k_class)
-    gens = cat.generating_set(k_class)
-    k_by_dom = group_by(sorted(k_class), cat.dom)
-    outside = outside_composites(cat, k_by_dom, s.m_class)
-    if outside_is_stable(cat, gens, outside, s.m_class):
-        return gens
-    return sorted(k_class)
+    return s.cat.check().ok and s.validate().ok
 
 
 def _left_zero_ideal(s, der):
-    """Z = C o X, for X = (K o M) - M, walked along generating_set(), when
-    check() passes and the identities lie in M and M in K; None otherwise.
+    """Z = C o X, for X = (K o M) - M, walked along generating_set(), on a
+    structure that _closed_forms_apply admits.
 
     Then the union-find reports no problem at an entry (c, b), and as many
     classes as targets, exactly when hom(c, b) - Z, in hom order, is the
@@ -835,8 +830,6 @@ def _left_zero_ideal(s, der):
     beside zero: _bijection_report flags either.
     """
     cat = s.cat
-    if not (cat.check().ok and set(cat.identities) <= s.m_class <= der.k_class):
-        return None
     comp, cod = cat.comp, cat.cod
     ideal = outside_composites(cat, group_by(der.k_class, cat.dom), s.m_class)
     gens_out = group_by(cat.generating_set(), cat.dom)
@@ -848,31 +841,6 @@ def _left_zero_ideal(s, der):
                 ideal.add(y)
                 walk.append(y)
     return ideal
-
-
-def _right_isos(s):
-    """The isomorphisms along which the right comparison identifies pairs:
-    generating_set(isos), when cat.check() and validate() pass; every
-    isomorphism, in id order, otherwise.
-
-    Both give the same classes.  The relation along generators is part of
-    the one along every isomorphism.  Conversely, call an isomorphism i
-    good when (m o i, r) ~ (m, i o r) along generators for every embedding
-    m out of cod i and every irreducible r into dom i.  Identities are good
-    by the identity laws, and generators by definition.  With validate()
-    passing, m o i is an embedding, as isomorphisms are embeddings and
-    embeddings compose; and i o r is irreducible: if i o r were n o f or
-    z o star(n) for a non-invertible embedding n, then r would be
-    (inv(i) o n) o f or (inv(i) o z) o star(n), with inv(i) o n a
-    non-invertible embedding, so r would not be irreducible.  So if i and j
-    are good, (m o (i o j), r) = ((m o i) o j, r) ~ (m o i, j o r) ~
-    (m, i o (j o r)) = (m, (i o j) o r) by associativity, and i o j is
-    good; by the lemma in FinCat.generating_set every isomorphism is good.
-    """
-    cat = s.cat
-    if cat.check().ok and s.validate().ok:
-        return cat.generating_set(cat.isos())
-    return sorted(cat.isos())
 
 
 def _union_all(parent, xs, ys):
@@ -892,14 +860,14 @@ def verify_coend_bijections(s: MRStructure) -> CoendReport:
     problem to the embedding-after-retraction subcategory.
 
     For each pair of objects the relevant identification classes are built
-    by union-find over their generating relations, and _bijection_report
-    checks the induced map onto {u : s_part(u) irreducible}: a bijection on
-    the right, a bijection of pointed sets on the left, whose fall-to-zero
-    identifications make a basepoint class.  The right relation runs along
-    _right_isos and the left one along _left_generators, which give the
-    classes of the relations along every isomorphism and along all of K.
-    Problems carry witnesses.  A left entry is reported without union-find
-    when _left_zero_ideal shows that union-find would find no problem, so a
+    by union-find over their defining relations, along every isomorphism on
+    the right and all of K on the left, and _bijection_report checks the
+    induced map onto {u : s_part(u) irreducible}: a bijection on the right,
+    a bijection of pointed sets on the left, whose fall-to-zero
+    identifications make a basepoint class.  Problems carry witnesses.  On
+    a structure that _closed_forms_apply admits, an entry is reported
+    without union-find when its closed form, proved there and in
+    _left_zero_ideal, shows that union-find would find no problem, so a
     failing report is always the walk's.
 
     The pairs of each entry are listed by their first member, then their
@@ -917,18 +885,31 @@ def verify_coend_bijections(s: MRStructure) -> CoendReport:
     m_sorted = sorted(s.m_class)
     m_by_cod = group_by(m_sorted, cat.cod)
     m_by_dom = group_by(m_sorted, cat.dom)
+    closed = _closed_forms_apply(s)
 
     def target_set(a, b):
         return [u for u in cat.hom(a, b) if s.s_in_r(u)]
 
     # right comparison: pairs (embedding m, irreducible r) composing to D,
     # identified along the isomorphism action on the middle object
-    isos_into = group_by(_right_isos(s), cat.cod)
     for a in cat.objects():
         r_into = [[r for r in cat.hom(a, c) if r in der.r_class] for c in cat.objects()]
         r_at = [{r: j for j, r in enumerate(rs)} for rs in r_into]
         cols = {}  # i -> [position of i o r in r_into[cod i], r in r_into[dom i]]
         for d in cat.objects():
+            targets = target_set(a, d)
+            if closed:
+                # each value's count of pairs, and the orbit size of its first
+                count, orbit = {}, {}
+                for m in m_by_cod.get(d, ()):
+                    size = len(cat.isos_into(cat.dom[m]))
+                    for v in map(comp[m].__getitem__, r_into[cat.dom[m]]):
+                        count[v] = count.get(v, 0) + 1
+                        orbit.setdefault(v, size)
+                if sorted(count) == targets and count == orbit:
+                    entries.append(CoendPairReport(
+                        "right", a, d, len(targets), len(targets), []))
+                    continue
             pairs, off, ms = [], {}, []
             for m in m_by_cod.get(d, ()):
                 rs = r_into[cat.dom[m]]
@@ -938,7 +919,7 @@ def verify_coend_bijections(s: MRStructure) -> CoendReport:
                     ms.append(m)
             parent = list(range(len(pairs)))
             for m in ms:
-                for i in isos_into.get(cat.dom[m], ()):
+                for i in cat.isos_into(cat.dom[m]):
                     col = cols.get(i)
                     if col is None:
                         at = r_at[cat.cod[i]]
@@ -949,13 +930,13 @@ def verify_coend_bijections(s: MRStructure) -> CoendReport:
                         _union_all(parent, range(x, x + len(col)),
                                    map(off[m].__add__, col))
             entries.append(_bijection_report(
-                "right", a, d, _classes(parent, pairs), comp, target_set(a, d)
+                "right", a, d, _classes(parent, pairs), comp, targets
             ))
 
     # left comparison: pairs (any g, embedding m) through a middle object,
     # identified along the embedding-after-retraction subcategory including
     # the fall-to-zero identifications
-    zero_ideal = _left_zero_ideal(s, der)
+    zero_ideal = _left_zero_ideal(s, der) if closed else None
     index = None
     for c in cat.objects():
         ms = m_by_dom.get(c, ())
@@ -972,7 +953,7 @@ def verify_coend_bijections(s: MRStructure) -> CoendReport:
                     for d in cat.objects():
                         for j, g in enumerate(cat.hom(a, d)):
                             index[g] = j
-                k_by_dom = group_by(_left_generators(s, der), cat.dom)
+                k_by_dom = group_by(sorted(der.k_class), cat.dom)
                 cols = {}  # (k, b) -> [index of g o k, g in hom(cod k, b)]
             pairs, off = [], {}
             for m in ms:

@@ -33,3 +33,42 @@ def test_src_reads_no_other_objects_private_attributes():
     found = {path.name: private_reads(path.read_text())
              for path in sorted(SRC.glob("*.py"))}
     assert {name: reads for name, reads in found.items() if reads} == {}
+
+
+def unreferenced_names(sources):
+    """The module-level functions and classes of sources, a dict from file
+    name to source text, that no code of sources names outside their own
+    definition: as a name, an attribute or an imported name."""
+    defined, used = set(), set()
+    for source in sources.values():
+        for stmt in ast.parse(source).body:
+            owner = None
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                owner = stmt.name
+                defined.add(owner)
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.alias):
+                    name = node.name
+                else:
+                    continue
+                if name != owner:
+                    used.add(name)
+    return sorted(defined - used)
+
+
+def test_unreferenced_names_are_found():
+    sources = {
+        "a.py": "def f(n):\n    return f(n - 1)\n\n"
+                "def g():\n    return h.x\n\nclass C:\n    pass\n",
+        "b.py": "from a import C\n\ndef h():\n    pass\n\ndef x():\n    pass\n",
+    }
+    assert unreferenced_names(sources) == ["f", "g"]
+
+
+def test_src_defines_no_unreferenced_name():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert unreferenced_names(sources) == []

@@ -16,6 +16,7 @@ from dkequiv.builders import (
 from dkequiv.equivalence import KernelModule
 from dkequiv.fincat import FinCat
 from dkequiv.structure import (
+    CoendPairReport,
     MRStructure,
     StructureError,
     SubPoset,
@@ -505,19 +506,51 @@ def _reference_coends(s):
 
 
 def _coend_preconditions(s):
-    """Whether the table is associative; whether K holds the identities and
-    is closed under composition; and whether no k in K takes a member of
-    K o M outside M back into M."""
-    cat, der = s.cat, s.derived
-    k_class = der.k_class
-    closed = set(cat.identities) <= k_class and all(
-        cat.comp[k2][k] in k_class
-        for k in k_class for k2 in k_class if cat.composable(k2, k))
-    km = {cat.comp[k][m] for m in s.m_class for k in k_class
-          if cat.composable(k, m)} - s.m_class
-    pointed = not any(cat.comp[k][x] in s.m_class
-                      for x in km for k in k_class if cat.composable(k, x))
-    return cat.check().ok, closed, pointed
+    """The two conditions of the closed forms' gate: whether check() and
+    whether validate() passes."""
+    return s.cat.check().ok, s.validate().ok
+
+
+def _swapped_targets(base):
+    """A copy of base whose targets trade one member for a non-target of
+    the same hom set, the first hom set that has both: as many targets,
+    but not the same ones."""
+    cat = base.cat
+    swapped = next({ins[0], outs[0]}
+                   for c in cat.objects() for b in cat.objects()
+                   for ins in [[u for u in cat.hom(c, b) if base.s_in_r(u)]]
+                   for outs in [[u for u in cat.hom(c, b) if u not in ins]]
+                   if ins and outs)
+    bad = MRStructure(cat, base.m_class, base.star)
+    bad.s_in_r = lambda u: base.s_in_r(u) != (u in swapped)
+    return bad
+
+
+def _non_conjugate_pairs():
+    """The finite sets 0, 1 and 2 with every map, the injections out of 1
+    and 2 and the identity of 0 as embeddings, each retracted by sending
+    every point off its image to the first point.  check() and validate()
+    pass.  The two
+    embeddings 1 -> 2 agree after the map 0 -> 1, which is irreducible, so
+    the right entry (0, 2) has two pairs of one value that no isomorphism
+    relates.  factorize fails there, so the targets are borrowed: the
+    composites of an embedding after an irreducible morphism."""
+    from itertools import product
+
+    from dkequiv.fincat import table_category
+
+    mors = [(a, b, f, f"{a}>{b}:{''.join(map(str, f))}")
+            for a in range(3) for b in range(3) for f in product(range(b), repeat=a)]
+    cat, index = table_category(["0", "1", "2"], mors,
+                                lambda g, f: tuple(g[x] for x in f),
+                                lambda a: tuple(range(a)), associative=True)
+    star = {index[(a, b, f)]: index[(b, a, tuple(f.index(y) if y in f else 0
+                                                 for y in range(b)))]
+            for a, b, f, _ in mors if len(set(f)) == a and (a or not b)}
+    s = MRStructure(cat, star.keys(), star)
+    s.s_in_r = {cat.comp[m][r] for m in s.m_class for r in s.derived.r_class
+                if cat.composable(m, r)}.__contains__
+    return s
 
 
 def _outcome(fn, s):
@@ -534,16 +567,15 @@ def coend_cases(single_entry_mutants):
     (injective linear maps over F_2, whose isomorphisms do not permute a
     set's elements), seeded mutants of those with at most 40 morphisms
     that pass validate, seeded cuts closed under composition of those of
-    them with isomorphisms other than identities, and structures on which
-    each precondition of the reduced left comparison fails alone: a
-    non-associative table, a K that is not closed, a K that misses an
-    identity, and a K-action that is not pointed-functorial.  The last
-    three fail validate, so the right comparison runs along every
-    isomorphism there.  Then the cases of the closed-form left comparison:
-    an identity dropped from M, and M not inside K, each alone and with
-    targets borrowed from the intact structure, and two structures whose
-    targets have one member swapped for a non-target of the same hom
-    set."""
+    them with isomorphisms other than identities, and structures that the
+    closed forms' gate, check() and validate(), refuses or admits.  It
+    refuses a non-associative table, a retraction replaced by a morphism
+    that is not one, an identity whose retraction is an idempotent (also
+    with targets borrowed from the intact structure), a 3-cycle dropped
+    from the embeddings, and the identity of the last or of the first
+    object dropped from them (targets borrowed).  It admits two structures
+    whose targets have one member swapped for a non-target of the same hom
+    set, and _non_conjugate_pairs."""
     import random
 
     from dkequiv.builders import BUILDERS
@@ -566,7 +598,9 @@ def coend_cases(single_entry_mutants):
         bad = MRStructure(cube2.cat, cube2.m_class, {
             **cube2.star, m: rng.choice(cube2.cat.hom(cube2.cat.cod[m],
                                                       cube2.cat.dom[m]))})
-        if (_coend_preconditions(bad) == (True, False, True)
+        k_class = bad.derived.k_class
+        if (any(bad.cat.comp[k2][k] not in k_class for k in k_class
+                for k2 in k_class if bad.cat.composable(k2, k))
                 and "entries" in _outcome(_reference_coends, bad)):
             cases.append(bad)
             break
@@ -583,30 +617,25 @@ def coend_cases(single_entry_mutants):
     cases.append(MRStructure(fi3.cat, kept, {m: fi3.star[m] for m in kept}))
     # targets borrowed from the intact structure, where factorize fails:
     # delta_bt 3 with the identity of its last object dropped from the
-    # embeddings (M stays inside K), and the cube 2 case above (M leaves K)
+    # embeddings (M stays inside K), the cube 2 case above (M leaves K), and
+    # delta_bt 3 with the identity of its first object dropped, so that no
+    # embedding leaves that object and its left entries have no pair
     delta3 = build_delta_bt(3)
-    kept = delta3.m_class - {delta3.cat.identity(2)}
-    borrowed = [(MRStructure(delta3.cat, kept, {m: delta3.star[m] for m in kept}),
-                 delta3),
-                (MRStructure(cube2.cat, cube2.m_class, idempotent_star), cube2)]
+
+    def without_identity(a):
+        kept = delta3.m_class - {delta3.cat.identity(a)}
+        return MRStructure(delta3.cat, kept, {m: delta3.star[m] for m in kept})
+
+    borrowed = [(without_identity(2), delta3),
+                (MRStructure(cube2.cat, cube2.m_class, idempotent_star), cube2),
+                (without_identity(0), delta3)]
     for bad, base in borrowed:
         bad.s_in_r = base.s_in_r
         cases.append(bad)
-    # a target and a non-target of one hom set swapped: as many targets,
-    # but not the same ones
-    for base in (delta3, fi3):
-        cat = base.cat
-        swapped = next({ins[0], outs[0]}
-                       for c in cat.objects() for b in cat.objects()
-                       for ins in [[u for u in cat.hom(c, b) if base.s_in_r(u)]]
-                       for outs in [[u for u in cat.hom(c, b) if u not in ins]]
-                       if ins and outs)
-        bad = MRStructure(cat, base.m_class, base.star)
-        bad.s_in_r = lambda u, base=base, swapped=swapped: base.s_in_r(u) != (u in swapped)
-        cases.append(bad)
+    cases += [_swapped_targets(base) for base in (delta3, fi3)]
+    cases.append(_non_conjugate_pairs())
     seen = {_coend_preconditions(s) for s in cases}
-    assert {(True, True, True), (False, True, True), (True, False, True),
-            (True, True, False)} <= seen
+    assert {(True, True), (False, True), (True, False)} <= seen
     return cases
 
 
@@ -618,47 +647,139 @@ def test_coend_bijections_match_the_reference(coend_cases):
         assert got == _outcome(_reference_coends, s)
 
 
-def test_left_closed_form_matches_the_union_find(coend_cases, monkeypatch):
-    """The closed-form left comparison gives, entry by entry, the report of
-    the union-find it replaces, on every case of coend_cases.  It is used
-    exactly when the table passes check(), the identities lie in M and M in
-    K; its zero set is then C o X for X = (K o M) - M, composed test-side
-    with every morphism; and under it an entry passes exactly when the
-    union-find finds it ok.  Both paths occur, and so does each condition
-    failing alone on a case whose report is computed."""
+def _spy_union_find(monkeypatch):
+    """Wrap structure._union_all and _bijection_report so that each entry
+    the union-find reports is appended to the returned list as (kind,
+    source, target, union steps taken for it)."""
     from dkequiv import structure
 
-    fast = [_outcome(lambda x: verify_coend_bijections(x).to_jsonable(), s)
-            for s in coend_cases]
-    monkeypatch.setattr(structure, "_left_zero_ideal", lambda s, der: None)
-    walked = [_outcome(lambda x: verify_coend_bijections(x).to_jsonable(), s)
-              for s in coend_cases]
-    monkeypatch.undo()
-    seen, alone = set(), set()
-    for s, got, want in zip(coend_cases, fast, walked):
+    walked, steps = [], [0]
+    union, report = structure._union_all, structure._bijection_report
+
+    def counted(parent, xs, ys):
+        xs = list(xs)
+        steps[0] += len(xs)
+        union(parent, xs, ys)
+
+    def recorded(kind, source, target, *args, **kwargs):
+        walked.append((kind, source, target, steps[0]))
+        steps[0] = 0
+        return report(kind, source, target, *args, **kwargs)
+
+    monkeypatch.setattr(structure, "_union_all", counted)
+    monkeypatch.setattr(structure, "_bijection_report", recorded)
+    return walked
+
+
+def _right_orbits_pass(s, a, d, targets):
+    """The right closed form at (a, d), test-side: the values of the pairs
+    (m, r) of an embedding into d after an irreducible out of a are the
+    targets, and the pairs of each value are the orbit
+    {(m o i, inv(i) o r)} of the first of them."""
+    cat, r_class = s.cat, s.derived.r_class
+    by_value = {}
+    for m in sorted(s.m_class):
+        if cat.cod[m] == d:
+            for r in cat.hom(a, cat.dom[m]):
+                if r in r_class:
+                    by_value.setdefault(cat.comp[m][r], []).append((m, r))
+    return sorted(by_value) == targets and all(
+        set(pairs) == {(cat.comp[m][i], cat.comp[cat.iso_inverse(i)][r])
+                       for i in cat.isos_into(cat.dom[m])}
+        for pairs in by_value.values() for m, r in pairs[:1])
+
+
+def test_closed_forms_match_the_union_find(coend_cases, monkeypatch):
+    """On every case of coend_cases the reports are, entry by entry, those
+    with the closed forms' gate forced off, where the union-find reports
+    every entry.  On the cases the gate admits, each closed form, computed
+    test-side, passes an entry exactly when the union-find finds it ok, and
+    the union-find reports exactly the entries it does not pass: on the
+    right _right_orbits_pass, on the left hom(c, b) - C o X, for
+    X = (K o M) - M, equal to the target list.  Both gate outcomes occur,
+    and on each side some admitted entry falls back."""
+    from dkequiv import structure
+
+    def run(s):
+        walked.clear()
+        got = _outcome(lambda x: verify_coend_bijections(x).to_jsonable(), s)
+        return got, [w[:3] for w in walked]
+
+    walked = _spy_union_find(monkeypatch)
+    fast = [run(s) for s in coend_cases]
+    monkeypatch.setattr(structure, "_closed_forms_apply", lambda s: False)
+    gates, fell_back = set(), set()
+    for s, (got, fell) in zip(coend_cases, fast):
+        want, every = run(s)
         assert got == want
-        cat, der = s.cat, s.derived
-        gate = (cat.check().ok, set(cat.identities) <= s.m_class,
-                s.m_class <= der.k_class)
-        zero = structure._left_zero_ideal(s, der)
-        if not all(gate):
-            assert zero is None
-            seen.add("walked")
-            if "entries" in got and sum(gate) == 2:
-                alone.add(gate)
+        if "entries" not in got:
             continue
+        entries = got["entries"]
+        assert every == [(e["kind"], e["source"], e["target"]) for e in entries]
+        gate = all(_coend_preconditions(s))
+        gates.add(gate)
+        if not gate:
+            continue
+        cat, der = s.cat, s.derived
         x = {cat.comp[k][m] for m in s.m_class for k in der.k_class
              if cat.composable(k, m)} - s.m_class
-        assert zero == {cat.comp[h][t] for t in x for h in cat.outof[cat.cod[t]]}
-        for e in got["entries"] if "entries" in got else ():
-            if e["kind"] == "left":
-                c, b = e["source"], e["target"]
-                passes = ([u for u in cat.hom(c, b) if u not in zero]
-                          == [u for u in cat.hom(c, b) if s.s_in_r(u)])
-                assert passes == e["ok"]
-                seen.add(passes)
-    assert seen == {"walked", True, False}
-    assert alone == {(False, True, True), (True, False, True), (True, True, False)}
+        zero = {cat.comp[h][t] for t in x for h in cat.outof[cat.cod[t]]}
+        for e in entries:
+            kind, a, b = e["kind"], e["source"], e["target"]
+            targets = [u for u in cat.hom(a, b) if s.s_in_r(u)]
+            if kind == "right":
+                passes = _right_orbits_pass(s, a, b, targets)
+            else:
+                passes = [u for u in cat.hom(a, b) if u not in zero] == targets
+            assert passes == e["ok"]
+            assert ((kind, a, b) in fell) == (not passes)
+            if not passes:
+                fell_back.add(kind)
+    assert gates == {True, False}
+    assert fell_back == {"right", "left"}
+
+
+@pytest.mark.parametrize("name", ["delta_bt_6", "cube_3", "fi_sharp_4",
+                                  "gamma_3", "vi_sharp_2"])
+def test_stock_coends_take_no_union_step(name, monkeypatch):
+    """Every entry of these stock structures passes in closed form, so the
+    union-find reports none and takes no union step on either side."""
+    s = COEND_DIGESTS[name][0]()
+    walked = _spy_union_find(monkeypatch)
+    assert verify_coend_bijections(s).ok
+    assert walked == []
+
+
+@pytest.mark.parametrize("build", [build_delta_bt, build_fi_sharp])
+def test_swapped_targets_take_union_steps_on_both_sides(build, monkeypatch):
+    """With one target swapped for a non-target, the closed forms refuse
+    that hom set's entry on each side, and the union-find takes union steps
+    there on both."""
+    s = _swapped_targets(build(3))
+    walked = _spy_union_find(monkeypatch)
+    assert not verify_coend_bijections(s).ok
+    for kind in ("right", "left"):
+        assert sum(steps for k, _, _, steps in walked if k == kind) > 0
+
+
+def test_non_conjugate_pairs_fall_back_to_the_union_find(monkeypatch):
+    """On _non_conjugate_pairs, which the gate admits, the right entry
+    (0, 2) reaches its one target, and no other value, from two pairs that
+    no isomorphism relates.  So the right closed form's orbit count refuses
+    it, and the union-find reports two classes sharing the value.  Every
+    other entry passes in closed form."""
+    s = _non_conjugate_pairs()
+    cat = s.cat
+    assert all(_coend_preconditions(s))
+    (v,) = cat.hom(0, 2)
+    pairs = [(m, r) for m in sorted(s.m_class) for r in sorted(s.derived.r_class)
+             if cat.composable(m, r) and cat.comp[m][r] == v]
+    assert [u for u in cat.hom(0, 2) if s.s_in_r(u)] == [v] and len(pairs) == 2
+    walked = _spy_union_find(monkeypatch)
+    report = verify_coend_bijections(s)
+    assert [w[:3] for w in walked] == [("right", 0, 2)]
+    assert [e for e in report.entries if not e.ok] == [CoendPairReport(
+        "right", 0, 2, 2, 1, [{"problem": "two classes share a value", "value": v}])]
 
 
 def test_classes_point_every_position_at_its_root():
@@ -708,43 +829,6 @@ def test_coend_reports_are_byte_identical(name):
     build, digest = COEND_DIGESTS[name]
     text = json.dumps(verify_coend_bijections(build()).to_jsonable(), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
-
-
-def test_left_generators_only_when_the_preconditions_hold(coend_cases):
-    """The left comparison runs along generating_set(K) exactly when the
-    table is associative, K holds the identities and is closed, and the
-    K-action is pointed-functorial; along all of K otherwise.  Once the
-    first two hold, pointed functoriality on generators is the same as on K,
-    so the test-side check over all of K decides it."""
-    from dkequiv.structure import _left_generators
-
-    for s in coend_cases:
-        k_class = s.derived.k_class
-        want = (s.cat.generating_set(k_class) if all(_coend_preconditions(s))
-                else sorted(k_class))
-        assert _left_generators(s, s.derived) == want
-
-
-def test_right_isos_only_when_the_preconditions_hold(coend_cases, monkeypatch):
-    """The right comparison runs along generating_set(isos) exactly when
-    check() and validate() pass, and along every isomorphism otherwise.
-    Along every isomorphism it gives the same report on every case, and on
-    some cases the generators are fewer."""
-    from dkequiv import structure
-
-    seen = set()
-    for s in coend_cases:
-        isos = s.cat.isos()
-        gated = s.cat.check().ok and s.validate().ok
-        want = s.cat.generating_set(isos) if gated else sorted(isos)
-        assert structure._right_isos(s) == want
-        seen.add((gated, len(want) < len(isos)))
-    assert {(True, True), (False, False)} <= seen
-    fast = [_outcome(lambda x: verify_coend_bijections(x).to_jsonable(), s)
-            for s in coend_cases]
-    monkeypatch.setattr(structure, "_right_isos", lambda s: sorted(s.cat.isos()))
-    assert fast == [_outcome(lambda x: verify_coend_bijections(x).to_jsonable(), s)
-                    for s in coend_cases]
 
 
 def test_closure_witnesses_match_the_walk(coend_cases):
