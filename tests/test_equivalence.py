@@ -1052,7 +1052,7 @@ def test_reduced_counit_report_matches_the_walk_on_component_mutants():
 def test_hat_builds_only_the_matrices_read(km_fi4, monkeypatch):
     """hat assembles a matrix on its first read and keeps it; certifying
     the benchmark's first fi_sharp 4 functor reads 86 of hat(f)'s 499
-    matrices and 42 of hat(tilde(hat f))'s, and checks the counit on the 26
+    matrices and 32 of hat(tilde(hat f))'s, and checks the counit on the 10
     generators' squares.  Copying the table reads every matrix, and ids
     that are not morphisms are not keys."""
     from dkequiv import equivalence
@@ -1076,8 +1076,8 @@ def test_hat_builds_only_the_matrices_read(km_fi4, monkeypatch):
 
     monkeypatch.setattr(equivalence, "hat", spying_hat)
     assert equivalence.certify_functor(km, f, "f").ok
-    assert [len(b) for b in built] == [86, 42]
-    assert len(km.structure.cat.generating_set()) == 26
+    assert [len(b) for b in built] == [86, 32]
+    assert len(km.structure.cat.generating_set()) == 10
 
 
 # sha256 of json.dumps(certify_equivalence(...).to_jsonable(), sort_keys=True),

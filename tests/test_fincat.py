@@ -275,35 +275,58 @@ def _closure(cat, gens):
 
 
 def _reference_walk(cat, members):
-    """generating_set's walk as first written: each morphism, when reached,
-    is composed on both sides with every morphism reached by then."""
+    """generating_set's two walks as first written, each morphism, when
+    reached, composed on both sides with every morphism reached by then:
+    the first over the members, isomorphisms first by descending element
+    order, then the rest, each in id order; the second over the first's
+    generators, costliest first by Light cells, ties to isomorphisms, to
+    descending element order, then to id."""
     comp, into, outof = cat.comp, cat.into, cat.outof
     isos = cat.isos()
-    order = sorted(members, key=lambda x: (x not in isos, x))
-    reached, gens = set(), []
-    for x in [*cat.identities, *order]:
-        if x in reached:
-            continue
-        if not cat.is_identity(x):
-            gens.append(x)
-        reached.add(x)
-        todo = [x]
-        while todo:
-            y = todo.pop()
-            new = [comp[y][z] for z in into[cat.dom[y]] if z in reached]
-            new += [comp[z][y] for z in outof[cat.cod[y]] if z in reached]
-            for w in new:
-                if w not in reached:
-                    reached.add(w)
-                    todo.append(w)
-    return gens
+
+    def order(g):
+        # the number of powers g, g o g, ... up to the identity; 0 when g is
+        # no endomorphism or its powers repeat first
+        if cat.dom[g] != cat.cod[g]:
+            return 0
+        powers = [g]
+        while powers[-1] != cat.identities[cat.dom[g]]:
+            nxt = comp[powers[-1]][g]
+            if nxt in powers:
+                return 0
+            powers.append(nxt)
+        return len(powers)
+
+    def walk(order):
+        reached, gens = set(), []
+        for x in [*cat.identities, *order]:
+            if x in reached:
+                continue
+            if not cat.is_identity(x):
+                gens.append(x)
+            reached.add(x)
+            todo = [x]
+            while todo:
+                y = todo.pop()
+                new = [comp[y][z] for z in into[cat.dom[y]] if z in reached]
+                new += [comp[z][y] for z in outof[cat.cod[y]] if z in reached]
+                for w in new:
+                    if w not in reached:
+                        reached.add(w)
+                        todo.append(w)
+        return gens
+
+    first = walk(sorted(members, key=lambda x: (x not in isos, -order(x), x)))
+    return walk(sorted(first, key=lambda g: (
+        -len(outof[cat.cod[g]]) * len(into[cat.dom[g]]),
+        g not in isos, -order(g), g)))
 
 
 def test_generating_set_matches_the_reference_walk(fi4, cube3):
     """On every stock structure up to the benchmark's sizes, Gamma_3 and
-    VI#_2, the walk that composes with generators only gives the lists of
-    the walk that composes with every reached morphism: of all morphisms
-    and of K.  The benchmark's three lists (83, 26 and 47 generators) are
+    VI#_2, the walks that compose with generators only give the lists of
+    the walks that compose with every reached morphism: of all morphisms
+    and of K.  The benchmark's three lists (16, 10 and 15 generators) are
     pinned by sha256."""
     from dkequiv.builders import (
         BUILDERS, build_delta_bt, build_finset_input, build_flinj_input,
@@ -324,9 +347,9 @@ def test_generating_set_matches_the_reference_walk(fi4, cube3):
     got = [(len(gens), hashlib.sha256(json.dumps(gens).encode()).hexdigest())
            for gens in (s.cat.generating_set() for s in (delta6, fi4, cube3))]
     assert got == [
-        (83, "b54732128e0373b7226fb503a2bf66778cc3a5f36444a154d6f0f86ef8ae5270"),
-        (26, "bfe679821d8d5f3faad4e157471d9a4697a85854c0dee62cf4ab3a8ce3e60de4"),
-        (47, "eb8c0599ccbc073c76ff35b468716320a6822763fa3e992f271ea4db9bf83432"),
+        (16, "3754139677021dd6b2317851a2fc23a864e39ade17e32c5243fbf844f33b2083"),
+        (10, "0209e6ea7e6ceb33413404460e64493f71bcbdf2465e33aeb4b0268eea2663dc"),
+        (15, "88bf63ee0b1f84e21534f0fc3fc7cde3f2ccdf103bff42ca7109f3e2bf9a3ea6"),
     ]
 
 
@@ -351,7 +374,7 @@ def test_generating_set_reaches_every_morphism(fi4, cube3):
         build_delta_bt, build_finset_input, build_par, build_pt,
     )
 
-    for s, most in ((build_delta_bt(6), 83), (fi4, 26), (cube3, 47),
+    for s, most in ((build_delta_bt(6), 16), (fi4, 10), (cube3, 15),
                     (build_pt(), None), (build_par(build_finset_input(3)), None)):
         cat = s.cat
         gens = cat.generating_set()
@@ -385,15 +408,21 @@ def test_generating_set_reaches_every_member_of_mutants(delta4, fi3, cube2,
             assert set(k_gens) <= k_class <= _closure(cat, k_gens)
 
 
-def test_generating_set_of_every_morphism_is_the_cached_one(delta4):
+def test_generating_set_of_every_morphism_is_the_cached_one(delta4, monkeypatch):
     """generating_set(members) depends only on the set of members: every
     morphism, in any order or as a one-shot iterator, gives
     generating_set(), whichever call comes first.  Each call returns its
-    own list, and a proper member set, such as K, gets its own walk."""
+    own list, and a proper member set, such as K, gets its own walk.  Each
+    set of members is walked once, in two passes, however often it is
+    asked for."""
     cat = delta4.cat
     want = cat.generating_set()
     fresh = FinCat(cat.n_objects, cat.dom, cat.cod, cat.identities, cat.comp,
                    cat.obj_labels, cat.mor_labels)
+    walks = []
+    walk = FinCat._walk_generators
+    monkeypatch.setattr(FinCat, "_walk_generators",
+                        lambda self, order: walks.append(1) or walk(self, order))
     shuffled = list(cat.morphisms())
     random.Random(3).shuffle(shuffled)
     assert fresh.generating_set(shuffled) == want
@@ -405,8 +434,100 @@ def test_generating_set_of_every_morphism_is_the_cached_one(delta4):
     assert fresh.generating_set(cat.morphisms()) == want
     k_class = delta4.derived.k_class
     k_gens = fresh.generating_set(reversed(sorted(k_class)))
-    assert k_gens == [3, 4, 7, 12, 13, 18, 22, 23] != want
+    assert k_gens == [12, 13, 22, 23, 4, 18] != want
     assert set(k_gens) <= k_class <= _closure(cat, k_gens)
+    k_gens.clear()
+    assert fresh.generating_set(k_class) == [12, 13, 22, 23, 4, 18]
+    assert fresh.generating_set(k_class) is not fresh.generating_set(k_class)
+    assert len(walks) == 4
+
+
+def _generated(cat, gens):
+    """The morphisms the identities and gens generate, on an associative
+    table: the least set holding them that g o y and y o g stay in, for
+    every g of gens."""
+    reached = set(cat.identities) | set(gens)
+    todo = list(reached)
+    while todo:
+        y = todo.pop()
+        for g in gens:
+            for w in (cat.comp[g][y], cat.comp[y][g]):
+                if w is not None and w not in reached:
+                    reached.add(w)
+                    todo.append(w)
+    return reached
+
+
+@pytest.mark.parametrize("name, size", [("delta_bt", 6), ("fi_sharp", 4),
+                                        ("fi_sharp", 5)])
+def test_generating_set_has_no_redundant_member(name, size):
+    """On these structures no generator is a composite of the others and
+    the identities: dropping any one leaves a set that generates less.  It
+    does not hold on every table; on cube 3, 3 of the 15 are redundant."""
+    from dkequiv.builders import BUILDERS
+
+    cat = BUILDERS[name][0](size).cat
+    gens = cat.generating_set()
+    every = set(cat.morphisms())
+    assert _generated(cat, gens) == every
+    for g in gens:
+        assert _generated(cat, [x for x in gens if x != g]) != every
+
+
+def test_generating_set_on_non_skeletal_and_non_associative_tables(fi3):
+    """The walks' orders are total on every table that passes check_tables.
+    On fi_sharp 3 with a second copy of the object 3, the isomorphisms
+    between the two copies have element order 0, and the walks give the
+    reference's list, which reaches every morphism.  On seeded mutants of
+    fi_sharp 3 that redirect a composite of two automorphisms, among them
+    one whose 3-cycle c has c o c = c, so that no power of c is the
+    identity, the orders are defined, the walks end, the generators reach
+    every morphism under the mutant's composition, and check reports what
+    the walk over every triple does."""
+    from dkequiv.builders import compose_partial, tuple_category
+
+    sizes = [0, 1, 2, 3, 3]
+    cat, _ = tuple_category(["0", "1", "2", "3", "3'"],
+                            lambda d, c: partial_injections(sizes[d], sizes[c]),
+                            compose_partial,
+                            lambda a: tuple(range(1, sizes[a] + 1)))
+    assert cat.check().ok
+    between = [i for i in cat.isos() if {cat.dom[i], cat.cod[i]} == {3, 4}]
+    assert len(between) == 12
+    assert {cat._element_order(i) for i in between} == {0}
+    assert {cat._element_order(i) for i in cat.hom(3, 3)
+            if i in cat.isos()} == {1, 2, 3}
+    gens = cat.generating_set()
+    assert gens == _reference_walk(cat, cat.morphisms())
+    assert _closure(cat, gens) == set(cat.morphisms())
+
+    base = fi3.cat
+    autos = [i for i in base.isos() if base.dom[i] == base.cod[i]
+             and not base.is_identity(i)]
+    cycle = base.mor_labels.index("3,1,2")
+    rng = random.Random(26)
+    redirects = [(cycle, cycle, cycle)]
+    while len(redirects) < 20:
+        g, f = rng.choice(autos), rng.choice(autos)
+        if base.dom[g] == base.dom[f]:
+            a = base.dom[g]
+            alt = [x for x in base.hom(a, a) if x != base.comp[g][f]]
+            redirects.append((g, f, rng.choice(alt)))
+    zero = 0
+    for g, f, x in redirects:
+        comp = [list(row) for row in base.comp]
+        comp[g][f] = x
+        cat = FinCat(base.n_objects, base.dom, base.cod, base.identities, comp,
+                     base.obj_labels, base.mor_labels)
+        a = cat.dom[g]
+        assert all(0 <= cat._element_order(i) <= len(cat.hom(a, a))
+                   for i in cat.isos())
+        zero += cat._element_order(cycle) == 0 and cycle in cat.isos()
+        gens = cat.generating_set()
+        assert _closure(cat, gens) == set(cat.morphisms())
+        assert cat.check().to_jsonable() == _exhaustive_check(cat)
+        assert not cat.check().ok
+    assert zero >= 1
 
 
 def _walk_tables(cat):
