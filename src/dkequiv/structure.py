@@ -868,7 +868,10 @@ def verify_coend_bijections(s: MRStructure) -> CoendReport:
     a structure that _closed_forms_apply admits, an entry is reported
     without union-find when its closed form, proved there and in
     _left_zero_ideal, shows that union-find would find no problem, so a
-    failing report is always the walk's.
+    failing report is always the walk's.  A right relation one of whose
+    sides is no pair, as m o i is no embedding or i o r not irreducible
+    when M misses an isomorphism, is reported as a problem whose witness
+    is (m, i, r), at the first such r, and (m, i) relates no pair.
 
     The pairs of each entry are listed by their first member, then their
     second in id order, and each pair is found at its position: the offset
@@ -918,20 +921,29 @@ def verify_coend_bijections(s: MRStructure) -> CoendReport:
                 if rs:
                     ms.append(m)
             parent = list(range(len(pairs)))
+            leaving = []
             for m in ms:
                 for i in cat.isos_into(cat.dom[m]):
                     col = cols.get(i)
                     if col is None:
                         at = r_at[cat.cod[i]]
-                        col = cols[i] = [at[comp[i][r]] for r in r_into[cat.dom[i]]]
-                    if col:
-                        # (m o i, r) ~ (m, i o r) for r into the source of i
-                        x = off[comp[m][i]]
-                        _union_all(parent, range(x, x + len(col)),
-                                   map(off[m].__add__, col))
-            entries.append(_bijection_report(
+                        col = cols[i] = [at.get(comp[i][r]) for r in r_into[cat.dom[i]]]
+                    if not col:
+                        continue
+                    # (m o i, r) ~ (m, i o r) for r into the source of i
+                    x = off.get(comp[m][i])
+                    if x is None or None in col:
+                        r = r_into[cat.dom[i]][0 if x is None else col.index(None)]
+                        leaving.append({"problem": "relation leaves the pairs",
+                                        "witness": (m, i, r)})
+                        continue
+                    _union_all(parent, range(x, x + len(col)),
+                               map(off[m].__add__, col))
+            entry = _bijection_report(
                 "right", a, d, _classes(parent, pairs), comp, targets
-            ))
+            )
+            entry.problems[:0] = leaving
+            entries.append(entry)
 
     # left comparison: pairs (any g, embedding m) through a middle object,
     # identified along the embedding-after-retraction subcategory including

@@ -444,9 +444,9 @@ def _reference_coends(s):
             out.setdefault(find(x), []).append(x)
         return list(out.values())
 
-    def report(kind, source, target, parts, pointed):
+    def report(kind, source, target, parts, pointed, problems=()):
         targets = [u for u in cat.hom(source, target) if s.s_in_r(u)]
-        hit, problems = set(), []
+        hit, problems = set(), list(problems)
         for members in parts:
             vals = {None if x == zero else cat.comp[x[0]][x[1]] for x in members}
             if pointed:
@@ -486,11 +486,21 @@ def _reference_coends(s):
             pairs = [(m, r) for m in sorted(s.m_class) if cat.cod[m] == d
                      for r in sorted(der.r_class)
                      if cat.cod[r] == cat.dom[m] and cat.dom[r] == a]
-            unions = [((cat.comp[m][i], r2), (m, cat.comp[i][r2]))
-                      for m, _ in pairs for i in cat.isos_into(cat.dom[m])
-                      for r2 in sorted(der.r_class)
-                      if cat.cod[r2] == cat.dom[i] and cat.dom[r2] == a]
-            entries.append(report("right", a, d, classes(pairs, unions), False))
+            unions, leaving = [], []
+            for m in sorted({m for m, _ in pairs}):
+                for i in cat.isos_into(cat.dom[m]):
+                    steps = [(r2, (cat.comp[m][i], r2), (m, cat.comp[i][r2]))
+                             for r2 in sorted(der.r_class)
+                             if cat.cod[r2] == cat.dom[i] and cat.dom[r2] == a]
+                    out = [r2 for r2, x, y in steps
+                           if x not in pairs or y not in pairs]
+                    if out:
+                        leaving.append({"problem": "relation leaves the pairs",
+                                        "witness": (m, i, out[0])})
+                    else:
+                        unions += [(x, y) for _, x, y in steps]
+            entries.append(report("right", a, d, classes(pairs, unions), False,
+                                  leaving))
     for c in cat.objects():
         for b in cat.objects():
             ms = [m for m in sorted(s.m_class) if cat.dom[m] == c]
@@ -645,6 +655,30 @@ def test_coend_bijections_match_the_reference(coend_cases):
     for s in coend_cases:
         got = _outcome(lambda x: verify_coend_bijections(x).to_jsonable(), s)
         assert got == _outcome(_reference_coends, s)
+
+
+def test_a_relation_leaving_the_pairs_is_reported():
+    """fi_sharp 3 with its 3-cycle c = 3,1,2 dropped from the embeddings
+    passes check() and fails validate().  The right relation
+    (id o c, r) ~ (id, c o r) at the object 3 has a side that is no pair,
+    since c is no embedding, so the right entry (3, 3) fails with the
+    witness (id, c, id) first, and the report is the reference's."""
+    fi3 = build_fi_sharp(3)
+    cat = fi3.cat
+    cycle = cat.mor_labels.index("3,1,2")
+    kept = fi3.m_class - {cycle}
+    s = MRStructure(cat, kept, {m: fi3.star[m] for m in kept})
+    assert _coend_preconditions(s) == (True, False)
+    got = verify_coend_bijections(s).to_jsonable()
+    assert got == _reference_coends(s)
+    ident = cat.identity(3)
+    (entry,) = [e for e in got["entries"]
+                if (e["kind"], e["source"], e["target"]) == ("right", 3, 3)]
+    assert not entry["ok"]
+    assert entry["problems"][0] == {"problem": "relation leaves the pairs",
+                                    "witness": (ident, cycle, ident)}
+    assert all(p["problem"] == "relation leaves the pairs"
+               for p in entry["problems"])
 
 
 def _spy_union_find(monkeypatch):
