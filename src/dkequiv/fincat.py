@@ -174,34 +174,40 @@ class FinCat:
 
     def _associative_at(self, middles):
         """Whether h o (g o f) = (h o g) o f for every composable (h, g, f)
-        with g in middles, on tables that pass check_tables.
+        with g in middles, on tables that pass check_tables."""
+        return not any(map(self._failing_rows, middles))
 
-        For each g, with into = the morphisms into dom(g) (never empty: it
-        holds the identity) and gf = [g o f for f in into], and each h out
-        of cod(g), itemgetter(*gf)(comp[h]) lists h o (g o f) and
-        itemgetter(*into)(comp[h o g]) lists (h o g) o f, both over f in
-        into in the same order.  So the two are equal exactly when the
-        triple loop finds no failure at (h, g, f) for any f.  When into has
-        one member both getters return that one value, not a tuple, and the
-        comparison is still of h o (g o f) with (h o g) o f.
+    def _failing_rows(self, g):
+        """The h out of cod(g), in id order, for which h o (g o f) !=
+        (h o g) o f at some f, on tables that pass check_tables.
+
+        With into = the morphisms into dom(g) (never empty: it holds the
+        identity) and gf = [g o f for f in into], itemgetter(*gf)(comp[h])
+        lists h o (g o f) and itemgetter(*into)(comp[h o g]) lists
+        (h o g) o f, both over f in into in the same order.  So the two are
+        equal exactly when the triple loop finds no failure at (h, g, f)
+        for any f.  When into has one member both getters return that one
+        value, not a tuple, and the comparison is still of h o (g o f) with
+        (h o g) o f.
         """
-        comp, into = self.comp, self.into
-        take_into = {a: itemgetter(*into[a]) for a in self.objects()}
-        for g in middles:
-            take_gf = itemgetter(*map(comp[g].__getitem__, into[self.dom[g]]))
-            take = take_into[self.dom[g]]
-            for h in self.outof[self.cod[g]]:
-                if take_gf(comp[h]) != take(comp[comp[h][g]]):
-                    return False
-        return True
+        comp, into = self.comp, self.into[self.dom[g]]
+        take_gf = itemgetter(*map(comp[g].__getitem__, into))
+        take = itemgetter(*into)
+        return [h for h in self.outof[self.cod[g]]
+                if take_gf(comp[h]) != take(comp[comp[h][g]])]
 
     def _assoc_failures(self):
         """Each composable (h, g, f) for which h o (g o f) != (h o g) o f,
-        walked by g, then f, then h, each in id order."""
+        walked by g, then f, then h, each in id order: for each g, only the
+        rows h that _failing_rows finds are walked, since no other h fails
+        at any f."""
         comp = self.comp
         for g in self.morphisms():
+            hs = self._failing_rows(g)
+            if not hs:
+                continue
             row_g = comp[g]
-            hg = [(h, comp[h][g]) for h in self.outof[self.cod[g]]]
+            hg = [(h, comp[h][g]) for h in hs]
             for f in self.into[self.dom[g]]:
                 gf = row_g[f]
                 for h, h_g in hg:
