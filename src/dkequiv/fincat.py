@@ -336,26 +336,27 @@ class FinCat:
         step from a morphism reached in x's turn or from one in the earlier
         closure (likewise x o y).  A set that holds the identities and is
         closed under one-generator extension holds every composable word in
-        the generators, so R is the closure.
+        the generators, so R is the closure.  A walk that composes each
+        reached morphism with every morphism reached by then keeps its
+        reached set closed, so it too reaches that closure, and the two
+        walks take the same members.
 
-        The first walk takes the member automorphisms first, of highest
-        element order first, then the other members in id order, so that a
-        taken non-isomorphism reaches its composites with the isomorphisms
-        at once, and they are not taken as well.  It keeps generators that
-        later ones make redundant, so a second walk goes over the first
-        one's generators only, costliest first by the cells Light's test
-        compares at each, |outof(cod g)| * |into(dom g)|.  The second
-        walk's set reaches every generator of the first, and the first's
-        reaches every member, so a property that holds at the identities
-        and at the second's set, and at a o b whenever it holds at a and at
-        b, holds at the first's generators by the lemma, and then at every
-        member by the lemma again: neither associativity nor any axiom is
-        needed.  Both orders are total on any table that passes
-        check_tables (see _element_order).
+        The first walk takes the member isomorphisms first, automorphisms
+        of highest element order first, then the other members in id order,
+        so that a taken non-isomorphism reaches its composites with the
+        isomorphisms at once.  It keeps generators that later ones make
+        redundant, so a second walk goes over its generators only,
+        costliest first by the cells Light's test compares at each,
+        |outof(cod g)| * |into(dom g)|.  The second walk's set reaches
+        every generator of the first, which reaches every member; so, by
+        the lemma applied twice, a property that holds at the identities
+        and at the second's set, and is closed under composition, holds at
+        every member, with no use of associativity or the axioms.  Both
+        orders are total on any table that passes check_tables.
 
         The walks depend only on the set of members, since they sort it;
-        the generators are computed once per table and set of members, and
-        each call gets its own copy of them.
+        they run once per table and set of members, and each call gets its
+        own copy of the generators.
         """
         members = frozenset(self.morphisms() if members is None else members)
         gens = self._gens.get(members)
@@ -372,10 +373,10 @@ class FinCat:
         return list(gens)
 
     def _element_order(self, g):
-        """The least k >= 1 with g^k the identity, for g an automorphism,
-        powered inside hom(a, a) at most |hom(a, a)| times; 0 when no such
-        power is the identity there or g is no endomorphism, so that the
-        key is defined on tables that are not associative too."""
+        """The least k >= 1 with g^k the identity, powering g inside
+        hom(a, a) at most |hom(a, a)| times; 0 when g is no endomorphism or
+        none of those powers is the identity, as on some tables that are
+        not associative."""
         a = self.dom[g]
         if self.cod[g] != a:
             return 0

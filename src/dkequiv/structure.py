@@ -927,7 +927,8 @@ def verify_coend_bijections(s: MRStructure) -> CoendReport:
                     col = cols.get(i)
                     if col is None:
                         at = r_at[cat.cod[i]]
-                        col = cols[i] = [at.get(comp[i][r]) for r in r_into[cat.dom[i]]]
+                        col = cols[i] = [at.get(comp[i][r])
+                                         for r in r_into[cat.dom[i]]]
                     if not col:
                         continue
                     # (m o i, r) ~ (m, i o r) for r into the source of i
