@@ -198,9 +198,7 @@ class FinCat:
 
     def _assoc_failures(self):
         """Each composable (h, g, f) for which h o (g o f) != (h o g) o f,
-        walked by g, then f, then h, each in id order: for each g, only the
-        rows h that _failing_rows finds are walked, since no other h fails
-        at any f."""
+        walked by g, then f, then h in _failing_rows(g), each in id order."""
         comp = self.comp
         for g in self.morphisms():
             hs = self._failing_rows(g)
@@ -312,16 +310,16 @@ class FinCat:
     def generating_set(self, members=None):
         """The members (all morphisms by default) that, walked after the
         identities, the identities and the earlier ones do not reach under
-        the table's composition, pruned by a second walk.  Each taken member
-        x is extended, and so is each morphism it reaches, by one identity
-        or one generator taken so far on either side: y o g and g o y.  So
-        on any table each reached morphism is a composite of reached
-        morphisms and identities, and with the identities the generators
-        reach every member, since each member is either reached or taken;
-        this holds for any walking order.  So a property of morphisms that
-        holds at the identities and at the generators, and at a o b
-        whenever it holds at a and at b, holds at every member: the lemma
-        that check and outside_is_stable rest on.
+        the table's composition.  Each taken member x is extended, and so
+        is each morphism it reaches, by one identity or one generator taken
+        so far on either side: y o g and g o y.  So on any table each
+        reached morphism is a composite of reached morphisms and
+        identities, and with the identities the generators reach every
+        member, since each member is either reached or taken; this holds
+        for any walking order.  So a property of morphisms that holds at the
+        identities and at the generators, and at a o b whenever it holds at
+        a and at b, holds at every member: the lemma that check and
+        outside_is_stable rest on.
 
         On a table that is associative and obeys the identity laws, the
         reached set after each taken x is the closure of the identities
@@ -341,46 +339,31 @@ class FinCat:
         reached set closed, so it too reaches that closure, and the two
         walks take the same members.
 
-        The first walk takes the member isomorphisms first, automorphisms
-        of highest element order first, then the other members in id order,
-        so that a taken non-isomorphism reaches its composites with the
-        isomorphisms at once.  It keeps generators that later ones make
-        redundant, so a second walk goes over its generators only,
-        costliest first by the cells Light's test compares at each,
-        |outof(cod g)| * |into(dom g)|.  The second walk's set reaches
-        every generator of the first, which reaches every member; so, by
-        the lemma applied twice, a property that holds at the identities
-        and at the second's set, and is closed under composition, holds at
-        every member, with no use of associativity or the axioms.  Both
-        orders are total on any table that passes check_tables.
-
-        The walks depend only on the set of members, since they sort it;
-        they run once per table and set of members, and each call gets its
-        own copy of the generators.
+        The first walk takes the isomorphisms first, automorphisms of
+        highest element order first, then the other members in id order.  A
+        second walk goes over its generators only, costliest first by Light
+        cells, |outof(cod g)| * |into(dom g)|, and drops those the earlier
+        ones reach.  Its set reaches the first's, which reaches every
+        member, so the lemma, applied twice, holds for it, with no use of
+        associativity.  The walks run once per table and set of members.
         """
         members = frozenset(self.morphisms() if members is None else members)
-        # keyed by a bitmap of n bytes: a frozenset key, 33 KB at 499
-        # members, kept with the table raised the axioms benchmark's peak RSS
-        # by about 0.2 MB (2 vCPUs, Python 3.11.7)
-        key = bytes(x in members for x in self.morphisms())
-        gens = self._gens.get(key)
+        gens = self._gens.get(members)
         if gens is None:
-            # isomorphisms first, of highest element order first
-            order = {i: -self._element_order(i) for i in self.isos()}
+            # isomorphisms first, by descending element order
+            rank = {i: -self._element_order(i) for i in self.isos()}
             first = self._walk_generators(sorted(
-                members, key=lambda x: (x not in order, order.get(x, 0), x)))
+                members, key=lambda x: (x not in rank, rank.get(x, 0), x)))
             into, outof = self.into, self.outof
-            gens = self._gens[key] = tuple(self._walk_generators(sorted(
+            gens = self._gens[members] = tuple(self._walk_generators(sorted(
                 first, key=lambda g: (
                     -len(outof[self.cod[g]]) * len(into[self.dom[g]]),
-                    g not in order, order.get(g, 0), g))))
+                    g not in rank, rank.get(g, 0), g))))
         return list(gens)
 
     def _element_order(self, g):
-        """The least k >= 1 with g^k the identity, powering g inside
-        hom(a, a) at most |hom(a, a)| times; 0 when g is no endomorphism or
-        none of those powers is the identity, as on some tables that are
-        not associative."""
+        """The least k >= 1 with g^k the identity among g's first
+        |hom(a, a)| powers; 0 when there is none or g is no endomorphism."""
         a = self.dom[g]
         if self.cod[g] != a:
             return 0

@@ -868,10 +868,8 @@ def verify_coend_bijections(s: MRStructure) -> CoendReport:
     a structure that _closed_forms_apply admits, an entry is reported
     without union-find when its closed form, proved there and in
     _left_zero_ideal, shows that union-find would find no problem, so a
-    failing report is always the walk's.  A right relation one of whose
-    sides is no pair, as m o i is no embedding or i o r not irreducible
-    when M misses an isomorphism, is reported as a problem whose witness
-    is (m, i, r), at the first such r, and (m, i) relates no pair.
+    failing report is always the walk's.  A right relation with a side
+    that is no pair fails its entry, with the witness (m, i, r).
 
     The pairs of each entry are listed by their first member, then their
     second in id order, and each pair is found at its position: the offset
