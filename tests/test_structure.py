@@ -681,6 +681,28 @@ def test_a_relation_leaving_the_pairs_is_reported():
                for p in entry["problems"])
 
 
+def test_an_isomorphism_leaving_the_irreducibles_is_reported():
+    """fi_sharp 3 with a transposition t of 3 taken out of R (targets
+    borrowed): t o id is no irreducible, so the right relation
+    (id o t, id) ~ (id, t o id) has a side that is no pair, and the right
+    entry (3, 3) fails with the witness (id, t, id), as the reference does."""
+    from dataclasses import replace
+
+    base = build_fi_sharp(3)
+    cat = base.cat
+    t = cat.mor_labels.index("2,1,3")
+    s = MRStructure(cat, base.m_class, base.star)
+    s.derived = replace(base.derived, r_class=base.derived.r_class - {t})
+    s.s_in_r = base.s_in_r
+    got = verify_coend_bijections(s).to_jsonable()
+    assert got == _reference_coends(s)
+    ident = cat.identity(3)
+    (entry,) = [e for e in got["entries"]
+                if (e["kind"], e["source"], e["target"]) == ("right", 3, 3)]
+    assert {"problem": "relation leaves the pairs",
+            "witness": (ident, t, ident)} in entry["problems"]
+
+
 def _spy_union_find(monkeypatch):
     """Wrap structure._union_all and _bijection_report so that each entry
     the union-find reports is appended to the returned list as (kind,
