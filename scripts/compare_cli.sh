@@ -53,6 +53,10 @@
 # certifies Gamma_3.  `example par` on flinj2 builds VI#_2, in which F_2^2
 # has the automorphism group GL_2(F_2); it is also checked and certified.
 # One case runs each checkout's own scripts/roundtrip_demo.py.
+# No CLI command runs the coend check, so one case has each checkout write
+# verify_coend_bijections(s).to_jsonable() for delta_bt 4, fi_sharp 3 and
+# cube 2, and for a copy of each whose targets trade one member for a
+# non-target of the same hom set, so that failing reports are compared too.
 set -e
 OLD=$(cd "$1" && pwd)
 NEW=$(cd "$2" && pwd)
@@ -230,6 +234,33 @@ write("A_nongen.json", a)
 EOF
 )
 
+COENDS='
+import json
+
+from dkequiv.builders import BUILDERS
+from dkequiv.structure import MRStructure, verify_coend_bijections
+
+
+def swapped(base):
+    cat = base.cat
+    pair = next({ins[0], outs[0]}
+                for c in cat.objects() for b in cat.objects()
+                for ins in [[u for u in cat.hom(c, b) if base.s_in_r(u)]]
+                for outs in [[u for u in cat.hom(c, b) if u not in ins]]
+                if ins and outs)
+    bad = MRStructure(cat, base.m_class, base.star)
+    bad.s_in_r = lambda u: base.s_in_r(u) != (u in pair)
+    return bad
+
+
+for name, n in (("delta_bt", 4), ("fi_sharp", 3), ("cube", 2)):
+    s = BUILDERS[name][0](n)
+    for tag, t in ((name, s), (name + "_swapped", swapped(s))):
+        with open(f"coends_{tag}.json", "w") as fh:
+            json.dump(verify_coend_bijections(t).to_jsonable(), fh,
+                      sort_keys=True, indent=2)
+'
+
 cases() {
     SRC=$1/src
     cp -r "$WORK/inputs" "$2"
@@ -310,6 +341,7 @@ cases() {
     run cert_vi2 -m dkequiv.cli certify --category ex/par_flinj2.base.structure.json \
         --out cert_vi2.json
     run roundtrip_demo "$1/scripts/roundtrip_demo.py"
+    run coends -c "$COENDS"
     # malformed input
     run ex_bogus -m dkequiv.cli example bogus --out ex
     run cert_bogus -m dkequiv.cli certify --name bogus --out cert_bogus.json

@@ -22,7 +22,6 @@ from __future__ import annotations
 import heapq
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from itertools import repeat
 from typing import NamedTuple
 
 from .fincat import (
@@ -717,44 +716,44 @@ class CoendReport:
         return {"entries": [e.to_jsonable() for e in self.entries], "ok": self.ok}
 
 
-_ZERO = -1  # the left comparison's basepoint; a pair (x, y) is keyed x * n + y
+def _classes(pairs, relations):
+    """The classes of pairs under the equivalence that relations, pairs of
+    pairs, generate: in order of each class's first member, with the members
+    in pairs order.  A forest on the pairs, shortened by path halving."""
+    parent = {p: p for p in pairs}
 
-
-def _classes(parent, pairs):
-    """The classes of the union-find forest parent on the positions of pairs,
-    keyed by root position: in order of each class's first member, with the
-    members' keys in pairs order.  Each position is left pointing at its
-    root."""
-    out = {}
-    for p, key in enumerate(pairs):
-        x = p
+    def root(x):
         while parent[x] != x:
             parent[x] = x = parent[parent[x]]
-        parent[p] = x
-        out.setdefault(x, []).append(key)
-    return out
+        return x
+
+    for x, y in relations:
+        parent[root(x)] = root(y)
+    out = {}
+    for p in pairs:
+        out.setdefault(root(p), []).append(p)
+    return list(out.values())
 
 
-def _bijection_report(kind, source, target, classes, comp, targets, basepoint=None):
+def _bijection_report(kind, source, target, classes, comp, targets, pointed=False):
     """The report on the map sending each class of composable pairs (g, f)
     to the value g o f of its members, checked to be a bijection onto targets:
     constant on each class, inside targets, injective and surjective.
 
-    Given basepoint, the root of the class of _ZERO, the map is checked to
-    be a bijection of pointed sets onto targets plus zero instead: a value
-    outside targets is zero, the basepoint class must map to zero and no other
-    class may.
+    When pointed, the class that holds None is the basepoint, and the map is
+    checked to be a bijection of pointed sets onto targets plus zero instead:
+    a value outside targets is zero, the basepoint class must map to zero and
+    no other class may.
     """
-    n = len(comp)
     inside = set(targets)
     hit = set()
     problems = []
-    for root, members in classes.items():
-        vals = {None if x == _ZERO else comp[x // n][x % n] for x in members}
-        if basepoint is not None:
+    for members in classes:
+        vals = {None if x is None else comp[x[0]][x[1]] for x in members}
+        if pointed:
             vals = {v if v in inside else None for v in vals}
         if len(vals) > 1:
-            shown = sorted(vals) if basepoint is None else [
+            shown = sorted(vals) if not pointed else [
                 "zero" if v is None else v for v in sorted(vals, key=str)
             ]
             problems.append(
@@ -762,7 +761,7 @@ def _bijection_report(kind, source, target, classes, comp, targets, basepoint=No
             )
             continue
         v = vals.pop()
-        if root == basepoint:
+        if None in members:
             if v is not None:
                 problems.append(
                     {"problem": "basepoint class has nonzero value", "value": v}
@@ -770,7 +769,7 @@ def _bijection_report(kind, source, target, classes, comp, targets, basepoint=No
         elif v is None:
             problems.append(
                 {"problem": "non-basepoint class maps to zero",
-                 "witness": divmod(min(members), n)}
+                 "witness": min(members)}
             )
         elif v not in inside:
             problems.append(
@@ -782,7 +781,7 @@ def _bijection_report(kind, source, target, classes, comp, targets, basepoint=No
             hit.add(v)
     problems += [{"problem": "value not hit", "value": u}
                  for u in targets if u not in hit]
-    count = len(classes) - (basepoint is not None)
+    count = len(classes) - pointed
     return CoendPairReport(kind, source, target, count, len(targets), problems)
 
 
@@ -843,18 +842,6 @@ def _left_zero_ideal(s, der):
     return ideal
 
 
-def _union_all(parent, xs, ys):
-    """Merge, in the union-find forest parent, the class of each x of xs
-    with that of the y of ys beside it, in order: the root of x is pointed
-    at the root of y, both found by path halving."""
-    for x, y in zip(xs, ys):
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        while parent[y] != y:
-            parent[y] = y = parent[parent[y]]
-        parent[x] = y
-
-
 def verify_coend_bijections(s: MRStructure) -> CoendReport:
     """Check the two colimit comparison maps that reduce the transport
     problem to the embedding-after-retraction subcategory.
@@ -870,18 +857,10 @@ def verify_coend_bijections(s: MRStructure) -> CoendReport:
     _left_zero_ideal, shows that union-find would find no problem, so a
     failing report is always the walk's.  A right relation with a side
     that is no pair fails its entry, with the witness (m, i, r).
-
-    The pairs of each entry are listed by their first member, then their
-    second in id order, and each pair is found at its position: the offset
-    of its block plus the index of its free member in its hom set, read
-    off one column per (morphism, object) that lists where composing with
-    that morphism sends each member.  So the tables must pass
-    check_tables, as everything here presumes.
     """
     cat = s.cat
     der = s.derived
     comp = cat.comp
-    n = cat.n_morphisms
     entries = []
     m_sorted = sorted(s.m_class)
     m_by_cod = group_by(m_sorted, cat.cod)
@@ -895,8 +874,6 @@ def verify_coend_bijections(s: MRStructure) -> CoendReport:
     # identified along the isomorphism action on the middle object
     for a in cat.objects():
         r_into = [[r for r in cat.hom(a, c) if r in der.r_class] for c in cat.objects()]
-        r_at = [{r: j for j, r in enumerate(rs)} for rs in r_into]
-        cols = {}  # i -> [position of i o r in r_into[cod i], r in r_into[dom i]]
         for d in cat.objects():
             targets = target_set(a, d)
             if closed:
@@ -911,35 +888,24 @@ def verify_coend_bijections(s: MRStructure) -> CoendReport:
                     entries.append(CoendPairReport(
                         "right", a, d, len(targets), len(targets), []))
                     continue
-            pairs, off, ms = [], {}, []
-            for m in m_by_cod.get(d, ()):
-                rs = r_into[cat.dom[m]]
-                off[m] = len(pairs)
-                pairs += [m * n + r for r in rs]
-                if rs:
-                    ms.append(m)
-            parent = list(range(len(pairs)))
-            leaving = []
+            ms = [m for m in m_by_cod.get(d, ()) if r_into[cat.dom[m]]]
+            pairs = [(m, r) for m in ms for r in r_into[cat.dom[m]]]
+            known = set(pairs)
+            relations, leaving = [], []
             for m in ms:
                 for i in cat.isos_into(cat.dom[m]):
-                    col = cols.get(i)
-                    if col is None:
-                        at = r_at[cat.cod[i]]
-                        col = cols[i] = [at.get(comp[i][r])
-                                         for r in r_into[cat.dom[i]]]
-                    if not col:
-                        continue
                     # (m o i, r) ~ (m, i o r) for r into the source of i
-                    x = off.get(comp[m][i])
-                    if x is None or None in col:
-                        r = r_into[cat.dom[i]][0 if x is None else col.index(None)]
+                    rs = r_into[cat.dom[i]]
+                    steps = [((comp[m][i], r), (m, comp[i][r])) for r in rs]
+                    out = [r for r, (x, y) in zip(rs, steps)
+                           if x not in known or y not in known]
+                    if out:
                         leaving.append({"problem": "relation leaves the pairs",
-                                        "witness": (m, i, r)})
-                        continue
-                    _union_all(parent, range(x, x + len(col)),
-                               map(off[m].__add__, col))
+                                        "witness": (m, i, out[0])})
+                    else:
+                        relations += steps
             entry = _bijection_report(
-                "right", a, d, _classes(parent, pairs), comp, targets
+                "right", a, d, _classes(pairs, relations), comp, targets
             )
             entry.problems[:0] = leaving
             entries.append(entry)
@@ -948,7 +914,7 @@ def verify_coend_bijections(s: MRStructure) -> CoendReport:
     # identified along the embedding-after-retraction subcategory including
     # the fall-to-zero identifications
     zero_ideal = _left_zero_ideal(s, der) if closed else None
-    index = None
+    k_by_dom = None
     for c in cat.objects():
         ms = m_by_dom.get(c, ())
         for b in cat.objects():
@@ -958,38 +924,19 @@ def verify_coend_bijections(s: MRStructure) -> CoendReport:
                 entries.append(CoendPairReport(
                     "left", c, b, len(targets), len(targets), []))
                 continue
-            if index is None:
-                index = [0] * n  # each morphism's position in its hom set
-                for a in cat.objects():
-                    for d in cat.objects():
-                        for j, g in enumerate(cat.hom(a, d)):
-                            index[g] = j
+            if k_by_dom is None:
                 k_by_dom = group_by(sorted(der.k_class), cat.dom)
-                cols = {}  # (k, b) -> [index of g o k, g in hom(cod k, b)]
-            pairs, off = [], {}
-            for m in ms:
-                off[m] = len(pairs)
-                pairs += [g * n + m for g in cat.hom(cat.cod[m], b)]
-            zero = len(pairs)
-            pairs.append(_ZERO)
-            parent = list(range(len(pairs)))
-            for m in ms:
-                for k in k_by_dom.get(cat.cod[m], ()):
-                    col = cols.get((k, b))
-                    if col is None:
-                        col = cols[(k, b)] = [index[comp[g][k]]
-                                              for g in cat.hom(cat.cod[k], b)]
-                    # (g o k, m) ~ (g, k o m), or ~ zero when k o m is no
-                    # embedding
-                    km = comp[k][m]
-                    y = off[km] if km in s.m_class else None
-                    _union_all(parent, map(off[m].__add__, col),
-                               repeat(zero, len(col)) if y is None
-                               else range(y, y + len(col)))
-            classes = _classes(parent, pairs)
+            pairs = [(g, m) for m in ms for g in cat.hom(cat.cod[m], b)]
+            pairs.append(None)
+            # (g o k, m) ~ (g, k o m), or ~ zero when k o m is no embedding
+            relations = [
+                ((comp[g][k], m), (g, km) if km in s.m_class else None)
+                for m in ms for k in k_by_dom.get(cat.cod[m], ())
+                for km in [comp[k][m]] for g in cat.hom(cat.cod[k], b)
+            ]
             entries.append(_bijection_report(
-                "left", c, b, classes, comp, targets,
-                basepoint=parent[zero],
+                "left", c, b, _classes(pairs, relations), comp, targets,
+                pointed=True,
             ))
 
     return CoendReport(entries)

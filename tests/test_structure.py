@@ -704,25 +704,25 @@ def test_an_isomorphism_leaving_the_irreducibles_is_reported():
 
 
 def _spy_union_find(monkeypatch):
-    """Wrap structure._union_all and _bijection_report so that each entry
+    """Wrap structure._classes and _bijection_report so that each entry
     the union-find reports is appended to the returned list as (kind,
-    source, target, union steps taken for it)."""
+    source, target, union steps taken for it): one per relation."""
     from dkequiv import structure
 
     walked, steps = [], [0]
-    union, report = structure._union_all, structure._bijection_report
+    classes, report = structure._classes, structure._bijection_report
 
-    def counted(parent, xs, ys):
-        xs = list(xs)
-        steps[0] += len(xs)
-        union(parent, xs, ys)
+    def counted(pairs, relations):
+        relations = list(relations)
+        steps[0] += len(relations)
+        return classes(pairs, relations)
 
     def recorded(kind, source, target, *args, **kwargs):
         walked.append((kind, source, target, steps[0]))
         steps[0] = 0
         return report(kind, source, target, *args, **kwargs)
 
-    monkeypatch.setattr(structure, "_union_all", counted)
+    monkeypatch.setattr(structure, "_classes", counted)
     monkeypatch.setattr(structure, "_bijection_report", recorded)
     return walked
 
@@ -839,21 +839,24 @@ def test_non_conjugate_pairs_fall_back_to_the_union_find(monkeypatch):
 
 
 def test_classes_point_every_position_at_its_root():
-    """_classes lists the classes in order of first member, members in pairs
-    order, and leaves every position pointing at its root, so the basepoint
-    is parent[pos[_ZERO]] even at the end of a chain longer than path
-    halving shortens to one step."""
+    """_classes finds every member's root, here at the end of a chain
+    a -> c -> d -> f -> g longer than path halving shortens to one step,
+    and lists the classes in order of first member, members in pairs order,
+    whichever way the relations point: the other class, b ~ e, is related
+    from its later member."""
     from dkequiv.structure import _classes
 
-    parent = [1, 2, 3, 3, 0, 5, 5]
-    assert _classes(parent, "abcdefg") == {3: list("abcde"), 5: list("fg")}
-    assert parent == [3, 3, 3, 3, 3, 5, 5]
+    relations = [("a", "c"), ("c", "d"), ("d", "f"), ("f", "g"), ("e", "b")]
+    assert _classes(list("abcdefg"), relations) == [list("acdfg"), list("be")]
+    assert _classes(list("abcdefg"), [(y, x) for x, y in relations[::-1]]) == [
+        list("acdfg"), list("be")]
 
 
 # sha256 of json.dumps(verify_coend_bijections(s).to_jsonable(), sort_keys=True)
 # at the benchmark's sizes, where the reference is too slow to compare with,
-# and on Gamma_3 and VI#_2: how the classes are computed must leave these
-# bytes unchanged.
+# also with one target swapped so that the union-find reports failing
+# entries, and on Gamma_3 and VI#_2: how the classes are computed must leave
+# these bytes unchanged.
 COEND_DIGESTS = {
     "delta_bt_6": (
         lambda: build_delta_bt(6),
@@ -875,16 +878,44 @@ COEND_DIGESTS = {
         lambda: build_par(build_flinj_input(2, 2)),
         "a57c979adcbea1b0801f270afdcf2d9d7c579e454e909f2e3be6bcab40068fd6",
     ),
+    "delta_bt_6_swapped": (
+        lambda: _swapped_targets(build_delta_bt(6)),
+        "f79b855c5d7b11d9ddad84b89ee22feaa849671f28f6bf9c1f99333c2ed4a40f",
+    ),
+    "cube_3_swapped": (
+        lambda: _swapped_targets(build_cube(3)),
+        "68768f862272618b230ccd0985d547d7eb5d44dfa2eaca9db7537901d63256c0",
+    ),
+    "fi_sharp_4_swapped": (
+        lambda: _swapped_targets(build_fi_sharp(4)),
+        "3d568413e822a0ca40806f965fcd14fedb6fcd9190a39a706bc34841ea7b6bfc",
+    ),
 }
+
+
+def _coend_digest(s):
+    import hashlib
+
+    text = json.dumps(verify_coend_bijections(s).to_jsonable(), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 @pytest.mark.parametrize("name", list(COEND_DIGESTS))
 def test_coend_reports_are_byte_identical(name):
-    import hashlib
+    build, digest = COEND_DIGESTS[name]
+    assert _coend_digest(build()) == digest
+
+
+@pytest.mark.parametrize("name", ["delta_bt_6", "cube_3"])
+def test_union_find_alone_gives_the_pinned_reports(name, monkeypatch):
+    """With the closed forms' gate forced off, the union-find reports every
+    entry, and the bytes are those pinned for the gated check.  fi_sharp 4
+    is left out: the union-find takes about 6 s on it."""
+    from dkequiv import structure
 
     build, digest = COEND_DIGESTS[name]
-    text = json.dumps(verify_coend_bijections(build()).to_jsonable(), sort_keys=True)
-    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    monkeypatch.setattr(structure, "_closed_forms_apply", lambda s: False)
+    assert _coend_digest(build()) == digest
 
 
 def test_closure_witnesses_match_the_walk(coend_cases):
