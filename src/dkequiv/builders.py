@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .fincat import FinCat, group_by, int_list, table_category
+from .fincat import FinCat, closure_failures, group_by, int_list, table_category
 from .structure import MRStructure
 
 
@@ -277,13 +277,8 @@ def validate_par_input(inp: ParInput):
         if i not in inp.e_class or i not in inp.m_class:
             problems.append({"problem": "isomorphism missing from a class", "id": i})
     for name, cls_ in (("e_class", inp.e_class), ("m_class", inp.m_class)):
-        for g in sorted(cls_):
-            for f in sorted(cls_):
-                if cat.composable(g, f) and cat.comp[g][f] not in cls_:
-                    problems.append(
-                        {"problem": f"{name} not closed under composition",
-                         "pair": [g, f]}
-                    )
+        problems += [{"problem": f"{name} not closed under composition",
+                      "pair": [g, f]} for g, f in closure_failures(cat, cls_)]
     # unique (e, m) factorization of every morphism
     e_by_cod = group_by(sorted(inp.e_class), cat.cod)
     factorizations = {}  # m o e -> its pairs (m, e), by m and then e

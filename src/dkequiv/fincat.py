@@ -452,6 +452,24 @@ class FinCat:
         return f"FinCat({self.n_objects} objects, {self.n_morphisms} morphisms)"
 
 
+def closure_failures(cat, members):
+    """The pairs (g, f) of members, a set, with cod f = dom g and g o f not
+    a member, by g, then f, in id order, on a table that passes
+    check_tables.  They are walked for only when some g fails the test
+    members >= {g o f : f in members into dom g}, made by one gather of row
+    g: that set holds exactly the composites the walk tests at g, so when
+    every g passes the walk finds nothing."""
+    comp, dom = cat.comp, cat.dom
+    ordered = sorted(members)
+    into = group_by(ordered, cat.cod)
+    take = {a: gather(fs) for a, fs in into.items()}
+    if all(members.issuperset(take[dom[g]](comp[g]))
+           for g in ordered if dom[g] in take):
+        return []
+    return [(g, f) for g in ordered for f in into.get(dom[g], ())
+            if comp[g][f] not in members]
+
+
 def outside_composites(cat, acting, inside):
     """X = (A o I) - I, for I the set inside and A the set whose members out
     of each object a are acting[a]: the composites a o i that leave I."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 
-from .exactlin import QMat, direct_sum
+from .exactlin import QMat
 from .fincat import FinCat, ValidationReport
 from .structure import DCat
 
@@ -282,25 +282,6 @@ def random_invertible(n, rng) -> QMat:
     return QMat.from_rows(rows, n)
 
 
-def _projective_atom(d: DCat, c):
-    """Basis 'all nonzero morphisms out of c', acted on by postcomposition."""
-    cat = d.cat
-    basis = [[u for u in cat.hom(c, a) if not d.is_zero(u)] for a in cat.objects()]
-    dims = tuple(map(len, basis))
-    index = [{u: i for i, u in enumerate(us)} for us in basis]
-
-    def mat(r):
-        a, b = cat.dom[r], cat.cod[r]
-        rows = [[] for _ in range(dims[b])]
-        for col, u in enumerate(basis[a]):
-            v = cat.comp[r][u]
-            if not d.is_zero(v):
-                rows[index[b][v]].append((col, 1))
-        return QMat(dims[b], dims[a], map(tuple, rows))
-
-    return dims, mat
-
-
 def _unit_atom_valid(d: DCat, c):
     """Whether the one-dimensional atom concentrated at c is a functor:
     no nonzero endomorphism of c may factor through another object or have
@@ -312,19 +293,6 @@ def _unit_atom_valid(d: DCat, c):
         return False
     return all(d.is_zero(cat.comp[v][u]) for u in cat.outof[c] if cat.cod[u] != c
                for v in cat.hom(cat.cod[u], c))
-
-
-def _unit_atom(d: DCat, c):
-    cat = d.cat
-    dims = tuple(1 if a == c else 0 for a in cat.objects())
-
-    def mat(r):
-        a, b = cat.dom[r], cat.cod[r]
-        if a == c and b == c:
-            return QMat.identity(1)
-        return QMat.zeros(dims[b], dims[a])
-
-    return dims, mat
 
 
 def random_pointed_functor(d: DCat, dims, seed) -> PointedFunctor:
@@ -342,7 +310,9 @@ def random_pointed_functor(d: DCat, dims, seed) -> PointedFunctor:
     dims = _dims(dims, cat)
     rng = random.Random(seed)
 
-    proj = {c: _projective_atom(d, c) for c in cat.objects()}
+    # the basis of P_c at each object a: the nonzero morphisms c -> a
+    proj = {c: [[u for u in cat.hom(c, a) if not d.is_zero(u)] for a in cat.objects()]
+            for c in cat.objects()}
     unit_ok = {c: _unit_atom_valid(d, c) for c in cat.objects()}
 
     remaining = list(dims)
@@ -351,7 +321,7 @@ def random_pointed_functor(d: DCat, dims, seed) -> PointedFunctor:
     def fitting_projectives():
         out = []
         for c in cat.objects():
-            vec = proj[c][0]
+            vec = list(map(len, proj[c]))
             if any(vec) and all(v <= r for v, r in zip(vec, remaining)):
                 out.append(c)
         return out
@@ -359,7 +329,7 @@ def random_pointed_functor(d: DCat, dims, seed) -> PointedFunctor:
     def take_projective(c):
         atoms.append(("P", c))
         for a in cat.objects():
-            remaining[a] -= proj[c][0][a]
+            remaining[a] -= len(proj[c][a])
 
     cands = fitting_projectives()
     while cands and rng.random() < 0.7:
@@ -374,7 +344,7 @@ def random_pointed_functor(d: DCat, dims, seed) -> PointedFunctor:
         if not hard:
             break
         pick = next(
-            (c for c in fitting_projectives() if proj[c][0][hard[0]] > 0),
+            (c for c in fitting_projectives() if proj[c][hard[0]]),
             None,
         )
         if pick is None:
@@ -389,20 +359,27 @@ def random_pointed_functor(d: DCat, dims, seed) -> PointedFunctor:
             remaining[c] -= 1
     rng.shuffle(atoms)
 
-    atom_data = [
-        proj[c] if kind == "P" else _unit_atom(d, c) for kind, c in atoms
-    ]
-    built_dims = [
-        sum(data[0][a] for data in atom_data) for a in cat.objects()
-    ]
-    assert tuple(built_dims) == dims
+    # the direct sum's basis at each object, keyed (position in atoms,
+    # element): a nonzero morphism out of c for P_c, and c itself, at c
+    # only, for T_c
+    basis = [[(pos, u) for pos, (kind, c) in enumerate(atoms)
+              for u in (proj[c][a] if kind == "P" else [c] if a == c else [])]
+             for a in cat.objects()]
+    assert tuple(map(len, basis)) == dims
+    index = [{x: i for i, x in enumerate(xs)} for xs in basis]
 
     q = [random_invertible(dims[a], rng) for a in cat.objects()]
     q_inv = [m.inverse() for m in q]
     mats = {}
     for r in d.nonzero_morphisms():
         a, b = cat.dom[r], cat.cod[r]
-        raw = direct_sum(*[data[1](r) for data in atom_data])
-        assert raw.shape == (dims[b], dims[a])
+        rows = [[] for _ in range(dims[b])]
+        for col, (pos, u) in enumerate(basis[a]):
+            # P_c acts by postcomposition and T_c by the identity; a zero
+            # composite, or T_c's element when b is not c, is no key at b
+            i = index[b].get((pos, cat.comp[r][u] if atoms[pos][0] == "P" else u))
+            if i is not None:
+                rows[i].append((col, 1))
+        raw = QMat(dims[b], dims[a], map(tuple, rows))
         mats[r] = q[b].mul(raw).mul(q_inv[a])
     return PointedFunctor(d, dims, mats)

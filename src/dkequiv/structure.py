@@ -27,7 +27,7 @@ from typing import NamedTuple
 from .fincat import (
     FinCat,
     ValidationReport,
-    gather,
+    closure_failures,
     group_by,
     int_list,
     outside_composites,
@@ -166,16 +166,8 @@ class MRStructure:
         for i in sorted(cat.isos()):
             if i not in self.m_class:
                 rep.add_structural("isomorphism not in m_class", morphism=i)
-        # the pairs (m, f) of embeddings with cod f = dom m, by m, then f
-        ms = sorted(self.m_class)
-        ms_into = group_by(ms, cat.cod)
-        for m in ms:
-            row = cat.comp[m]
-            for f in ms_into.get(cat.dom[m], ()):
-                if row[f] not in self.m_class:
-                    rep.add_structural(
-                        "m_class not closed under composition", g=m, f=f
-                    )
+        for g, f in closure_failures(cat, self.m_class):
+            rep.add_structural("m_class not closed under composition", g=g, f=f)
         if set(self.star) != set(self.m_class):
             rep.add_structural(
                 "star must be defined exactly on m_class",
@@ -183,6 +175,7 @@ class MRStructure:
                 extra=sorted(set(self.star) - set(self.m_class)),
             )
             return rep
+        ms = sorted(self.m_class)
         for m in ms:
             sm = self.star[m]
             if not (0 <= sm < n):
@@ -199,6 +192,8 @@ class MRStructure:
             i = cat.identity(a)
             if self.star[i] != i:
                 rep.add_structural("star(id) != id", object=a)
+        # the pairs (m, f) of embeddings with cod f = dom m, by m, then f
+        ms_into = group_by(ms, cat.cod)
         for m in ms:
             row, sm = cat.comp[m], self.star[m]
             for f in ms_into.get(cat.dom[m], ()):
@@ -576,23 +571,10 @@ def _cancellation_witnesses(s, der):
 
 def _closure_witnesses(s, der):
     """The (k, k2) in K with cod k = dom k2 and k2 o k not in K, by k, then
-    k2.  They are walked for only when some k2 fails the test K >= {k2 o k :
-    k in K into dom k2}, made by one gather of row k2: that set holds
-    exactly the composites the walk tests with k2 last, so when every k2
-    passes the walk finds nothing."""
-    cat = s.cat
-    k_class = der.k_class
-    k_sorted = sorted(k_class)
-    take_into = {a: gather(ks) for a, ks in group_by(k_sorted, cat.cod).items()}
-    if all(k_class.issuperset(take_into[cat.dom[k2]](cat.comp[k2]))
-           for k2 in k_sorted if cat.dom[k2] in take_into):
-        return
-    k_by_dom = group_by(k_sorted, cat.dom)
-    for k in k_sorted:
-        for k2 in k_by_dom.get(cat.cod[k], ()):
-            if cat.comp[k2][k] not in k_class:
-                yield {"k": k, "k2": k2,
-                       "labels": [cat.mor_labels[k], cat.mor_labels[k2]]}
+    k2."""
+    labels = s.cat.mor_labels
+    for k2, k in sorted(closure_failures(s.cat, der.k_class), key=lambda p: p[::-1]):
+        yield {"k": k, "k2": k2, "labels": [labels[k], labels[k2]]}
 
 
 def _finiteness_witnesses(s, der):
@@ -735,16 +717,18 @@ def _classes(pairs, relations):
     return list(out.values())
 
 
-def _bijection_report(kind, source, target, classes, comp, targets, pointed=False):
+def _bijection_report(kind, source, target, classes, comp, targets):
     """The report on the map sending each class of composable pairs (g, f)
     to the value g o f of its members, checked to be a bijection onto targets:
     constant on each class, inside targets, injective and surjective.
 
-    When pointed, the class that holds None is the basepoint, and the map is
-    checked to be a bijection of pointed sets onto targets plus zero instead:
-    a value outside targets is zero, the basepoint class must map to zero and
-    no other class may.
+    When a class holds None, the map is pointed: that class is the
+    basepoint, and the map is checked to be a bijection of pointed sets onto
+    targets plus zero instead: a value outside targets is zero, and no class
+    but the basepoint's may map to zero.  The basepoint class has None among
+    its values, so it is either not constant or maps to zero.
     """
+    pointed = any(None in members for members in classes)
     inside = set(targets)
     hit = set()
     problems = []
@@ -761,16 +745,12 @@ def _bijection_report(kind, source, target, classes, comp, targets, pointed=Fals
             )
             continue
         v = vals.pop()
-        if None in members:
-            if v is not None:
+        if v is None:
+            if None not in members:
                 problems.append(
-                    {"problem": "basepoint class has nonzero value", "value": v}
+                    {"problem": "non-basepoint class maps to zero",
+                     "witness": min(members)}
                 )
-        elif v is None:
-            problems.append(
-                {"problem": "non-basepoint class maps to zero",
-                 "witness": min(members)}
-            )
         elif v not in inside:
             problems.append(
                 {"problem": "class maps outside the target", "value": v}
@@ -935,8 +915,6 @@ def verify_coend_bijections(s: MRStructure) -> CoendReport:
                 for km in [comp[k][m]] for g in cat.hom(cat.cod[k], b)
             ]
             entries.append(_bijection_report(
-                "left", c, b, _classes(pairs, relations), comp, targets,
-                pointed=True,
-            ))
+                "left", c, b, _classes(pairs, relations), comp, targets))
 
     return CoendReport(entries)

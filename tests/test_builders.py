@@ -72,6 +72,17 @@ def test_builders_reject_sizes_below_the_least(optimize, call, message):
     assert done.stdout == message + "\n"
 
 
+@pytest.mark.parametrize("build, size, message", [
+    (build_delta_bt, 0, "n_max: need an integer >= 1, got 0"),
+    (build_fi_sharp, -1, "n_max: need an integer >= 0, got -1"),
+    (build_cube, -1, "k_max: need an integer >= 0, got -1"),
+], ids=["delta_bt", "fi_sharp", "cube"])
+def test_builders_raise_below_the_least_size_in_process(build, size, message):
+    with pytest.raises(ValueError) as e:
+        build(size)
+    assert str(e.value) == message
+
+
 def test_fi_hom_counts(fi4):
     cat = fi4.cat
     for m in range(5):
@@ -409,6 +420,30 @@ def test_validate_par_input_matches_the_search(name):
         assert got == _validate_by_search(inp)
         kinds |= {p["problem"] for p in got[0]}
     assert kinds
+
+
+def test_validate_par_input_reports_an_m_class_that_is_not_closed():
+    """finset 2 with the map 0 -> 2 dropped from m_class: its composites
+    with the two injections 1 -> 2 leave the class, and the problem list,
+    pinned here, names those pairs first, by g, then f, and then what the
+    dropped map breaks."""
+    inp = build_finset_input(2)
+    cat = inp.cat
+    (dropped,) = cat.hom(0, 2)
+    problems, _ = validate_par_input(
+        ParInput(cat, inp.e_class, inp.m_class - {dropped}))
+    assert problems == [
+        {"problem": "m_class not closed under composition", "pair": [4, 1]},
+        {"problem": "m_class not closed under composition", "pair": [5, 1]},
+        {"problem": "no (e, m) factorization", "morphism": 2},
+        {"problem": "pullback projection not in m_class",
+         "m": 1, "along": 6, "projection": 2},
+        {"problem": "pullback projection not in m_class",
+         "m": 4, "along": 10, "projection": 2},
+        {"problem": "pullback projection not in m_class",
+         "m": 5, "along": 7, "projection": 2},
+    ]
+    assert dropped == 2 and [cat.comp[g][f] for g, f in ((4, 1), (5, 1))] == [2, 2]
 
 
 def test_pt_matches_expected_structure(pt):

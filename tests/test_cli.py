@@ -161,6 +161,24 @@ def test_check_command(tmp_path, capsys):
     assert out["witness"]["passed"] is False
 
 
+def test_check_out_writes_the_payload(tmp_path, capsys):
+    # the payload example writes beside the structure, passing or failing
+    main(["example", "delta_bt", "--size", "3", "--out", str(tmp_path)])
+    path = tmp_path / "delta_bt_3.structure.json"
+    out = tmp_path / "reports" / "check.json"
+    assert main(["check", str(path), "--out", str(out)]) == 0
+    assert out.read_text() == (tmp_path / "delta_bt_3.assumptions.json").read_text()
+    data = read(path)
+    m = next(k for k, v in data["star"].items() if k != v)
+    data["star"][m] = m
+    bad = tmp_path / "bad.structure.json"
+    bad.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["check", str(bad), "--out", str(out)]) == 2
+    assert json.loads(capsys.readouterr().out)["witness"] == read(out)
+    assert read(out)["passed"] is False
+
+
 def test_check_malformed_input(tmp_path):
     p = tmp_path / "junk.json"
     p.write_text("{not json")
@@ -278,6 +296,41 @@ def test_certify_corrupted_star_exits_2(tmp_path):
     rc = main(["certify", "--category", str(bad), "--seeds", "1",
                "--out", str(tmp_path / "cert.json")])
     assert rc == 2
+
+
+def test_certify_exits_2_when_a_certificate_fails(tmp_path, capsys, monkeypatch):
+    # hat's second output, hat(tilde(hat f)) for the first functor, gets one
+    # changed entry on a non-identity embedding, which breaks the counit's
+    # naturality: certify writes the certificate, then exits 2 with the
+    # failing entry as its witness
+    from dkequiv import equivalence
+    from dkequiv.exactlin import QMat
+    from dkequiv.functors import AdditiveFunctor
+
+    real_hat = equivalence.hat
+    calls = []
+
+    def corrupting_hat(km, g):
+        out = real_hat(km, g)
+        calls.append(g)
+        if len(calls) != 2:
+            return out
+        s = km.structure
+        key = next(m for m in sorted(s.m_class) if not s.cat.is_identity(m)
+                   and out.mats[m].nrows and out.mats[m].ncols)
+        m = out.mats[key]
+        bump = QMat(m.nrows, m.ncols, [((0, 1),)] + [()] * (m.nrows - 1))
+        return AdditiveFunctor(out.base, out.dims, {**out.mats, key: m + bump})
+
+    monkeypatch.setattr(equivalence, "hat", corrupting_hat)
+    out = tmp_path / "cert.json"
+    capsys.readouterr()
+    assert main(["certify", "--size", "4", "--seeds", "2", "--out", str(out)]) == 2
+    entries = read(out)["certificate"]["entries"]
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "certificate failed at seed0_0", "witness": entries[0]}
+    assert [e["ok"] for e in entries] == [False, True]
+    assert entries[0]["counit_natural"] is False
 
 
 def test_theta_dump(tmp_path):

@@ -18,6 +18,7 @@ from dkequiv.builders import (
 )
 from dkequiv.equivalence import (
     KernelModule,
+    TransportError,
     TriangularityError,
     build_kernel_module,
     certify_equivalence,
@@ -631,6 +632,38 @@ def test_certify_fails_every_input_that_is_not_a_functor(km_delta4, km_fi3, cube
                 assert entry.witness == {"error": "input functor invalid",
                                          "detail": laws.to_jsonable()}
     assert (copies, rejected) == (47, 40)
+
+
+def test_tilde_reports_a_map_that_does_not_restrict(km_delta4):
+    """hat(f) with one entry of the degeneracy 0,0,1,2 changed so that its
+    matrix no longer maps the kernel intersection at its domain into the
+    one at its codomain, which the change leaves as they were: tilde raises
+    TransportError naming that morphism."""
+    from dkequiv.exactlin import RestrictionError, restrict
+
+    km = km_delta4
+    cat = km.structure.cat
+    t = hat(km, random_pointed_functor(km.d, (1, 2, 2, 1), seed=3))
+    r = cat.mor_labels.index("0,0,1,2")
+    m, sub = t.mats[r], tilde_subspaces(km, t)
+
+    def restricts(x):
+        try:
+            restrict(x, sub[cat.dom[r]], sub[cat.cod[r]])
+        except RestrictionError:
+            return False
+        return True
+
+    # m plus a single 1 at (i, j), at the first cell where that breaks it
+    bumped = (m + QMat(*m.shape, [((j, 1),) if k == i else () for k in range(m.nrows)])
+              for i in range(m.nrows) for j in range(m.ncols))
+    bad = next(x for x in bumped if not restricts(x))
+    broken = AdditiveFunctor(cat, t.dims, {**t.mats, r: bad})
+    assert tilde_subspaces(km, broken) == sub
+    with pytest.raises(TransportError) as e:
+        tilde(km, broken)
+    assert str(e.value).startswith("restriction failed along 0,0,1,2: ")
+    assert e.value.witness == {"morphism": r, "label": "0,0,1,2"}
 
 
 def test_certify_vacuous(km_delta4):

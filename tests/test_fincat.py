@@ -5,7 +5,9 @@ import random
 import pytest
 
 from dkequiv.builders import partial_injections
-from dkequiv.fincat import FinCat, table_category
+from dkequiv.fincat import FinCat, closure_failures, table_category
+
+from conftest import closed_cuts, negative_controls
 
 
 def opposite(cat):
@@ -681,3 +683,25 @@ def test_check_matches_the_exhaustive_walk(delta3, fi2, cube2):
                 assert laws <= {"associativity violated"}
             failing[kind] += bool(laws)
     assert failing["associativity"] >= 100 and failing["identity"] >= 100
+
+
+def test_closure_failures_match_the_double_loop(pt, delta4, fi3, cube2):
+    """closure_failures gives the failing pairs (g, f) of a plain double
+    loop over the composable pairs, on M and K of stock structures, of
+    seeded cuts closed under composition and of seeded mutants, whose
+    tables pass check_tables; some of these sets are closed and some are
+    not."""
+    rng = random.Random(28)
+    cases = [pt, delta4, fi3, cube2]
+    cases += closed_cuts(fi3, 4, rng) + closed_cuts(cube2, 4, rng)
+    cases += [s for _, s in negative_controls([delta4, fi3, cube2], rng)]
+    seen = set()
+    for s in cases:
+        cat = s.cat
+        assert cat.check_tables().ok
+        for members in (s.m_class, s.derived.k_class):
+            want = [(g, f) for g in sorted(members) for f in sorted(members)
+                    if cat.composable(g, f) and cat.comp[g][f] not in members]
+            assert closure_failures(cat, members) == want
+            seen.add(bool(want))
+    assert seen == {True, False}
