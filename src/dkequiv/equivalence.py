@@ -32,7 +32,6 @@ from .exactlin import (
     block,
     direct_sum,
     restrict,
-    solve_exact,
 )
 from .fincat import group_by, outside_composites, outside_is_stable
 from .functors import AdditiveFunctor, NatTransform, PointedFunctor
@@ -427,7 +426,7 @@ def unit_with(km: KernelModule, f: PointedFunctor, subspaces):
         rest = sum(f.dims[cat.dom[rep]] for rep in poset.proper())
         inj = block([rest, w], [w], {(1, 0): QMat.identity(w)})
         try:
-            comps.append(solve_exact(subspaces[a].basis, inj))
+            comps.append(subspaces[a].coordinates(inj))
         except RestrictionError:
             raise TransportError(
                 "whole-object inclusion does not land in the kernel "
@@ -547,7 +546,14 @@ def certify_functor(km: KernelModule, f: PointedFunctor, name) -> CertificateEnt
     counit eps: hft => t must be natural isomorphisms.  The triangles are
     products of components that must be identities: eps_b after the direct
     sum of eta over b's subobject classes, and eps_a restricted to
-    sub_hft_a -> sub_t_a after the unit at ft.
+    sub_hft_a -> sub_t_a after the unit at ft; an eps_a that does not
+    restrict fails the second.
+
+    Invertibility needs no rank but where the first triangle fails.  The
+    unit: sub_t_a's basis times eta_a is [0; I_w], of rank w, the columns
+    of eta_a, so eta_a is invertible exactly when it is square.  The
+    counit: a square eps_b with eps_b (+ eta) = I has a right inverse, so
+    it is invertible.
 
     The counit's squares are tested along cat.generating_set() first when
     t and hft were assembled by hat from km.placement out of f and ft,
@@ -582,7 +588,7 @@ def certify_functor(km: KernelModule, f: PointedFunctor, name) -> CertificateEnt
         unit_natural = eta_rep.ok
         if not unit_natural:
             witness = {"unit": eta_rep.to_jsonable()["law"][:1]}
-        unit_invertible = eta.is_iso()
+        unit_invertible = all(c.nrows == c.ncols for c in eta.components)
         hft = hat(km, ft)
         eps = NatTransform(hft, t, counit_with(km, t, sub_t))
         eps_rep = eps.validate(cat.generating_set() if (
@@ -591,22 +597,31 @@ def certify_functor(km: KernelModule, f: PointedFunctor, name) -> CertificateEnt
         counit_natural = eps_rep.ok
         if not counit_natural and witness is None:
             witness = {"counit": eps_rep.to_jsonable()["law"][:1]}
-        counit_invertible = eps.is_iso()
-
         # (counit at hat f) o (hat of unit) must be the identity of hat f
-        tri_hat = all(
+        tri_hat_at = [
             eps.components[b].mul(direct_sum(*[
                 eta.components[cat.dom[rep]]
                 for rep in s.sub_poset(b).linearization
             ])).is_identity()
             for b in cat.objects()
-        )
+        ]
+        tri_hat = all(tri_hat_at)
+        counit_invertible = all(
+            e.nrows == e.ncols and (ok or e.rank() == e.nrows)
+            for e, ok in zip(eps.components, tri_hat_at))
         # (tilde of counit) o (unit at tilde hat f) must be the identity
         sub_hft = tilde_subspaces(km, hft)
         eta_ft = unit_with(km, ft, sub_hft)
-        tilde_eps = [restrict(e, sub_hft[a], sub_t[a])
-                     for a, e in enumerate(eps.components)]
-        tri_tilde = all(e.mul(u).is_identity() for e, u in zip(tilde_eps, eta_ft))
+        tri_tilde = True
+        for a, (e, u) in enumerate(zip(eps.components, eta_ft)):
+            try:
+                tri_tilde = restrict(e, sub_hft[a], sub_t[a]).mul(u).is_identity()
+            except RestrictionError:
+                tri_tilde = False
+                witness = witness or {"triangle_tilde": {
+                    "message": "counit does not restrict", "object": a}}
+            if not tri_tilde:
+                break
     except TransportError as e:
         return CertificateEntry(
             name, list(f.dims), list(t.dims), [], False, False, False, False,

@@ -358,14 +358,15 @@ class Subspace:
     """Subspace of Q^n given by a basis in reduced column echelon form.
 
     The canonical form makes subspace equality plain matrix equality.
+    pivots[i] is the pivot row of basis column i.
     """
 
-    __slots__ = ("ambient_dim", "basis")
+    __slots__ = ("ambient_dim", "basis", "pivots")
 
     def __init__(self, ambient_dim, basis: QMat):
         assert basis.nrows == ambient_dim
         self.ambient_dim = ambient_dim
-        self.basis = _column_echelon(basis)
+        self.basis, self.pivots = _column_echelon(basis)
 
     @classmethod
     def full(cls, n):
@@ -374,6 +375,21 @@ class Subspace:
     @property
     def dim(self):
         return self.basis.ncols
+
+    def coordinates(self, v: QMat) -> QMat:
+        """The X with basis X = v, read off at the pivot rows; raises
+        RestrictionError when v is not in the subspace.
+
+        Basis column i holds 1 at pivot row p_i and every other column 0
+        there, so if v = basis Y, row p_i of v is row i of Y; Y is unique,
+        the columns being independent.  So X, rows p_i of v, is that Y
+        when v is in the subspace, and basis X != v when it is not.
+        """
+        assert v.nrows == self.ambient_dim
+        x = QMat(self.dim, v.ncols, [v.sparse[p] for p in self.pivots], v.den)
+        if self.basis.mul(x) != v:
+            raise RestrictionError("vector not in the subspace")
+        return x
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
@@ -387,8 +403,9 @@ class Subspace:
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
 
 
-def _column_echelon(m: QMat) -> QMat:
-    """A basis of the column space of m in reduced column echelon form.
+def _column_echelon(m: QMat):
+    """A basis of the column space of m in reduced column echelon form, with
+    the pivot row of each of its columns.
 
     Its columns are independent by construction, so no rank check follows:
     they are the nonzero rows of the RREF of m^T, which span the row space
@@ -398,7 +415,8 @@ def _column_echelon(m: QMat) -> QMat:
     p_i, which is 0.
     """
     red, pivots = m.transpose().rref()
-    return QMat(len(pivots), m.nrows, red.sparse[:len(pivots)], red.den).transpose()
+    basis = QMat(len(pivots), m.nrows, red.sparse[:len(pivots)], red.den)
+    return basis.transpose(), pivots
 
 
 def solve_exact(a: QMat, rhs: QMat) -> QMat:
@@ -422,7 +440,7 @@ def restrict(m: QMat, dom: Subspace, cod: Subspace) -> QMat:
     """
     assert m.ncols == dom.ambient_dim and m.nrows == cod.ambient_dim
     try:
-        return solve_exact(cod.basis, m.mul(dom.basis))
+        return cod.coordinates(m.mul(dom.basis))
     except RestrictionError:
         raise RestrictionError(
             f"map of shape {m.shape} does not carry the domain subspace "

@@ -283,7 +283,7 @@ def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
     assert all(len(results) == 1 for results in seen.values())
 
 
-def test_certify_corrupted_star_exits_2(tmp_path):
+def test_certify_corrupted_star_exits_2(tmp_path, capsys):
     main(["example", "fi_sharp", "--size", "2", "--out", str(tmp_path)])
     data = read(tmp_path / "fi_sharp_2.structure.json")
     star = data["star"]
@@ -293,9 +293,15 @@ def test_certify_corrupted_star_exits_2(tmp_path):
     data["star"][m] = str(data["identities"][0])
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))
+    capsys.readouterr()
     rc = main(["certify", "--category", str(bad), "--seeds", "1",
                "--out", str(tmp_path / "cert.json")])
     assert rc == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["error"] == "assumption checks failed"
+    assert [p["message"] for p in report["witness"]["structural"]] == [
+        "star does not swap endpoints"]
+    assert not (tmp_path / "cert.json").exists()
 
 
 def test_certify_exits_2_when_a_certificate_fails(tmp_path, capsys, monkeypatch):

@@ -768,10 +768,10 @@ def test_certificate_fails_when_hat_of_tilde_hat_is_corrupted(km_delta4, monkeyp
     }]}
 
 
-def _counit_along(km, f, monkeypatch, **patches):
+def _validated(km, f, monkeypatch, **patches):
     """certify_functor's entry for f, with the named functions of
-    equivalence replaced, and the counit it validated with the along
-    argument it gave."""
+    equivalence replaced, and the (transformation, along) of each
+    NatTransform.validate call it made: the unit's, then the counit's."""
     from dkequiv import equivalence
 
     for name, fn in patches.items():
@@ -786,6 +786,14 @@ def _counit_along(km, f, monkeypatch, **patches):
     monkeypatch.setattr(NatTransform, "validate", spying_validate)
     entry = equivalence.certify_functor(km, f, "f")
     monkeypatch.undo()
+    return seen, entry
+
+
+def _counit_along(km, f, monkeypatch, **patches):
+    """certify_functor's entry for f, with the named functions of
+    equivalence replaced, and the counit it validated with the along
+    argument it gave."""
+    seen, entry = _validated(km, f, monkeypatch, **patches)
     eps, along = seen[-1]
     return eps, along, entry
 
@@ -1123,7 +1131,54 @@ CERTIFICATE_DIGESTS = {
     "gamma_3": "b232ff3104066902accb6d8d40116490096b51be78adf7ecd575723897489f4a",
     "vi_sharp_2": "b1c043b8f5794cb91bbc558401988c25339089844661c63850a7b60f6bc7896d",
     "failing": "5fe6ab344e7aee7a67ac52a74b7dd271efaf0b69602dfeca9675ccbcec33f17b",
+    "counit_bumped_hft": "360b945391b2b87e480e9c5f5080de0b255a62a8fb0db47674efb12b9c4672d9",
+    "triangle_bumped_t": "2e0e5219e40f9e2883750878305a9f16ca1a867f3e9959c3858fb9564a71dddb",
+    "shapes_bumped_t": "d7109372716df8a1cefee7041e80121fc2dff4928e8b609ee7cc1502889df4e2",
 }
+
+GOOD_TAGS = {"fi_sharp_4", "delta_bt_6", "cube_3", "gamma_3", "vi_sharp_2"}
+
+# failing cases with one entry of one hat output bumped by 1: (structure,
+# dims, hat call (1 is t = hat f, 2 is hft = hat(tilde t)), morphism, row,
+# column).  The first fails counit_natural only; the second counit_natural
+# and triangle_hat; the third unit_invertible, counit_natural and
+# counit_invertible, the components being of other shapes.
+BUMPED_CASES = {
+    "counit_bumped_hft": (lambda: build_fi_sharp(3), (1, 2, 1, 1), 2, 3, 0, 0),
+    "triangle_bumped_t": (lambda: build_delta_bt(4), (1, 2, 2, 1), 1, 3, 0, 0),
+    "shapes_bumped_t": (lambda: build_delta_bt(4), (1, 2, 2, 1), 1, 23, 2, 4),
+}
+
+
+def _changing_hat(call, g, change):
+    """equivalence.hat, with change applied to morphism g's matrix in its
+    call-th output."""
+    from dkequiv import equivalence
+
+    real_hat, calls = equivalence.hat, []
+
+    def changed_hat(km, x):
+        out = real_hat(km, x)
+        calls.append(x)
+        if len(calls) != call:
+            return out
+        return AdditiveFunctor(out.base, out.dims, {**out.mats, g: change(out.mats[g])})
+
+    return changed_hat
+
+
+def _bumping_hat(call, g, i, j):
+    """equivalence.hat, with entry (i, j) of morphism g's matrix raised by 1
+    in its call-th output."""
+    def bump(m):
+        return m + QMat(m.nrows, m.ncols, [((j, 1),) if r == i else ()
+                                           for r in range(m.nrows)])
+
+    return _changing_hat(call, g, bump)
+
+
+def _zero(m):
+    return QMat.zeros(m.nrows, m.ncols)
 
 
 def _cli_functors(km, count, seed=0, dims_max=3):
@@ -1149,6 +1204,10 @@ def _certificate_case(tag):
                 (2, 1, 3, 3, 2))
         return km, [random_pointed_functor(km.d, x, seed=rng.randrange(2 ** 30))
                     for x in dims], [f"seed0_{i}" for i in range(5)]
+    if tag in BUMPED_CASES:
+        build, dims = BUMPED_CASES[tag][:2]
+        km = build_kernel_module(build())
+        return km, [random_pointed_functor(km.d, dims, seed=3)], ["bumped"]
     if tag == "failing":
         # fi_sharp 3's irreducible 9, no generator of D, with one entry
         # bumped: the law report of the walk is the witness
@@ -1164,8 +1223,100 @@ def _certificate_case(tag):
 
 
 @pytest.mark.parametrize("tag", sorted(CERTIFICATE_DIGESTS))
-def test_certificate_bytes_are_pinned(tag):
+def test_certificate_bytes_are_pinned(tag, monkeypatch):
+    from dkequiv import equivalence
+
+    if tag in BUMPED_CASES:
+        monkeypatch.setattr(equivalence, "hat", _bumping_hat(*BUMPED_CASES[tag][2:]))
     cert = certify_equivalence(*_certificate_case(tag))
-    assert cert.ok == (tag != "failing")
+    assert cert.ok == (tag in GOOD_TAGS)
     text = json.dumps(cert.to_jsonable(), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == CERTIFICATE_DIGESTS[tag]
+
+
+def _invertibility_cases():
+    """(km, f, patches) for each entry of the pinned certificates, and for
+    delta_bt 4 and fi_sharp 3 with t = hat f made zero at one morphism."""
+    for tag in sorted(CERTIFICATE_DIGESTS):
+        km, fs, _ = _certificate_case(tag)
+        patch = BUMPED_CASES.get(tag)
+        for f in fs:
+            yield km, f, {"hat": _bumping_hat(*patch[2:])} if patch else {}
+    for build, n, dims in ((build_delta_bt, 4, (1, 2, 2, 1)), (build_fi_sharp, 3, (1, 2, 1, 1))):
+        km = build_kernel_module(build(n))
+        f = random_pointed_functor(km.d, dims, seed=3)
+        for g in km.structure.cat.morphisms():
+            yield km, f, {"hat": _changing_hat(1, g, _zero)}
+
+
+def test_invertibility_from_shapes_and_triangles_matches_is_iso(monkeypatch):
+    """certify_functor decides unit_invertible by the components' shapes,
+    and counit_invertible by the triangle at each object, with a rank only
+    where that triangle fails; both agree with NatTransform.is_iso on every
+    entry that builds the two, and every branch is taken."""
+    seen_outcomes = set()
+    for km, f, patches in _invertibility_cases():
+        seen, entry = _validated(km, f, monkeypatch, **patches)
+        if not seen:  # f fails its laws, or tilde(t) does not restrict
+            assert "error" in entry.witness
+            assert not (entry.unit_invertible or entry.counit_invertible)
+            continue
+        (eta, _), (eps, _) = seen
+        assert entry.unit_invertible == eta.is_iso()
+        assert entry.counit_invertible == eps.is_iso()
+        seen_outcomes.add((entry.unit_invertible, entry.triangle_hat,
+                           entry.counit_invertible))
+    assert {(False, True, False), (True, True, True), (True, False, True),
+            (True, False, False)} <= seen_outcomes
+
+
+@pytest.mark.parametrize("build, n, dims, failing", [
+    (build_delta_bt, 4, (1, 2, 2, 1), 3), (build_fi_sharp, 3, (1, 2, 1, 1), 6)])
+def test_a_counit_that_does_not_restrict_fails_triangle_tilde(build, n, dims, failing,
+                                                              monkeypatch):
+    """hat(tilde(hat f)) made zero at one non-identity retraction: at 3 of
+    delta_bt 4's 4 retractions and 6 of fi_sharp 3's 20 a counit component
+    then does not carry the kernel intersections of hft into those of t.
+    The entry fails triangle_tilde, with the witness of the counit's
+    failing square; with every naturality report forced to pass, the
+    witness names the first object at which the counit does not restrict."""
+    from dkequiv import equivalence
+    from dkequiv.exactlin import RestrictionError
+    from dkequiv.fincat import ValidationReport
+
+    km = build_kernel_module(build(n))
+    s = km.structure
+    f = random_pointed_functor(km.d, dims, seed=3)
+    real_restrict, raised = equivalence.restrict, []
+
+    def spying_restrict(m, dom, cod):
+        try:
+            return real_restrict(m, dom, cod)
+        except RestrictionError:
+            raised.append(m)
+            raise
+
+    retractions = sorted({s.star[m] for m in s.m_class if not s.cat.is_identity(m)})
+    named = []
+    for r in retractions:
+        for forced in (False, True):
+            raised.clear()
+            monkeypatch.setattr(equivalence, "restrict", spying_restrict)
+            monkeypatch.setattr(equivalence, "hat", _changing_hat(2, r, _zero))
+            if forced:
+                monkeypatch.setattr(NatTransform, "validate",
+                                    lambda self, along=None: ValidationReport())
+            entry = equivalence.certify_functor(km, f, "zeroed")
+            monkeypatch.undo()
+            assert entry.triangle_tilde == (not raised)
+            if not forced:
+                assert not entry.ok and not entry.counit_natural
+                assert list(entry.witness) == ["counit"]
+            elif raised:
+                named.append(entry.witness)
+            else:
+                assert entry.ok and entry.witness is None
+    assert len(named) == failing
+    assert all(w == {"triangle_tilde": {"message": "counit does not restrict",
+                                        "object": w["triangle_tilde"]["object"]}}
+               for w in named)

@@ -467,6 +467,50 @@ def test_solve_exact_matches_fraction_reference():
             assert _fracs(got) == want, (rows, rhs)
 
 
+def test_coordinates_match_solve_exact_and_fraction_reference():
+    """Subspace.coordinates on the spans of the rational cases (dims 0 to
+    6 of ambient dims 0 to 6), against solve_exact on the basis and the
+    Fraction reference.  Half of the right-hand sides are basis x; the
+    others are drawn, so most of them lie outside a proper subspace."""
+    outside = 0
+    for rng, n, m, rows in _rational_cases():
+        sub = Subspace(n, QMat.from_rows(rows, m))
+        basis, d, k = _fracs(sub.basis), sub.dim, rng.randint(0, 3)
+        for i, p in enumerate(sub.pivots):
+            assert basis[p] == [Fraction(int(j == i)) for j in range(d)]
+        if rng.randrange(2):
+            x = _random_rational_rows(rng, d, k)
+            rhs = [[sum((basis[i][t] * x[t][j] for t in range(d)), Fraction(0))
+                    for j in range(k)] for i in range(n)]
+        else:
+            rhs = _random_rational_rows(rng, n, k)
+        v = QMat.from_rows(rhs, k)
+        want = _ref_solve(basis, rhs, d) if n else [[Fraction(0)] * k] * d
+        if want is None:
+            outside += 1
+            with pytest.raises(RestrictionError):
+                sub.coordinates(v)
+            with pytest.raises(RestrictionError):
+                solve_exact(sub.basis, v)
+        else:
+            got = sub.coordinates(v)
+            assert got == solve_exact(sub.basis, v)
+            assert got.shape == (d, k) and _fracs(got) == want
+    assert outside > 100
+
+
+@pytest.mark.parametrize("n", [0, 1, 4])
+def test_coordinates_in_the_full_and_the_zero_subspace(n):
+    v = QMat.from_rows([[Fraction(i - j, j + 1) for j in range(3)] for i in range(n)], 3)
+    assert Subspace.full(n).coordinates(v) == v
+    zero = Subspace(n, QMat.zeros(n, 0))
+    assert zero.pivots == []
+    assert zero.coordinates(QMat.zeros(n, 3)) == QMat.zeros(0, 3)
+    if n:
+        with pytest.raises(RestrictionError):
+            zero.coordinates(v)
+
+
 def test_inverse_matches_fraction_reference():
     import random
 

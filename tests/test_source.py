@@ -72,3 +72,34 @@ def test_unreferenced_names_are_found():
 def test_src_defines_no_unreferenced_name():
     sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert unreferenced_names(sources) == []
+
+
+def unused_imports(source):
+    """The names that source imports and never names again, but for
+    `from __future__ import annotations`."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported.add(alias.asname or alias.name.split(".")[0])
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used)
+
+
+def test_unused_imports_are_found():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\nimport sys as system\n"
+        "from math import gcd, lcm as least\n\n"
+        "def f(x):\n    return gcd(x, os.sep)\n"
+    )
+    assert unused_imports(source) == ["least", "system"]
+
+
+def test_src_modules_use_every_name_they_import():
+    found = {path.name: unused_imports(path.read_text())
+             for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
+    assert {name: names for name, names in found.items() if names} == {}
