@@ -95,6 +95,13 @@ def _require_category_laws(structure) -> None:
         raise TransportError("category laws violated", report.to_jsonable())
 
 
+def _stock(name, size):
+    """The stock structure build_stock gives and its tag, which carries the
+    size only when the builder reads it."""
+    structure = build_stock(name, size)
+    return structure, name if BUILDERS[name][1] is None else f"{name}_{size}"
+
+
 def cmd_example(args) -> int:
     name, out = args.name, Path(args.out)
     if name == "par":
@@ -105,14 +112,10 @@ def cmd_example(args) -> int:
         )
         tag = f"par_{Path(args.base).stem}"
     else:
-        structure = build_stock(name, args.size)
-        # the tag carries the size only when the builder reads it
-        tag = name if BUILDERS[name][1] is None else f"{name}_{args.size}"
+        structure, tag = _stock(name, args.size)
     report = check_assumptions(structure)
     _dump(out / f"{tag}.structure.json", structure.to_jsonable())
     _dump(out / f"{tag}.assumptions.json", _report_payload(structure, report))
-    if args.verbose:
-        print(f"wrote {tag}.structure.json and {tag}.assumptions.json")
     if not report.passed:
         return _fail(
             MATH_FAILURE,
@@ -180,8 +183,7 @@ def cmd_certify(args) -> int:
         structure = _load(args.category, MRStructure.from_jsonable)
         tag = Path(args.category).stem
     else:
-        structure = build_stock(args.name, args.size)
-        tag = f"{args.name}_{args.size}"
+        structure, tag = _stock(args.name, args.size)
     _require_category_laws(structure)
     report = check_assumptions(structure)
     if not report.passed:
@@ -276,7 +278,6 @@ def make_parser():
     ex.add_argument("--size", type=int, default=3)
     ex.add_argument("--base", help="base-category file for par")
     ex.add_argument("--out", default=".")
-    ex.add_argument("--verbose", action="store_true")
     ex.set_defaults(fn=cmd_example)
 
     ch = sub.add_parser("check", help="validate a structure file")

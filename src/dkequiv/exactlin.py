@@ -191,27 +191,30 @@ class QMat:
 
         Gauss-Jordan on sparse integer rows, one {column: int} dict for
         each nonzero row of the matrix: each row is divided by the gcd of
-        its entries; at pivot (r, c), with P the first row at or below r
-        with an entry in column c swapped into place r and p = P[c], every
-        other row R with f = R[c] != 0 becomes p R - f P, divided by its
-        gcd; at the end each pivot row is divided by its pivot, over the
-        lcm of the pivots as the one denominator.  Only stored entries are
-        read or written: p R - f P is R scaled by p with f P subtracted
-        entry by entry, and an entry that cancels leaves the dict.  holders
-        maps each column to the places of the rows with an entry there, so
-        neither the pivot search nor the clearing scans the other rows.
+        its entries; at column c, with P the least row that is not yet a
+        pivot row and has an entry there and p = P[c], every other row R
+        with f = R[c] != 0 becomes p R - f P, divided by its gcd; at the
+        end the pivot rows, in pivot order, are each divided by its pivot,
+        over the lcm of the pivots as the one denominator.  Only stored
+        entries are read or written: p R - f P is R scaled by p with f P
+        subtracted entry by entry, and an entry that cancels leaves the
+        dict.  holders maps each column to the places of the rows with an
+        entry there, so neither the pivot search nor the clearing scans the
+        other rows.  No row is moved: the RREF is unique, so any choice of
+        pivot row gives the same result.
 
         This is the Fraction algorithm on the same rows (divide the pivot
         row by its pivot, subtract F_i[c] times it from every other row
         F_i), step for step.  Invariant: each integer row R_i = l_i F_i with
-        l_i != 0, and R_i is primitive or zero.  A swap keeps it, and for a
-        cleared row, with p = l_r F_r[c] and f = l_i F_i[c],
+        l_i != 0, and R_i is primitive or zero.  For a cleared row, with
+        P = R_r, p = l_r F_r[c] and f = l_i F_i[c],
             p R_i - f P = l_i l_r F_r[c] (F_i - F_i[c] F_r / F_r[c]),
         a nonzero multiple of the new Fraction row, made primitive by the
         gcd division.  So the zero entries agree at every step, the pivots
-        are the same, and R_r / R_r[c_r] = F_r at the end.  Size: the
-        primitive multiple of (n_j / d_j)_j has |entry j| <= |n_j| times the
-        other d_k, so no integer outgrows the Fraction row it stands for.
+        are the same, and R_r / R_r[c] = F_r for each pivot row at the end.
+        Size: the primitive multiple of (n_j / d_j)_j has |entry j| <= |n_j|
+        times the other d_k, so no integer outgrows the Fraction row it
+        stands for.
 
         The rows that are zero at the start are set aside, and empty rows
         pad the result back to nrows.  That is the RREF of the whole matrix:
@@ -219,7 +222,7 @@ class QMat:
         the one reduced echelon basis of its row space and its other rows
         are zero, and the nonzero rows alone span the same row space.  (Kept
         in place, a zero row would never be a pivot and never change, its
-        f being 0.)  No row after the last pivot keeps an entry: one in
+        f being 0.)  No row but the pivot rows keeps an entry: one in
         column c would have given a pivot when c was reached, and every
         row subtracted from it later is zero in column c.
         """
@@ -233,26 +236,17 @@ class QMat:
         for i, row in enumerate(rows):
             for j in row:
                 holders.setdefault(j, set()).add(i)
-        pivots = []
-        r = 0
+        pivot_at = {}  # place of each pivot row -> its column, in pivot order
         for c in range(self.ncols):
-            if r == n:
+            if len(pivot_at) == n:
                 break
             at_c = holders.get(c, ())
-            pr = min((i for i in at_c if i >= r), default=None)
+            pr = min((i for i in at_c if i not in pivot_at), default=None)
             if pr is None:
                 continue
-            if pr != r:
-                for i in (r, pr):
-                    for j in rows[i]:
-                        holders[j].remove(i)
-                rows[r], rows[pr] = rows[pr], rows[r]
-                for i in (r, pr):
-                    for j in rows[i]:
-                        holders[j].add(i)
-            prow = rows[r]
+            prow = rows[pr]
             p = prow[c]
-            for i in [i for i in at_c if i != r]:
+            for i in [i for i in at_c if i != pr]:
                 row = rows[i]
                 f = row[c]
                 new = {j: p * x for j, x in row.items()} if p != 1 else row
@@ -267,14 +261,13 @@ class QMat:
                         holders[j].remove(i)
                 g = gcd(*new.values())
                 rows[i] = {j: x // g for j, x in new.items()} if g > 1 else new
-            pivots.append(c)
-            r += 1
-        den = lcm(*(rows[i][c] for i, c in enumerate(pivots)))
+            pivot_at[pr] = c
+        den = lcm(*(rows[i][c] for i, c in pivot_at.items()))
         out = [()] * self.nrows
-        for i, c in enumerate(pivots):
+        for k, (i, c) in enumerate(pivot_at.items()):
             scale = den // rows[i][c]
-            out[i] = tuple(sorted((j, x * scale) for j, x in rows[i].items()))
-        return QMat(self.nrows, self.ncols, out, den), pivots
+            out[k] = tuple(sorted((j, x * scale) for j, x in rows[i].items()))
+        return QMat(self.nrows, self.ncols, out, den), list(pivot_at.values())
 
     def rank(self) -> int:
         return len(self.rref()[1])

@@ -310,16 +310,16 @@ class FinCat:
     def generating_set(self, members=None):
         """The members (all morphisms by default) that, walked after the
         identities, the identities and the earlier ones do not reach under
-        the table's composition.  Each taken member x is extended, and so
-        is each morphism it reaches, by one identity or one generator taken
-        so far on either side: y o g and g o y.  So on any table each
-        reached morphism is a composite of reached morphisms and
-        identities, and with the identities the generators reach every
-        member, since each member is either reached or taken; this holds
-        for any walking order.  So a property of morphisms that holds at the
-        identities and at the generators, and at a o b whenever it holds at
-        a and at b, holds at every member: the lemma that check and
-        outside_is_stable rest on.
+        the table's composition: the members _extension_walk takes.  Each
+        taken member x is extended, and so is each morphism it reaches, by
+        one identity or one generator taken so far on either side: y o g
+        and g o y.  So on any table each reached morphism is a composite of
+        reached morphisms and identities, and with the identities the
+        generators reach every member, since each member is either reached
+        or taken; this holds for any walking order.  So a property of
+        morphisms that holds at the identities and at the generators, and
+        at a o b whenever it holds at a and at b, holds at every member: the
+        lemma that check and outside_is_stable rest on.
 
         On a table that is associative and obeys the identity laws, the
         reached set after each taken x is the closure of the identities
@@ -350,12 +350,17 @@ class FinCat:
         members = frozenset(self.morphisms() if members is None else members)
         gens = self._gens.get(members)
         if gens is None:
+            def taken(order):
+                walk = _extension_walk(order, self.dom, self.cod,
+                                       self.identities, self.comp)
+                return [x for x, outer, _ in walk if outer is None]
+
             # isomorphisms first, by descending element order
             rank = {i: -self._element_order(i) for i in self.isos()}
-            first = self._walk_generators(sorted(
+            first = taken(sorted(
                 members, key=lambda x: (x not in rank, rank.get(x, 0), x)))
             into, outof = self.into, self.outof
-            gens = self._gens[members] = tuple(self._walk_generators(sorted(
+            gens = self._gens[members] = tuple(taken(sorted(
                 first, key=lambda g: (
                     -len(outof[self.cod[g]]) * len(into[self.dom[g]]),
                     g not in rank, rank.get(g, 0), g))))
@@ -373,32 +378,6 @@ class FinCat:
                 return k
             power = row[power]
         return 0
-
-    def _walk_generators(self, order):
-        """The walk over order: each member not yet reached is taken."""
-        comp, dom, cod = self.comp, self.dom, self.cod
-        # the identities and the generators taken so far, by cod and by dom
-        taken_into = [[i] for i in self.identities]
-        taken_outof = [[i] for i in self.identities]
-        reached, gens = set(self.identities), []
-        for x in order:
-            if x in reached:
-                continue
-            gens.append(x)
-            taken_into[cod[x]].append(x)
-            taken_outof[dom[x]].append(x)
-            reached.add(x)
-            todo = [x]
-            while todo:
-                y = todo.pop()
-                row = comp[y]
-                new = [row[g] for g in taken_into[dom[y]]]
-                new += [comp[g][y] for g in taken_outof[cod[y]]]
-                for w in new:
-                    if w not in reached:
-                        reached.add(w)
-                        todo.append(w)
-        return gens
 
     # -- serialization -------------------------------------------------------
 
@@ -452,6 +431,44 @@ class FinCat:
         return f"FinCat({self.n_objects} objects, {self.n_morphisms} morphisms)"
 
 
+def _extension_walk(order, dom, cod, identities, rows):
+    """The one-generator extension walk of FinCat.generating_set over
+    order, on the table whose row of x is rows[x].  Each member of order
+    not yet reached is taken; it, and each morphism it reaches, is
+    extended by the identities and the members taken so far on either
+    side, y o g and g o y.  Yields (x, None, None) for each taken x and
+    (w, outer, inner) for each newly reached w = outer o inner.  It reads
+    the identities' rows at any time and any other rows[w] only after it
+    has yielded w's event, so a caller may fill rows as the walk goes."""
+    # the identities and the members taken so far, by cod and by dom
+    taken_into = [[i] for i in identities]
+    taken_outof = [[i] for i in identities]
+    reached = set(identities)
+    for x in order:
+        if x in reached:
+            continue
+        reached.add(x)
+        yield x, None, None
+        taken_into[cod[x]].append(x)
+        taken_outof[dom[x]].append(x)
+        todo = [x]
+        while todo:
+            y = todo.pop()
+            row_y = rows[y]
+            for g in taken_into[dom[y]]:
+                w = row_y[g]
+                if w not in reached:
+                    reached.add(w)
+                    yield w, y, g
+                    todo.append(w)
+            for g in taken_outof[cod[y]]:
+                w = rows[g][y]
+                if w not in reached:
+                    reached.add(w)
+                    yield w, g, y
+                    todo.append(w)
+
+
 def closure_failures(cat, members):
     """The pairs (g, f) of members, a set, with cod f = dom g and g o f not
     a member, by g, then f, in id order, on a table that passes
@@ -502,14 +519,38 @@ def table_category(obj_labels, morphisms, compose_keys, identity_key, *,
     given as (dom, cod, key, label) in id order; a repeated (dom, cod, key)
     names the morphism it first gave.  compose_keys(gkey, fkey) is the key
     of g after f, asked only of composable pairs, and identity_key(a) the
-    key of the identity of a.
+    key of the identity of a.  Returns the FinCat and the index from each
+    (dom, cod, key) to its id.
 
-    The table is keyed at every composable pair, unless the caller knows
-    compose_keys to be associative on the keys given, as map composition
-    is: then _walked_rows fills it, asking far fewer pairs, and the table
-    is the same.  FinCat.check stays the test of either table.
+    Every row g of the table is keyed, g's key composed with the key of
+    each f in into[dom g], unless the caller knows compose_keys to be
+    associative on the keys given, as map composition is.  Then the
+    identities' rows are keyed first, and _extension_walk goes over the
+    morphisms in id order, since the isomorphisms are not known before the
+    table: the row of each taken member is keyed, and the row of each newly
+    reached w = outer o inner is gathered from two rows known already,
+    row(w)[f] = row(outer)[row(inner)[f]] over f in into[dom inner].  Every
+    id is either reached or taken, so every row is filled, and the table is
+    the same.  FinCat.check stays the test of either table.  Every row is a
+    tuple when it is filled, so FinCat.__init__ keeps the rows as they are.
 
-    Returns the FinCat and the index from each (dom, cod, key) to its id.
+    The gathered rows are the keyed ones.  Write k(x) for the key of x; a
+    keyed entry x o f is the first id with key k(x)k(f) at its endpoints,
+    so its key is k(x)k(f).  Suppose the rows of outer and inner are keyed
+    rows and w = outer o inner, read off one of them, so
+    k(w) = k(outer)k(inner).  For f in into[dom inner], v = row(inner)[f]
+    has k(v) = k(inner)k(f), and lies in into[dom outer], as
+    cod v = cod inner = dom outer; so row(outer)[v] is the first id with key
+    k(outer)(k(inner)k(f)) = (k(outer)k(inner))k(f) = k(w)k(f) at the
+    endpoints (dom f, cod w), by associativity: the keyed entry of w at f.
+    Both rows are None off into[dom w] = into[dom inner], so the gathered
+    row of w is its keyed row, and by induction over the walk every row is.
+    Every gathered value is a value of a keyed row, so an id already in the
+    index.  The unit law is not needed for this, as the identities' rows
+    are keyed.  With it, as for maps, an extension by an identity reaches
+    nothing new, and the reached set after each taken member is the closure
+    of those taken so far, by generating_set's proof; so few rows are
+    keyed: 58 on fi_sharp 4, 124 on fi_sharp 5, besides the identities'.
     """
     index = {}
     dom, cod, keys, labels = [], [], [], []
@@ -529,95 +570,22 @@ def table_category(obj_labels, morphisms, compose_keys, identity_key, *,
         key, c = keys[g], cod[g]
         for f in into.get(dom[g], ()):
             row[f] = index[(dom[f], c, compose_keys(key, keys[f]))]
-        return row
+        return tuple(row)
 
     if associative:
-        comp = _walked_rows(dom, cod, into, identities, keyed_row)
+        comp = [None] * n
+        for i in identities:
+            comp[i] = keyed_row(i)
+        for w, outer, inner in _extension_walk(range(n), dom, cod,
+                                               identities, comp):
+            if outer is None:
+                comp[w] = keyed_row(w)
+                continue
+            row_outer, row_inner, row = comp[outer], comp[inner], [None] * n
+            for f in into[dom[inner]]:
+                row[f] = row_outer[row_inner[f]]
+            comp[w] = tuple(row)
     else:
-        # list rows, tupled by FinCat.__init__: tupling each keyed row as it
-        # was filled raised the theta benchmark's peak RSS from 43.6 to
-        # 44.2 MB (2 vCPUs, Python 3.11.7)
         comp = [keyed_row(g) for g in range(n)]
     cat = FinCat(len(obj_labels), dom, cod, identities, comp, obj_labels, labels)
     return cat, index
-
-
-def _walked_rows(dom, cod, into, identities, keyed_row):
-    """The composition table, as a list of tuple rows, of the morphisms
-    0..n-1 with the given endpoints, into[a] listing those into a, whose
-    composition of keys is associative: row(g)[f] is g o f on into[dom g]
-    and None elsewhere.
-
-    keyed_row(g) composes g's key with the key of each f in into[dom g]:
-    only the identities and the generators are keyed.  The walk is that of
-    FinCat.generating_set, over the morphisms in id order, since the
-    isomorphisms are not known before the table.  A morphism with no row
-    yet is taken as a generator and keyed, and it, and each morphism it
-    reaches, is extended by the identities and the generators taken so far
-    on either side.  Each newly reached w is gathered from two rows known
-    already: for w = y o g, row(w)[f] = row(y)[row(g)[f]] over f in
-    into[dom g]; for w = g o y, row(w)[f] = row(g)[row(y)[f]] over f in
-    into[dom y].  Every id is either reached or taken, so every row is
-    filled; the generators are not generating_set's, which walks the
-    isomorphisms first.
-
-    The gathered rows are the keyed ones.  Write k(x) for the key of x; a
-    keyed entry x o f is the first id with key k(x)k(f) at its endpoints,
-    so its key is k(x)k(f).  Suppose the rows of y and g are keyed rows
-    and w = y o g = row(y)[g], so k(w) = k(y)k(g).  For f in into[dom g],
-    v = row(g)[f] has k(v) = k(g)k(f), and lies in into[dom y], as
-    cod v = cod g = dom y; so row(y)[v] is the first id with key
-    k(y)(k(g)k(f)) = (k(y)k(g))k(f) = k(w)k(f) at the endpoints
-    (dom f, cod w), by associativity: the keyed entry of w at f.  Likewise
-    for w = g o y.  Both rows are None off into[dom w], so the gathered row
-    of w is its keyed row, and by induction over the walk every row is.
-    Every gathered value is a value of a keyed row, so an id already in
-    the index; w itself, read off row(y) or row(g), is one too.  The unit
-    law is not needed for this, as the identities' rows are keyed.  With
-    it, as for maps, an extension by an identity reaches nothing new, and
-    the reached set after each generator is the closure of the generators
-    so far, by generating_set's proof; so few rows are keyed: 58
-    generators' on fi_sharp 4, 124 on fi_sharp 5.
-
-    Each row is tupled as soon as it is filled, so FinCat.__init__ keeps
-    the rows as they are and the build never holds the table both as lists
-    and as tuples.  Against list rows tupled by FinCat.__init__ at the end,
-    this lowered the benchmark's peak RSS on all three workloads, in three
-    alternating pairs each (2 vCPUs, Python 3.11.7): certify from 26.9 to
-    25.1 MB, theta from 43.5 to 43.0 MB, axioms from 46.5 to 46.2 MB.
-    """
-    n = len(dom)
-    rows = [None] * n
-    taken_into = [[i] for i in identities]
-    taken_outof = [[i] for i in identities]
-    for i in identities:
-        rows[i] = tuple(keyed_row(i))
-
-    def gathered(outer, inner, a):
-        row = [None] * n
-        for f in into[a]:
-            row[f] = outer[inner[f]]
-        return tuple(row)
-
-    for x in range(n):
-        if rows[x] is not None:
-            continue
-        rows[x] = tuple(keyed_row(x))
-        taken_into[cod[x]].append(x)
-        taken_outof[dom[x]].append(x)
-        todo = [x]
-        while todo:
-            y = todo.pop()
-            row_y = rows[y]
-            for g in taken_into[dom[y]]:
-                w = row_y[g]
-                if rows[w] is None:
-                    rows[w] = gathered(row_y, rows[g], dom[g])
-                    todo.append(w)
-            for g in taken_outof[cod[y]]:
-                row_g = rows[g]
-                w = row_g[y]
-                if rows[w] is None:
-                    rows[w] = gathered(row_g, row_y, dom[y])
-                    todo.append(w)
-    return rows

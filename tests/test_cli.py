@@ -1,7 +1,9 @@
+import argparse
 import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from dkequiv.builders import build_delta_bt, build_fi_input, build_fi_sharp
-from dkequiv.cli import main
+from dkequiv.cli import main, make_parser
 from dkequiv.equivalence import KernelModule, build_kernel_module
 from dkequiv.functors import random_pointed_functor
 from dkequiv.structure import MRStructure, check_assumptions
@@ -516,6 +518,36 @@ def test_certify_zero_seeds_is_a_vacuous_pass(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out) == {
         "category": "delta_bt_3", "functors": 0, "ok": True
     }
+
+
+def test_certify_tags_a_sizeless_builder_by_name(tmp_path, capsys):
+    """certify tags its certificate as example tags its files: pt ignores
+    its size, so its tag has none, and delta_bt keeps its size."""
+    for name, size, tag in (("pt", "7", "pt"), ("delta_bt", "4", "delta_bt_4")):
+        out = tmp_path / f"{name}.json"
+        assert main(["certify", "--name", name, "--size", size, "--seeds", "1",
+                     "--out", str(out)]) == 0
+        assert read(out)["category"] == tag
+        assert json.loads(capsys.readouterr().out)["category"] == tag
+
+
+def test_every_option_is_exercised():
+    """Each option string of every subcommand, argparse's own help aside,
+    occurs in the tests or in scripts/compare_cli.sh."""
+    root = Path(__file__).resolve().parents[1]
+    text = "".join(p.read_text() for p in sorted(root.glob("tests/*.py")))
+    text += (root / "scripts" / "compare_cli.sh").read_text()
+    parser = make_parser()
+    [sub] = [a for a in parser._actions
+             if isinstance(a, argparse._SubParsersAction)]
+    unused = [
+        (command, option)
+        for command, p in sub.choices.items() for a in p._actions
+        if not isinstance(a, argparse._HelpAction)
+        for option in a.option_strings
+        if not re.search(rf"(?<![\w-]){re.escape(option)}(?![\w-])", text)
+    ]
+    assert unused == []
 
 
 def test_theta_reports_failed_assumptions_like_transport(tmp_path, capsys):

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from dkequiv.builders import partial_injections
+from dkequiv import fincat
 from dkequiv.fincat import FinCat, closure_failures, table_category
 
 from conftest import closed_cuts, negative_controls
@@ -324,11 +325,66 @@ def _reference_walk(cat, members):
         g not in isos, -order(g), g)))
 
 
+def _separate_walk(cat, order):
+    """generating_set's walk written on its own, as it was before the table
+    fill shared it: each member of order not yet reached is taken, and it,
+    and each morphism it reaches, is extended by the identities and the
+    members taken so far on either side."""
+    comp, dom, cod = cat.comp, cat.dom, cat.cod
+    taken_into = [[i] for i in cat.identities]
+    taken_outof = [[i] for i in cat.identities]
+    reached, gens = set(cat.identities), []
+    for x in order:
+        if x in reached:
+            continue
+        gens.append(x)
+        taken_into[cod[x]].append(x)
+        taken_outof[dom[x]].append(x)
+        reached.add(x)
+        todo = [x]
+        while todo:
+            y = todo.pop()
+            row = comp[y]
+            new = [row[g] for g in taken_into[dom[y]]]
+            new += [comp[g][y] for g in taken_outof[cod[y]]]
+            for w in new:
+                if w not in reached:
+                    reached.add(w)
+                    todo.append(w)
+    return gens
+
+
+def _assert_passes_are_the_separate_walk(cat, members=None):
+    """On a fresh copy of cat, generating_set(members) walks twice, and each
+    pass takes what _separate_walk takes over the same order."""
+    fresh = FinCat(cat.n_objects, cat.dom, cat.cod, cat.identities, cat.comp,
+                   cat.obj_labels, cat.mor_labels)
+    passes = []
+    walk = fincat._extension_walk
+
+    def spy(order, *rest):
+        order, taken = list(order), []
+        passes.append((order, taken))
+        for event in walk(order, *rest):
+            if event[1] is None:
+                taken.append(event[0])
+            yield event
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fincat, "_extension_walk", spy)
+        gens = fresh.generating_set(members)
+    assert len(passes) == 2
+    for order, taken in passes:
+        assert taken == _separate_walk(cat, order)
+    assert passes[1][1] == gens
+
+
 def test_generating_set_matches_the_reference_walk(fi4, cube3):
     """On every stock structure up to the benchmark's sizes, Gamma_3 and
     VI#_2, the walks that compose with generators only give the lists of
     the walks that compose with every reached morphism: of all morphisms
-    and of K.  The benchmark's three lists (16, 10 and 15 generators) are
+    and of K, and each of the two passes takes what the walk written on its
+    own takes.  The benchmark's three lists (16, 10 and 15 generators) are
     pinned by sha256."""
     from dkequiv.builders import (
         BUILDERS, build_delta_bt, build_finset_input, build_flinj_input,
@@ -346,6 +402,8 @@ def test_generating_set_matches_the_reference_walk(fi4, cube3):
         assert cat.generating_set() == _reference_walk(cat, cat.morphisms())
         k_class = s.derived.k_class
         assert cat.generating_set(k_class) == _reference_walk(cat, k_class)
+        _assert_passes_are_the_separate_walk(cat)
+        _assert_passes_are_the_separate_walk(cat, k_class)
     got = [(len(gens), hashlib.sha256(json.dumps(gens).encode()).hexdigest())
            for gens in (s.cat.generating_set() for s in (delta6, fi4, cube3))]
     assert got == [
@@ -422,9 +480,9 @@ def test_generating_set_of_every_morphism_is_the_cached_one(delta4, monkeypatch)
     fresh = FinCat(cat.n_objects, cat.dom, cat.cod, cat.identities, cat.comp,
                    cat.obj_labels, cat.mor_labels)
     walks = []
-    walk = FinCat._walk_generators
-    monkeypatch.setattr(FinCat, "_walk_generators",
-                        lambda self, order: walks.append(1) or walk(self, order))
+    walk = fincat._extension_walk
+    monkeypatch.setattr(fincat, "_extension_walk",
+                        lambda *args: walks.append(1) or walk(*args))
     shuffled = list(cat.morphisms())
     random.Random(3).shuffle(shuffled)
     assert fresh.generating_set(shuffled) == want
@@ -442,6 +500,49 @@ def test_generating_set_of_every_morphism_is_the_cached_one(delta4, monkeypatch)
     assert fresh.generating_set(k_class) == [12, 13, 22, 23, 4, 18]
     assert fresh.generating_set(k_class) is not fresh.generating_set(k_class)
     assert len(walks) == 4
+
+
+class _Unfilled:
+    """A view of a list of rows whose unfilled (None) entries raise when
+    indexed."""
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def __getitem__(self, x):
+        row = self.rows[x]
+        if row is None:
+            raise AssertionError(f"row {x} read before its event")
+        return row
+
+
+def test_table_fill_reads_no_row_before_its_event(monkeypatch):
+    """The walked fill of table_category hands the walk rows that raise
+    where unfilled: the walk reads none of them before it has yielded the
+    event that fills it, each morphism but the identities has one event,
+    every reached w is outer o inner, and the table is the one built
+    without the view."""
+    from dkequiv.builders import build_cube, build_delta_bt, build_fi_sharp
+
+    builds = [(build_fi_sharp, 3), (build_cube, 2), (build_delta_bt, 4)]
+    want = [build(size).cat.comp for build, size in builds]
+    events = []
+    walk = fincat._extension_walk
+
+    def spy(order, dom, cod, identities, rows):
+        for event in walk(order, dom, cod, identities, _Unfilled(rows)):
+            events.append(event)
+            yield event
+
+    monkeypatch.setattr(fincat, "_extension_walk", spy)
+    for (build, size), comp in zip(builds, want):
+        events.clear()
+        cat = build(size).cat
+        assert cat.comp == comp
+        assert sorted(w for w, _, _ in events) == sorted(
+            set(cat.morphisms()) - set(cat.identities))
+        assert all(outer is None or cat.comp[outer][inner] == w
+                   for w, outer, inner in events)
 
 
 def _generated(cat, gens):
@@ -502,6 +603,7 @@ def test_generating_set_on_non_skeletal_and_non_associative_tables(fi3):
     gens = cat.generating_set()
     assert gens == _reference_walk(cat, cat.morphisms())
     assert _closure(cat, gens) == set(cat.morphisms())
+    _assert_passes_are_the_separate_walk(cat)
 
     base = fi3.cat
     autos = [i for i in base.isos() if base.dom[i] == base.cod[i]
@@ -527,6 +629,7 @@ def test_generating_set_on_non_skeletal_and_non_associative_tables(fi3):
         zero += cat._element_order(cycle) == 0 and cycle in cat.isos()
         gens = cat.generating_set()
         assert _closure(cat, gens) == set(cat.morphisms())
+        _assert_passes_are_the_separate_walk(cat)
         assert cat.check().to_jsonable() == _exhaustive_check(cat)
         assert not cat.check().ok
     assert zero >= 1
