@@ -8,7 +8,7 @@ recompute composites independently of the table.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .fincat import FinCat, closure_failures, group_by, int_list, table_category
 from .structure import MRStructure
@@ -200,8 +200,7 @@ class ParInputError(Exception):
         self.problems = problems
 
 
-@dataclass
-class ParInput:
+class ParInput(NamedTuple):
     """Base category with orthogonal classes (e_class, m_class) for building
     its category of m-partial maps."""
 

@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Mapping
-from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from math import lcm
+from typing import NamedTuple
 
 from .exactlin import (
     QMat,
@@ -492,8 +492,7 @@ def theta_matrix(km: KernelModule, t: AdditiveFunctor, a) -> QMat:
 # -- certification ---------------------------------------------------------------
 
 
-@dataclass
-class CertificateEntry:
+class CertificateEntry(NamedTuple):
     name: str
     dims: list
     hat_dims: list
@@ -514,24 +513,21 @@ class CertificateEntry:
                 and self.dims == self.tilde_hat_dims)
 
     def to_jsonable(self):
-        return {**asdict(self),
+        return {**self._asdict(),
                 "roundtrip_dims_equal": self.dims == self.tilde_hat_dims,
                 "ok": self.ok}
 
 
-@dataclass
 class EquivalenceCertificate:
-    entries: list = field(default_factory=list)
+    def __init__(self, entries=None):
+        self.entries = [] if entries is None else entries
 
     @property
     def ok(self):
         return all(e.ok for e in self.entries)
 
     def first_failure(self):
-        for e in self.entries:
-            if not e.ok:
-                return e
-        return None
+        return next((e for e in self.entries if not e.ok), None)
 
     def to_jsonable(self):
         return {"entries": [e.to_jsonable() for e in self.entries], "ok": self.ok}

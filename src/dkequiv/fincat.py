@@ -281,17 +281,21 @@ class FinCat:
     # -- derived data --------------------------------------------------------
 
     def isos(self):
-        """Morphisms with a two-sided inverse.  One pass in id order records
-        each one's first inverse in its reverse hom set and lists the
-        isomorphisms into each object in id order."""
+        """Morphisms with a two-sided inverse.  One pass in id order gathers
+        the row of each f: a -> b at hom(b, a) once and, where it holds id_b,
+        records the first g there, in id order, with f o g = id_b and
+        g o f = id_a.  It lists the isomorphisms into each object in id order."""
         if self._isos is None:
             comp, ids, inverse = self.comp, self.identities, {}
             for f in self.morphisms():
                 a, b = self.dom[f], self.cod[f]
-                for g in self._hom.get((b, a), ()):
-                    if comp[g][f] == ids[a] and comp[f][g] == ids[b]:
-                        inverse[f] = g
-                        break
+                back = self._hom.get((b, a), ())
+                got = gather(back)(comp[f]) if back else ()
+                if ids[b] in got:
+                    for g, fg in zip(back, got):
+                        if fg == ids[b] and comp[g][f] == ids[a]:
+                            inverse[f] = g
+                            break
             self._iso_inverse = inverse
             self._isos_into = group_by(inverse, self.cod)
             self._isos = frozenset(inverse)

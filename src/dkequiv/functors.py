@@ -265,9 +265,12 @@ class NatTransform:
         return f"NatTransform({len(self.components)} components)"
 
 
-def random_invertible(n, rng) -> QMat:
-    """Seeded unimodular matrix built from elementary operations."""
+def random_invertible(n, rng) -> tuple[QMat, QMat]:
+    """Seeded unimodular matrix built from elementary row operations, and
+    its inverse, built from the right: its columns cols take each inverse
+    operation, col i -= k col j for rows[j] += k rows[i]."""
     rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    cols = [row[:] for row in rows]
     for _ in range(2 * n):
         op = rng.randrange(3)
         i = rng.randrange(n)
@@ -275,11 +278,14 @@ def random_invertible(n, rng) -> QMat:
         if op == 0 and i != j:
             k = rng.choice((-2, -1, 1, 2))
             rows[j] = [x + k * y for x, y in zip(rows[j], rows[i])]
+            cols[i] = [x - k * y for x, y in zip(cols[i], cols[j])]
         elif op == 1:
             rows[i], rows[j] = rows[j], rows[i]
+            cols[i], cols[j] = cols[j], cols[i]
         else:
             rows[i] = [-x for x in rows[i]]
-    return QMat.from_rows(rows, n)
+            cols[i] = [-x for x in cols[i]]
+    return QMat.from_rows(rows, n), QMat.from_rows(zip(*cols), n)
 
 
 def _unit_atom_valid(d: DCat, c):
@@ -368,8 +374,8 @@ def random_pointed_functor(d: DCat, dims, seed) -> PointedFunctor:
     assert tuple(map(len, basis)) == dims
     index = [{x: i for i, x in enumerate(xs)} for xs in basis]
 
+    # q[a] = (q_a, its inverse): the change of basis at a
     q = [random_invertible(dims[a], rng) for a in cat.objects()]
-    q_inv = [m.inverse() for m in q]
     mats = {}
     for r in d.nonzero_morphisms():
         a, b = cat.dom[r], cat.cod[r]
@@ -381,5 +387,5 @@ def random_pointed_functor(d: DCat, dims, seed) -> PointedFunctor:
             if i is not None:
                 rows[i].append((col, 1))
         raw = QMat(dims[b], dims[a], map(tuple, rows))
-        mats[r] = q[b].mul(raw).mul(q_inv[a])
+        mats[r] = q[b][0].mul(raw).mul(q[a][1])
     return PointedFunctor(d, dims, mats)

@@ -20,7 +20,6 @@ and machine checks of all the structural axioms the transport theory needs.
 from __future__ import annotations
 
 import heapq
-from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -56,8 +55,7 @@ class AmbiguousFactorizationError(StructureError):
         self.triples = (triple_a, triple_b)
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(NamedTuple):
     """Triple with f = n o r o star(m); n, m in m_class, r in r_class."""
 
     n: int
@@ -65,8 +63,7 @@ class Factorization:
     m: int
 
 
-@dataclass(frozen=True)
-class DerivedClasses:
+class DerivedClasses(NamedTuple):
     r_class: frozenset
     s_class: frozenset
     k_class: frozenset
@@ -340,7 +337,7 @@ class MRStructure:
             raise NoFactorizationError(f)
         extra = set(cands) - self.conjugacy_orbit(cands[0])
         if extra:
-            other = min(extra, key=lambda t: (t.n, t.r, t.m))
+            other = min(extra)
             raise AmbiguousFactorizationError(f, cands[0], other)
         canon = [
             t
@@ -498,15 +495,14 @@ def build_d_cat(s: MRStructure) -> DCat:
 # -- assumption checking ---------------------------------------------------------
 
 
-@dataclass
-class AssumptionCheck:
+class AssumptionCheck(NamedTuple):
     key: str
     description: str
     passed: bool
     witness: object = None
 
     def to_jsonable(self):
-        return asdict(self)
+        return self._asdict()
 
 
 class AssumptionReport:
@@ -669,8 +665,7 @@ def check_assumptions(s: MRStructure) -> AssumptionReport:
 # -- coend bijections --------------------------------------------------------------
 
 
-@dataclass
-class CoendPairReport:
+class CoendPairReport(NamedTuple):
     kind: str
     source: int
     target: int
@@ -683,12 +678,11 @@ class CoendPairReport:
         return not self.problems and self.class_count == self.target_count
 
     def to_jsonable(self):
-        return {**asdict(self), "ok": self.ok}
+        return {**self._asdict(), "ok": self.ok}
 
 
-class CoendReport:
-    def __init__(self, entries):
-        self.entries = entries
+class CoendReport(NamedTuple):
+    entries: list
 
     @property
     def ok(self):

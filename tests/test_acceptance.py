@@ -156,8 +156,7 @@ def _embed_window(blocks, dim, window, mat2):
 def _random_valid_list(rng):
     dim = rng.randint(2, 6)
     count = rng.randint(1, 4)
-    p = random_invertible(dim, rng)
-    p_inv = p.inverse()
+    p, p_inv = random_invertible(dim, rng)
     use_motif = rng.random() < 0.5 and count >= 2
     window = rng.randrange(dim - 1) if use_motif else None
     pq = sorted(rng.sample(range(count), 2)) if use_motif else None
@@ -180,8 +179,7 @@ def _random_valid_list(rng):
 def _random_violating_list(rng):
     dim = rng.randint(2, 6)
     count = rng.randint(2, 4)
-    p = random_invertible(dim, rng)
-    p_inv = p.inverse()
+    p, p_inv = random_invertible(dim, rng)
     window = rng.randrange(dim - 1)
     pq = sorted(rng.sample(range(count), 2))
     out = []

@@ -17,6 +17,8 @@ from dkequiv.builders import (
     build_pt,
 )
 from dkequiv.equivalence import (
+    CertificateEntry,
+    EquivalenceCertificate,
     KernelModule,
     TransportError,
     TriangularityError,
@@ -1247,6 +1249,31 @@ def _invertibility_cases():
         f = random_pointed_functor(km.d, dims, seed=3)
         for g in km.structure.cat.morphisms():
             yield km, f, {"hat": _changing_hat(1, g, _zero)}
+
+
+def test_certificate_entry_record_is_pinned():
+    """An entry's to_jsonable dict, keys in field order, then the two
+    derived keys; the nested witness is the entry's own, not a copy, and
+    no caller changes it."""
+    witness = {"counit": [{"law": "naturality", "morphism": 3, "ends": [1, 2]}]}
+    entry = CertificateEntry("seed0_1", [1, 2], [2, 3], [1, 2], True, True,
+                             False, True, True, True, witness)
+    got = entry.to_jsonable()
+    assert list(got.items()) == [
+        ("name", "seed0_1"), ("dims", [1, 2]), ("hat_dims", [2, 3]),
+        ("tilde_hat_dims", [1, 2]), ("unit_natural", True),
+        ("unit_invertible", True), ("counit_natural", False),
+        ("counit_invertible", True), ("triangle_hat", True),
+        ("triangle_tilde", True),
+        ("witness", {"counit": [{"law": "naturality", "morphism": 3,
+                                 "ends": [1, 2]}]}),
+        ("roundtrip_dims_equal", True), ("ok", False),
+    ]
+    assert got["witness"] is witness
+    cert = EquivalenceCertificate()
+    cert.entries += [entry]
+    assert cert.first_failure() is entry and not cert.ok
+    assert EquivalenceCertificate().entries == [] and EquivalenceCertificate().ok
 
 
 def test_invertibility_from_shapes_and_triangles_matches_is_iso(monkeypatch):

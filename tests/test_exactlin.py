@@ -130,9 +130,10 @@ def test_inverse_exact(seed):
     from dkequiv.functors import random_invertible
 
     rng = random.Random(seed)
-    m = random_invertible(4, rng)
-    assert m.mul(m.inverse()).is_identity()
-    assert m.inverse().mul(m).is_identity()
+    m, m_inv = random_invertible(4, rng)
+    assert m.mul(m_inv).is_identity()
+    assert m_inv.mul(m).is_identity()
+    assert m.inverse() == m_inv
 
 
 def test_restrict_contracts():
@@ -275,12 +276,12 @@ def _random_idempotent(rng, n):
 
     from dkequiv.functors import random_invertible
 
-    p = random_invertible(n, rng)
+    p, p_inv = random_invertible(n, rng)
     bits = [rng.randrange(2) for _ in range(n)]
     d = QMat.from_rows(
         [[bits[i] if i == j else 0 for j in range(n)] for i in range(n)]
     )
-    return p.mul(d).mul(p.inverse())
+    return p.mul(d).mul(p_inv)
 
 
 def test_conditioned_pair_gives_complete_orthogonal_triple():
@@ -519,7 +520,7 @@ def test_inverse_matches_fraction_reference():
     cases = [rows for _, n, m, rows in _rational_cases() if n == m]
     rng = random.Random(7)
     for n in range(7):
-        u = random_invertible(n, rng)
+        u, _ = random_invertible(n, rng)
         cases.append([[x * Fraction(rng.randint(1, 4), rng.randint(1, 4))
                        for x in row] for row in _fracs(u)])
     singular = 0

@@ -212,9 +212,39 @@ def _with_inverse(cat, f, g, two_sided):
                   cat.obj_labels, cat.mor_labels)
 
 
+def _fi3_with_a_copy_of_3():
+    """fi_sharp 3 with a second copy 3' of the object 3: not skeletal."""
+    from dkequiv.builders import compose_partial, tuple_category
+
+    sizes = [0, 1, 2, 3, 3]
+    cat, _ = tuple_category(["0", "1", "2", "3", "3'"],
+                            lambda d, c: partial_injections(sizes[d], sizes[c]),
+                            compose_partial,
+                            lambda a: tuple(range(1, sizes[a] + 1)))
+    return cat
+
+
+def _double_loop_inverses(cat):
+    """The inverse map as the double loop over each reverse hom set finds
+    it: for f: a -> b, the first g in hom(b, a), in id order, with
+    g o f = id_a and f o g = id_b."""
+    ids, inverse = cat.identities, {}
+    for f in cat.morphisms():
+        a, b = cat.dom[f], cat.cod[f]
+        for g in cat.hom(b, a):
+            if cat.comp[g][f] == ids[a] and cat.comp[f][g] == ids[b]:
+                inverse[f] = g
+                break
+    return inverse
+
+
 def test_isos_match_an_inverse_search(delta4, fi3, cube2, pt, single_entry_mutants):
     # the stock tables, seeded single-entry comp mutants, mutants with a new
-    # one- or two-sided inverse, and isomorphisms given a second inverse
+    # one- or two-sided inverse, and isomorphisms given a second inverse;
+    # then fi_sharp 3 with a copy 3' of 3, not skeletal, and mutants of it
+    # where a morphism g ahead of the inverse of an isomorphism f between 3
+    # and 3', in id order, is made a one-sided inverse, f o g = id (to be
+    # skipped), or a two-sided one (to be taken)
     rng = random.Random(1511)
     cats = []  # (stock table, table)
     for s in (delta4, fi3, cube2, pt):
@@ -228,6 +258,12 @@ def test_isos_match_an_inverse_search(delta4, fi3, cube2, pt, single_entry_mutan
         seconds = [(f, g) for f, g in pairs if f in cat.isos() and g != cat.iso_inverse(f)]
         cats += [(cat, _with_inverse(cat, f, g, True))
                  for f, g in rng.sample(seconds, min(3, len(seconds)))]
+    copy = _fi3_with_a_copy_of_3()
+    ahead = [(f, g) for f in sorted(copy.isos()) if copy.dom[f] != copy.cod[f]
+             for g in copy.hom(copy.cod[f], copy.dom[f]) if g < copy.iso_inverse(f)]
+    picks = ahead[::len(ahead) // 6]
+    mutants = [_with_inverse(copy, g, f, k % 2) for k, (f, g) in enumerate(picks)]
+    cats += [(copy, copy)] + [(copy, m) for m in mutants]
     changed = 0
     for stock, cat in cats:
         ids = cat.identities
@@ -238,10 +274,13 @@ def test_isos_match_an_inverse_search(delta4, fi3, cube2, pt, single_entry_mutan
         isos = {f for f, gs in inverses.items() if gs}
         assert cat.isos() == isos
         assert all(cat.iso_inverse(f) == inverses[f][0] for f in isos)
+        assert {f: cat.iso_inverse(f) for f in isos} == _double_loop_inverses(cat)
         for a in cat.objects():
             assert list(cat.isos_into(a)) == sorted(f for f in isos if cat.cod[f] == a)
         changed += isos != stock.isos()
     assert changed >= 10
+    assert [m.iso_inverse(f) == g for m, (f, g) in zip(mutants, picks)] == [
+        k % 2 == 1 for k in range(len(picks))]
 
 
 def test_opposite_of_delta_passes_check(delta4):
@@ -587,13 +626,7 @@ def test_generating_set_on_non_skeletal_and_non_associative_tables(fi3):
     identity, the orders are defined, the walks end, the generators reach
     every morphism under the mutant's composition, and check reports what
     the walk over every triple does."""
-    from dkequiv.builders import compose_partial, tuple_category
-
-    sizes = [0, 1, 2, 3, 3]
-    cat, _ = tuple_category(["0", "1", "2", "3", "3'"],
-                            lambda d, c: partial_injections(sizes[d], sizes[c]),
-                            compose_partial,
-                            lambda a: tuple(range(1, sizes[a] + 1)))
+    cat = _fi3_with_a_copy_of_3()
     assert cat.check().ok
     between = [i for i in cat.isos() if {cat.dom[i], cat.cod[i]} == {3, 4}]
     assert len(between) == 12

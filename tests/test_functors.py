@@ -27,6 +27,7 @@ from dkequiv.functors import (
     NatTransform,
     PointedFunctor,
     _unit_atom_valid,
+    random_invertible,
     random_pointed_functor,
 )
 from dkequiv.structure import MRStructure, build_d_cat, check_assumptions
@@ -249,6 +250,36 @@ def test_seeded_functors_are_byte_identical(name):
         f = random_pointed_functor(d, dims, seed)
         text = json.dumps(f.to_jsonable(), sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == digest, (dims, seed)
+
+
+def _row_operations_matrix(n, rng):
+    """random_invertible's matrix built from its row operations alone, as
+    it was before it returned the inverse too."""
+    rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for _ in range(2 * n):
+        op = rng.randrange(3)
+        i = rng.randrange(n)
+        j = rng.randrange(n)
+        if op == 0 and i != j:
+            k = rng.choice((-2, -1, 1, 2))
+            rows[j] = [x + k * y for x, y in zip(rows[j], rows[i])]
+        elif op == 1:
+            rows[i], rows[j] = rows[j], rows[i]
+        else:
+            rows[i] = [-x for x in rows[i]]
+    return QMat.from_rows(rows, n)
+
+
+def test_random_invertible_returns_its_exact_inverse():
+    """The matrix and the rng stream are those of the row operations
+    alone, and the inverse built by column operations is QMat.inverse's."""
+    for n in range(7):
+        for seed in range(300):
+            rng, ref = random.Random(seed), random.Random(seed)
+            m, m_inv = random_invertible(n, rng)
+            assert m == _row_operations_matrix(n, ref)
+            assert rng.getstate() == ref.getstate()
+            assert m_inv == m.inverse(), (n, seed)
 
 
 def test_nat_transform_iso_detection(km_delta4):

@@ -1,6 +1,8 @@
 """Checks on the source of the package itself."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "dkequiv"
@@ -103,3 +105,22 @@ def test_src_modules_use_every_name_they_import():
     found = {path.name: unused_imports(path.read_text())
              for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_importing_the_package_loads_neither_dataclasses_nor_inspect():
+    """Run in a fresh interpreter, since pytest itself imports inspect:
+    the records are NamedTuples, so importing dkequiv, and its CLI, pulls
+    in neither dataclasses nor inspect (and with them ast, dis and
+    tokenize)."""
+    script = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import dkequiv\n"
+        "first = sorted({'dataclasses', 'inspect'} & set(sys.modules))\n"
+        "import dkequiv.cli\n"
+        "print(first, sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script, str(SRC.parent)],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0 and done.stderr == ""
+    assert done.stdout == "[] []\n"

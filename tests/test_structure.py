@@ -420,6 +420,33 @@ def test_coend_problems_are_pinned(flipped, overrides):
     assert verify_coend_bijections(s).to_jsonable() == _coend_report(overrides)
 
 
+def test_assumption_and_coend_records_are_pinned():
+    """The records' to_jsonable dicts, keys in field order: pt's
+    finiteness check, and the left entry (2, 0) of delta_bt 3 with s_in_r
+    flipped at the collapse of the three-element ordinal, which has two
+    problems."""
+    check = check_assumptions(build_pt()).checks[4]
+    assert list(check.to_jsonable().items()) == [
+        ("key", "finiteness"),
+        ("description", "the subobject classes of each object form a finite "
+                        "poset with the whole object as unique maximum"),
+        ("passed", True),
+        ("witness", {"sizes": {"0": 1, "1": 2}}),
+    ]
+    s = build_delta_bt(3)
+    s_in_r = s.s_in_r
+    s.s_in_r = lambda u: s_in_r(u) != (u == 4)
+    (entry,) = [e for e in verify_coend_bijections(s).entries
+                if (e.kind, e.source, e.target) == ("left", 2, 0)]
+    assert list(entry.to_jsonable().items()) == [
+        ("kind", "left"), ("source", 2), ("target", 0), ("class_count", 0),
+        ("target_count", 1),
+        ("problems", [{"problem": "value not constant on class", "values": [4, "zero"]},
+                      {"problem": "value not hit", "value": 4}]),
+        ("ok", False),
+    ]
+
+
 def _reference_coends(s):
     """Reference for verify_coend_bijections: the right relation along every
     isomorphism and the left one along every member of K, on pairs kept as
@@ -686,13 +713,11 @@ def test_an_isomorphism_leaving_the_irreducibles_is_reported():
     borrowed): t o id is no irreducible, so the right relation
     (id o t, id) ~ (id, t o id) has a side that is no pair, and the right
     entry (3, 3) fails with the witness (id, t, id), as the reference does."""
-    from dataclasses import replace
-
     base = build_fi_sharp(3)
     cat = base.cat
     t = cat.mor_labels.index("2,1,3")
     s = MRStructure(cat, base.m_class, base.star)
-    s.derived = replace(base.derived, r_class=base.derived.r_class - {t})
+    s.derived = base.derived._replace(r_class=base.derived.r_class - {t})
     s.s_in_r = base.s_in_r
     got = verify_coend_bijections(s).to_jsonable()
     assert got == _reference_coends(s)
